@@ -1,0 +1,158 @@
+"""States, bases and populations for a pair of coupled two-level molecules.
+
+Bare product basis, in this fixed order:
+
+    index 0: |1> = |g1 g2>
+    index 1: |2> = |g1 e2>
+    index 2: |3> = |e1 g2>
+    index 3: |4> = |e1 e2>
+
+On top of it we use a maximally-entangled basis (p, s, a, q):
+
+    |s> = (|2> + |3>)/sqrt(2)      symmetric single excitation
+    |a> = (|2> - |3>)/sqrt(2)      antisymmetric single excitation
+    |p> = (|1> + |4>)/sqrt(2)
+    |q> = (|1> - |4>)/sqrt(2)
+
+plus the circular pair |f> = (|2> + i|3>)/sqrt(2), |k> = (|2> - i|3>)/sqrt(2)
+and the localized products L/R of the inversion doublet (|L>, |R> are the
+left/right-localized superpositions of |g>, |e> on each molecule).
+
+All states are plain complex ndarrays of shape (4,); density matrices are
+complex ndarrays of shape (4, 4). No wrapper classes -- helpers below validate.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = [
+    "BARE_LABELS",
+    "ENTANGLED_LABELS",
+    "NAMED_STATES",
+    "named_state",
+    "pure_density",
+    "entangled_transform",
+    "to_entangled_basis",
+    "population",
+    "validate_density_matrix",
+]
+
+_SQ2 = math.sqrt(0.5)
+
+BARE_LABELS = ("g1g2", "g1e2", "e1g2", "e1e2")
+ENTANGLED_LABELS = ("p", "s", "a", "q")
+
+# Amplitude tables in the bare basis.  The localized products follow the
+# literal sign convention of the entangled-basis identities
+#   |s> = (|L1L2> - |R1R2>)/sqrt(2),  |a> = (|L1R2> - |R1L2>)/sqrt(2),
+#   |p> = (|L1L2> + |R1R2>)/sqrt(2),  |q> = (|L1R2> + |R1L2>)/sqrt(2).
+NAMED_STATES: dict[str, tuple[complex, complex, complex, complex]] = {
+    "g1g2": (1.0, 0.0, 0.0, 0.0),
+    "g1e2": (0.0, 1.0, 0.0, 0.0),
+    "e1g2": (0.0, 0.0, 1.0, 0.0),
+    "e1e2": (0.0, 0.0, 0.0, 1.0),
+    "s": (0.0, _SQ2, _SQ2, 0.0),
+    "a": (0.0, _SQ2, -_SQ2, 0.0),
+    "p": (_SQ2, 0.0, 0.0, _SQ2),
+    "q": (_SQ2, 0.0, 0.0, -_SQ2),
+    "f": (0.0, _SQ2, _SQ2 * 1j, 0.0),
+    "k": (0.0, _SQ2, -_SQ2 * 1j, 0.0),
+    "L1L2": (0.5, 0.5, 0.5, 0.5),
+    "R1R2": (0.5, -0.5, -0.5, 0.5),
+    "L1R2": (0.5, 0.5, -0.5, -0.5),
+    "R1L2": (0.5, -0.5, 0.5, -0.5),
+}
+
+
+def named_state(name: str) -> np.ndarray:
+    """Return the amplitude vector of a named pure state (shape (4,), complex)."""
+    try:
+        amps = NAMED_STATES[name]
+    except KeyError:
+        valid = ", ".join(sorted(NAMED_STATES))
+        raise ValueError(f"unknown state name {name!r}; valid names: {valid}") from None
+    return np.array(amps, dtype=complex)
+
+
+def pure_density(psi: np.ndarray) -> np.ndarray:
+    """Density matrix |psi><psi| of a normalized amplitude vector.
+
+    Rejects vectors whose norm deviates from 1 by more than 1e-9.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (4,):
+        raise ValueError(f"expected shape (4,), got {psi.shape}")
+    norm_err = abs(float(np.vdot(psi, psi).real) - 1.0)
+    if norm_err > 1e-9:
+        raise ValueError(f"state is not normalized: |<psi|psi> - 1| = {norm_err:.3e}")
+    return np.outer(psi, psi.conj())
+
+
+def entangled_transform() -> np.ndarray:
+    """Unitary M whose rows are <p|, <s|, <a|, <q| in the bare basis.
+
+    rho_entangled = M @ rho @ M.conj().T; row order matches ENTANGLED_LABELS.
+    """
+    rows = [NAMED_STATES[lbl] for lbl in ENTANGLED_LABELS]
+    return np.array(rows, dtype=complex)
+
+
+_M = None
+
+
+def to_entangled_basis(rho: np.ndarray) -> np.ndarray:
+    """Express a density matrix in the (p, s, a, q) basis: M rho M^dagger."""
+    global _M
+    if _M is None:
+        _M = entangled_transform()
+    rho = np.asarray(rho, dtype=complex)
+    return _M @ rho @ _M.conj().T
+
+
+def population(rho: np.ndarray, psi: np.ndarray) -> float:
+    """Population <psi| rho |psi> of a pure state in a density matrix.
+
+    The result is clamped to [0, 1] when rounding noise puts it within 1e-9
+    of either boundary; a larger excursion raises, since it signals a broken
+    density matrix rather than roundoff.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    value = float(np.real(np.vdot(psi, np.asarray(rho, dtype=complex) @ psi)))
+    if value < 0.0:
+        if value < -1e-9:
+            raise ValueError(f"population {value:.3e} below 0 beyond tolerance")
+        return 0.0
+    if value > 1.0:
+        if value > 1.0 + 1e-9:
+            raise ValueError(f"population {value:.6e} above 1 beyond tolerance")
+        return 1.0
+    return value
+
+
+def validate_density_matrix(
+    rho: np.ndarray,
+    *,
+    trace_tol: float = 1e-9,
+    herm_tol: float = 1e-12,
+    eig_tol: float = 1e-9,
+) -> None:
+    """Assert the defining properties of a density matrix within tolerances.
+
+    Checks unit trace, Hermiticity and spectrum >= -eig_tol; raises ValueError
+    with the offending figure otherwise.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected shape (4, 4), got {rho.shape}")
+    trace_err = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))
+    if trace_err > trace_tol:
+        raise ValueError(f"trace deviates from 1 by {trace_err:.3e}")
+    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_err > herm_tol:
+        raise ValueError(f"Hermiticity violated by {herm_err:.3e}")
+    lo = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
+    if lo < -eig_tol:
+        raise ValueError(f"negative eigenvalue {lo:.3e}")
