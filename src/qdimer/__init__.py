@@ -3,13 +3,7 @@ measurement-conditioned dynamics with entanglement readout."""
 
 from .audit import ConsistencyReport, consistency_report
 from .concurrence import ConcurrenceError, ConcurrenceResult, concurrence, spin_flip
-from .integrate import (
-    IntegrationConfig,
-    IntegrationError,
-    Trajectory,
-    closed_form_free,
-    integrate,
-)
+from .integrate import IntegrationConfig, Trajectory, closed_form_free, integrate
 from .liouville import (
     SystemParams,
     dephasing,
@@ -56,7 +50,6 @@ __all__ = [
     "EPSILON_0",
     "HBAR",
     "IntegrationConfig",
-    "IntegrationError",
     "MolecularConstants",
     "OBSERVABLES",
     "ObservableTable",

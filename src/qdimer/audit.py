@@ -58,11 +58,9 @@ def consistency_report(
     horizon: float,
     *,
     samples: int = 501,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
 ) -> ConsistencyReport:
     times = np.linspace(0.0, horizon, samples)
-    config = IntegrationConfig(sample_times=times, rel_tol=rel_tol, abs_tol=abs_tol)
+    config = IntegrationConfig(sample_times=times)
     derived = integrate("derived", rho0, params, config)
     published = integrate("published", rho0, params, config)
 

@@ -8,8 +8,7 @@ curves), ``audit`` (published-vs-derived consistency report),
 
 Unit-suffix parsing happens here and nowhere else; everything handed to
 the library is SI doubles.  Rates are angular (s^-1).  Exit codes:
-0 success, 2 bad flags or values, 3 integrator failure, 4 file-system
-problems.
+0 success, 2 bad flags or values, 4 file-system problems.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .audit import consistency_report
-from .integrate import IntegrationError
 from .liouville import SystemParams
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import ObservableTable, Scenario, catalog, run_scenario
@@ -93,6 +92,11 @@ _SWEEP_FIELDS = ("omega0", "J", "Omega", "gamma", "delta_l", "horizon")
 _SCHEMA_VERSION = 1
 
 
+def _require_finite(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, JSON-serializable description of one `run` invocation.
@@ -114,8 +118,6 @@ class RunConfig:
     samples: int | None = None
     observables: tuple[str, ...] | None = None
     rhs: str = "derived"
-    rel_tol: float | None = None
-    abs_tol: float | None = None
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] = ()
     schema_version: int = _SCHEMA_VERSION
@@ -132,6 +134,16 @@ class RunConfig:
             raise ValueError(f"rhs must be 'derived' or 'published', got {self.rhs!r}")
         if self.scenario is None and self.initial is None:
             raise ValueError("config needs a scenario name or an initial state")
+        for name in _PARAM_FIELDS + ("horizon",):
+            value = getattr(self, name)
+            if value is not None:
+                _require_finite(name, value)
+        for value in self.sweep_values:
+            _require_finite("sweep value", value)
+        if self.samples is not None and (
+            isinstance(self.samples, bool) or not isinstance(self.samples, int)
+        ):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.sweep_param is not None:
             if self.sweep_param not in _SWEEP_FIELDS:
                 raise ValueError(
@@ -152,6 +164,10 @@ class RunConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
+        # schema-1 files written while the propagator was adaptive carry its
+        # tolerances; exact propagation meets any tolerance, so they are dropped
+        doc.pop("rel_tol", None)
+        doc.pop("abs_tol", None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -182,7 +198,7 @@ def _scenario_from_config(cfg: RunConfig) -> Scenario:
             sc = replace(sc, params=replace(sc.params, **param_over))
         scalar_over = {
             name: getattr(cfg, name)
-            for name in ("initial", "horizon", "samples", "rel_tol", "abs_tol", "observables")
+            for name in ("initial", "horizon", "samples", "observables")
             if getattr(cfg, name) is not None
         }
         if scalar_over:
@@ -207,8 +223,6 @@ def _scenario_from_config(cfg: RunConfig) -> Scenario:
         if cfg.observables is not None
         else ("rho11", "rho22", "rho33", "rho44", "C"),
         samples=cfg.samples if cfg.samples is not None else 2001,
-        rel_tol=cfg.rel_tol if cfg.rel_tol is not None else 1e-10,
-        abs_tol=cfg.abs_tol if cfg.abs_tol is not None else 1e-12,
     )
 
 
@@ -321,10 +335,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             overrides["out"] = args.out
         if args.rhs is not None:
             overrides["rhs"] = args.rhs
-        if args.rel_tol is not None:
-            overrides["rel_tol"] = args.rel_tol
-        if args.abs_tol is not None:
-            overrides["abs_tol"] = args.abs_tol
         return replace(cfg, **overrides) if overrides else cfg
     if args.out is None:
         raise ValueError("--out is required unless a --config provides it")
@@ -355,8 +365,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         samples=args.samples,
         observables=observables,
         rhs=args.rhs if args.rhs is not None else "derived",
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
         sweep_param=sweep_param,
         sweep_values=sweep_values,
     )
@@ -427,8 +435,6 @@ def describe_scenario(sc: Scenario) -> str:
         f"driven={p.driven}",
         f"horizon={sc.horizon:g}",
         f"samples={sc.samples}",
-        f"rel_tol={sc.rel_tol:g}",
-        f"abs_tol={sc.abs_tol:g}",
     ]
     if sc.field_off_time is not None:
         parts.append(f"field_off={sc.field_off_time}")
@@ -478,14 +484,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     params = SystemParams(omega0=args.omega0, J=args.J, gamma=args.gamma)
     rho0 = pure_density(named_state(args.initial))
-    report = consistency_report(
-        params,
-        rho0,
-        args.horizon,
-        samples=args.samples,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-    )
+    report = consistency_report(params, rho0, args.horizon, samples=args.samples)
     print(f"initial = {args.initial}")
     print(f"horizon_s = {args.horizon:.6e}")
     print(f"max_population_deviation = {report.max_population_deviation:.6e}")
@@ -541,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--delta-l", type=rate_quantity, help="drive detuning (s^-1)")
     run_p.add_argument("--driven", action="store_const", const=True, default=None,
                        help="interpret the run in the rotating frame of a drive")
-    run_p.add_argument("--rel-tol", type=float)
-    run_p.add_argument("--abs-tol", type=float)
     run_p.add_argument("--sweep", help="<param>=<v1,v2,...> one CSV per value + index")
     run_p.add_argument("--jobs", type=int, default=1, help="concurrent sweep points")
     run_p.set_defaults(func=cmd_run)
@@ -569,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.add_argument("--J", type=rate_quantity, default=4.0e9)
     audit_p.add_argument("--gamma", type=rate_quantity, default=1.0e6)
     audit_p.add_argument("--samples", type=int, default=501)
-    audit_p.add_argument("--rel-tol", type=float, default=1e-10)
-    audit_p.add_argument("--abs-tol", type=float, default=1e-12)
     audit_p.set_defaults(func=cmd_audit)
 
     const_p = sub.add_parser("constants", help="derived rates from molecular inputs")
@@ -602,10 +597,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except IntegrationError as err:
-        print(f"error: integration stalled at t = {err.t_reached:.6e} s: {err}",
-              file=sys.stderr)
-        return 3
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

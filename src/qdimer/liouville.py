@@ -21,6 +21,7 @@ vectorization of rho.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -61,9 +62,11 @@ class SystemParams:
     driven: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "J", "gamma", "Omega"):
+        for name in ("omega0", "J", "gamma", "Omega", "delta_l"):
             value = getattr(self, name)
-            if value < 0.0:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name != "delta_l" and value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if not self.driven and self.Omega != 0.0:
             raise ValueError("Omega must be 0 when driven is False")
@@ -73,7 +76,7 @@ class SystemParams:
         return self.delta_l if self.driven else self.omega0
 
     def fastest_rate(self) -> float:
-        """Largest rate in the parameter set (used for step-size safety)."""
+        """Largest rate in the parameter set."""
         return max(abs(self.splitting()), self.J, self.Omega, self.gamma)
 
 

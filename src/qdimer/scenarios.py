@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .concurrence import concurrence
-from .integrate import IntegrationConfig, IntegrationError, integrate
+from .integrate import IntegrationConfig, integrate
 from .liouville import RhsVariant, SystemParams
 from .states import named_state, population, pure_density
 from .zeno import ZenoProtocol, analytic_survival, run_zeno
@@ -74,14 +74,12 @@ class Scenario:
     horizon: float
     observables: tuple[str, ...]
     samples: int = 2001
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     field_off_time: float | str | None = None
     zeno_taus: tuple[float, ...] = ()
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
@@ -175,7 +173,6 @@ def catalog() -> list[Scenario]:
             horizon=5e-6,
             observables=("rho11", "rho44", "rho_ss", "rho_aa", "C"),
             samples=2001,
-            rel_tol=1e-8,
             description="resonant drive of the doubly excited pair",
         ),
         Scenario(
@@ -203,7 +200,6 @@ def catalog() -> list[Scenario]:
             horizon=3e-6,
             observables=pair_detail,
             samples=3001,
-            rel_tol=1e-9,
             field_off_time="auto",
             description="suppress the drive at the first symmetric-population maximum",
         ),
@@ -214,7 +210,6 @@ def catalog() -> list[Scenario]:
             horizon=3e-6,
             observables=pair_detail,
             samples=3001,
-            rel_tol=1e-9,
             field_off_time="auto",
             description="switch_off with tenfold slower dephasing",
         ),
@@ -272,9 +267,7 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     # brackets the first maximum comfortably
     probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * params.Omega))
     probe_times = np.linspace(0.0, probe_horizon, 3001)
-    config = IntegrationConfig(
-        sample_times=probe_times, rel_tol=scenario.rel_tol, abs_tol=scenario.abs_tol
-    )
+    config = IntegrationConfig(sample_times=probe_times)
     rho0 = pure_density(named_state(scenario.initial))
     traj = integrate(variant, rho0, params, config)
     series = np.array([OBSERVABLES["rho_ss"](rho) for rho in traj.states])
@@ -290,8 +283,6 @@ def _integrate_with_switch_off(
     params: SystemParams,
     t_off: float,
     times: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
 ) -> np.ndarray:
     """Driven segment to t_off, then free evolution with the drive removed.
 
@@ -302,19 +293,12 @@ def _integrate_with_switch_off(
     head = times[times <= t_off]
     tail = times[times > t_off]
     seg1_times = head if head.size and head[-1] == t_off else np.append(head, t_off)
-    traj1 = integrate(
-        variant, rho0, params, IntegrationConfig(seg1_times, rel_tol, abs_tol)
-    )
+    traj1 = integrate(variant, rho0, params, IntegrationConfig(seg1_times))
     states = [traj1.states[: head.size]]
     if tail.size:
         rho_off = traj1.states[-1]
         params_free = replace(params, Omega=0.0)
-        traj2 = integrate(
-            variant,
-            rho_off,
-            params_free,
-            IntegrationConfig(tail - t_off, rel_tol, abs_tol),
-        )
+        traj2 = integrate(variant, rho_off, params_free, IntegrationConfig(tail - t_off))
         states.append(traj2.states)
     return np.concatenate(states, axis=0)
 
@@ -362,32 +346,17 @@ def run_scenario(
         return _zeno_sweep_table(scenario)
     if config is None:
         config = IntegrationConfig(
-            sample_times=np.linspace(0.0, scenario.horizon, scenario.samples),
-            rel_tol=scenario.rel_tol,
-            abs_tol=scenario.abs_tol,
+            sample_times=np.linspace(0.0, scenario.horizon, scenario.samples)
         )
     rho0 = pure_density(named_state(scenario.initial))
     times = config.sample_times
-    try:
-        if scenario.field_off_time is None:
-            states = integrate(variant, rho0, scenario.params, config).states
-        else:
-            t_off = scenario.field_off_time
-            if isinstance(t_off, str):
-                t_off = _switch_trigger(scenario, variant)
-            states = _integrate_with_switch_off(
-                variant,
-                rho0,
-                scenario.params,
-                t_off,
-                times,
-                config.rel_tol,
-                config.abs_tol,
-            )
-    except IntegrationError as err:
-        raise IntegrationError(
-            f"scenario {scenario.name}: {err}", t_reached=err.t_reached
-        ) from err
+    if scenario.field_off_time is None:
+        states = integrate(variant, rho0, scenario.params, config).states
+    else:
+        t_off = scenario.field_off_time
+        if isinstance(t_off, str):
+            t_off = _switch_trigger(scenario, variant)
+        states = _integrate_with_switch_off(variant, rho0, scenario.params, t_off, times)
     data = np.empty((times.size, len(scenario.observables)))
     for m, name in enumerate(scenario.observables):
         fn = OBSERVABLES[name]

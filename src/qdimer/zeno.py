@@ -42,7 +42,7 @@ class ZenoProtocol:
     target: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.n_measurements < 1:
             raise ValueError(f"need at least one measurement, got {self.n_measurements}")
@@ -80,30 +80,22 @@ def run_zeno(protocol: ZenoProtocol) -> ZenoResult:
     """Run the selective measurement chain starting from the target state.
 
     Each cycle propagates the conditional state for tau with the exact free
-    propagator, reads p_k = <target|rho|target>, and resets the state to
-    P rho P / p_k.  Raises if the chain is extinguished (p_k <= 1e-15).
+    propagator, reads p = <target|rho|target>, and projects back onto the
+    target.  The projector has rank 1, so every cycle restarts from the pure
+    target state and has the same p: survival[k] = p**k.  Raises if the
+    chain is extinguished (p <= 1e-15).
     """
     target = protocol.target
-    projector = np.outer(target, target.conj())
-    state = pure_density(target)
-
+    rho = closed_form_free(pure_density(target), protocol.params, protocol.tau)
+    p = population(rho, target)
+    if p <= 1e-15:
+        raise ValueError(f"measurement chain extinguished at step 1 (p = {p:.3e})")
     n = protocol.n_measurements
-    survival = np.empty(n + 1)
-    probs = np.empty(n)
-    survival[0] = 1.0
-    running = 1.0
-    for k in range(1, n + 1):
-        state = closed_form_free(state, protocol.params, protocol.tau)
-        p = population(state, target)
-        if p <= 1e-15:
-            raise ValueError(f"measurement chain extinguished at step {k} (p = {p:.3e})")
-        probs[k - 1] = p
-        running *= p
-        survival[k] = running
-        state = projector @ state @ projector / p
-
+    survival = p ** np.arange(n + 1)
     times = protocol.tau * np.arange(n + 1)
-    return ZenoResult(protocol=protocol, times=times, survival=survival, step_probabilities=probs)
+    return ZenoResult(
+        protocol=protocol, times=times, survival=survival, step_probabilities=np.full(n, p)
+    )
 
 
 def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:

@@ -1,18 +1,26 @@
 """Independent reference implementations used to cross-check the library.
 
 Nothing here imports from the integrator or the entanglement module's
-eigenvalue path: the quartic eigensolver below goes through the
+eigenvalue path.  The quartic eigensolver below goes through the
 characteristic polynomial (Faddeev-LeVerrier coefficients, Durand-Kerner
 root finding in extended precision, Newton polish), so agreement with
 `np.linalg.eigvals` is a genuine two-route check rather than the same
 code called twice.  The polynomial route is accurate for simple roots;
 for heavily repeated roots (pure-state products) the algebraic
 closed forms in the tests are the better oracle.
+
+Driven runs have no closed form; they are checked against the adaptive
+Dormand-Prince stepper at the end of this file, which shares only the
+generator with the library's exact propagator.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from qdimer.liouville import SystemParams, superoperator
 
 
 def char_poly_coefficients(m: np.ndarray) -> np.ndarray:
@@ -123,3 +131,176 @@ def free_block_solution(
     y = e * ((ch - g * sh_over) * y0 + 2.0 * j * sh_over * z0)
     z = e * (-2.0 * j * sh_over * y0 + (ch + g * sh_over) * z0)
     return (complex(y).real, complex(z).real)
+
+
+# ---------------------------------------------------------------------------
+# adaptive Dormand-Prince 5(4) stepper with FSAL, quartic dense output and a
+# proportional step controller
+
+@dataclass
+class StepStats:
+    accepted: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
+    min_step: float = float("inf")
+    max_step: float = 0.0
+
+
+# Dormand-Prince 5(4) tableau (the system is autonomous, so no nodes).
+_A = [
+    np.array([], dtype=float),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+# error estimate = h * sum(_E[i] * k[i]); difference of 5th- and 4th-order weights
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# dense output: y(t0 + u*h) = y0 + h * K^T (P @ [u, u^2, u^3, u^4])
+_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
+_SAFETY = 0.9
+
+
+def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+
+
+def _initial_step(lv: np.ndarray, y0: np.ndarray, f0: np.ndarray, rel: float, abs_: float, h_max: float) -> float:
+    # Hairer-Norsett-Wanner starting-step heuristic, order 5.
+    scale = abs_ + rel * np.abs(y0)
+    d0 = _error_norm(y0, scale)
+    d1 = _error_norm(f0, scale)
+
+
+def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+
+
+def _initial_step(lv, y0, f0, rel: float, abs_: float, h_max: float) -> float:
+    # Hairer-Norsett-Wanner starting-step heuristic, order 5.
+    scale = abs_ + rel * np.abs(y0)
+    d0 = _error_norm(y0, scale)
+    d1 = _error_norm(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = y0 + h0 * f0
+    f1 = lv @ y1
+    d2 = _error_norm(f1 - f0, scale) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, h_max)
+
+
+def dopri5(
+    variant: str,
+    rho0: np.ndarray,
+    params: SystemParams,
+    times: np.ndarray,
+    *,
+    rel_tol: float = 1e-10,
+    abs_tol: float = 1e-12,
+    max_step: float | None = None,
+    closure: bool = True,
+) -> tuple[np.ndarray, StepStats]:
+    """Sample rho at `times` (increasing, >= 0) with DP5(4) dense output.
+
+    Time is rescaled by the fastest rate so steps stay near unity; the step
+    is capped at max_step seconds, by default 0.1 / fastest rate.  Returns
+    the (len(times), 4, 4) states and the step statistics.
+    """
+    times = np.asarray(times, dtype=float)
+    y = np.asarray(rho0, dtype=complex).reshape(16).copy()
+    stats = StepStats()
+    t_end = float(times[-1])
+    if t_end == 0.0:
+        return np.repeat(y.reshape(1, 4, 4), times.size, axis=0), stats
+
+    rate = params.fastest_rate()
+    if rate <= 0.0:
+        rate = 1.0 / t_end
+    lv = superoperator(variant, params, closure=closure) / rate
+    s_samples = times * rate
+    s_end = t_end * rate
+    if max_step is not None:
+        h_max = max_step * rate
+    else:
+        h_max = min(0.1 * params.fastest_rate() / rate, s_end) if params.fastest_rate() > 0 else s_end
+    h_max = min(h_max, s_end)
+
+    rel, abs_ = rel_tol, abs_tol
+    f0 = lv @ y
+    stats.rhs_evals += 2
+    h = _initial_step(lv, y, f0, rel, abs_, h_max)
+
+    out = np.empty((times.size, 16), dtype=complex)
+    next_sample = 0
+    if s_samples[0] == 0.0:
+        out[0] = y
+        next_sample = 1
+
+    k = np.empty((7, 16), dtype=complex)
+    k[0] = f0
+    s = 0.0
+    tiny = 1e-13  # step underflow threshold in rescaled units
+
+    grow_allowed = True
+    while s < s_end:
+        remaining = s_end - s
+        if remaining <= 1e-12 * s_end:
+            break
+        h = min(h, h_max, remaining)
+        if h < tiny * max(1.0, abs(s)):
+            raise RuntimeError(f"step size underflow at t = {s / rate:.6e} s")
+        for i in range(1, 7):
+            y_stage = y + h * (k[:i].T @ _A[i])
+            k[i] = lv @ y_stage
+        stats.rhs_evals += 6
+        y_new = y_stage  # stage 7 uses the 5th-order weights: y_new = y + h*(b.k)
+        err = h * (k.T @ _E)
+        scale = abs_ + rel * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = _error_norm(err, scale)
+
+        if err_norm <= 1.0:
+            s_new = s + h
+            # dense output for samples inside (s, s_new]
+            while next_sample < s_samples.size and s_samples[next_sample] <= s_new + 1e-12 * s_end:
+                u = (s_samples[next_sample] - s) / h
+                u = min(max(u, 0.0), 1.0)
+                pu = _P @ np.array([u, u * u, u**3, u**4])
+                out[next_sample] = y + h * (k.T @ pu)
+                next_sample += 1
+            stats.accepted += 1
+            stats.min_step = min(stats.min_step, h)
+            stats.max_step = max(stats.max_step, h)
+            y = y_new
+            k[0] = k[6]  # FSAL
+            s = s_new
+            factor = _MAX_FACTOR if err_norm == 0.0 else min(_MAX_FACTOR, _SAFETY * err_norm**-0.2)
+            if not grow_allowed:
+                factor = min(factor, 1.0)
+            h *= max(_MIN_FACTOR, factor)
+            grow_allowed = True
+        else:
+            stats.rejected += 1
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
+            grow_allowed = False
+
+    if next_sample < s_samples.size:  # horizon reached within roundoff of last sample
+        out[next_sample:] = y
+    return out.reshape(times.size, 4, 4), stats

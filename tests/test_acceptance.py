@@ -44,9 +44,9 @@ def preset(name):
     return next(s for s in catalog() if s.name == name)
 
 
-def free_run(initial, gamma, horizon, samples, rel_tol=1e-10):
+def free_run(initial, gamma, horizon, samples):
     params = SystemParams(omega0=OMEGA0, J=J_REF, gamma=gamma)
-    config = IntegrationConfig(np.linspace(0.0, horizon, samples), rel_tol, 1e-12)
+    config = IntegrationConfig(np.linspace(0.0, horizon, samples))
     traj = integrate("derived", pure_density(named_state(initial)), params, config)
     return traj.times, traj.states
 
@@ -159,11 +159,11 @@ def test_criterion_04_localized_product_cases():
     ])
 
 
-def driven_resonant_run(initial, j, horizon, samples, rel_tol):
+def driven_resonant_run(initial, j, horizon, samples):
     params = SystemParams(
         omega0=OMEGA0, J=j, gamma=1.0e6, Omega=7.0e7, delta_l=0.0, driven=True
     )
-    config = IntegrationConfig(np.linspace(0.0, horizon, samples), rel_tol, 1e-12)
+    config = IntegrationConfig(np.linspace(0.0, horizon, samples))
     traj = integrate("derived", pure_density(named_state(initial)), params, config)
     return traj.times, traj.states
 
@@ -184,7 +184,7 @@ def slow_peaks(times, values, width, min_separation):
 def test_criterion_05_resonant_slowdown():
     start = time.perf_counter()
     # (a) revival period from the first half-crossing of rho44
-    t, states = driven_resonant_run("e1e2", J_REF, 1e-6, 2001, 1e-8)
+    t, states = driven_resonant_run("e1e2", J_REF, 1e-6, 2001)
     r44 = column(states, "rho44")
     i = int(np.argmax(r44 < 0.5))
     t_quarter = np.interp(0.5, [r44[i], r44[i - 1]], [t[i], t[i - 1]])
@@ -194,14 +194,14 @@ def test_criterion_05_resonant_slowdown():
     # (b) the entanglement cycle slows down as J grows
     periods = []
     for j in (1e9, 2e9, 4e9):
-        tj, sj = driven_resonant_run("e1e2", j, 1.2e-6, 2401, 1e-8)
+        tj, sj = driven_resonant_run("e1e2", j, 1.2e-6, 2401)
         peaks = slow_peaks(tj, column(sj, "C"), width=41, min_separation=5e-8)
         assert len(peaks) >= 2, f"expected two slow peaks at J = {j:g}"
         periods.append(peaks[1][0] - peaks[0][0])
 
     # (c) the empty and doubly excited starts are mirror runs
-    t1, s1 = driven_resonant_run("e1e2", J_REF, 5e-7, 501, 1e-10)
-    t2, s2 = driven_resonant_run("g1g2", J_REF, 5e-7, 501, 1e-10)
+    t1, s1 = driven_resonant_run("e1e2", J_REF, 5e-7, 501)
+    t2, s2 = driven_resonant_run("g1g2", J_REF, 5e-7, 501)
     mirror = max(
         np.max(np.abs(column(s1, "C") - column(s2, "C"))),
         np.max(np.abs(column(s1, "rho44") - column(s2, "rho11"))),
@@ -299,7 +299,7 @@ def test_criterion_09_oracles_and_audit():
             "derived",
             pure_density(named_state(sc.initial)),
             sc.params,
-            IntegrationConfig(t, sc.rel_tol, sc.abs_tol),
+            IntegrationConfig(t),
         )
         exact = closed_form_free(pure_density(named_state(sc.initial)), sc.params, t)
         worst_free = max(worst_free, np.max(np.abs(traj.states - exact)))
@@ -339,7 +339,7 @@ def test_criterion_10_property_suite(tmp_path):
         "derived",
         pure_density(named_state(sc.initial)),
         sc.params,
-        IntegrationConfig(np.linspace(0.0, sc.horizon, 401), 1e-10, 1e-12),
+        IntegrationConfig(np.linspace(0.0, sc.horizon, 401)),
     )
     states = traj.states
     trace_dev = np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0))

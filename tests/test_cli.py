@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-import qdimer.cli as cli_mod
 from qdimer.cli import (
     RunConfig,
     dipole_quantity,
@@ -17,7 +16,6 @@ from qdimer.cli import (
     rate_quantity,
     time_quantity,
 )
-from qdimer.integrate import IntegrationError
 from qdimer.physics import DEBYE
 from qdimer.scenarios import ObservableTable, catalog
 
@@ -98,6 +96,58 @@ def test_config_validation():
         RunConfig(out="a.csv", scenario="free_eg", schema_version=2)
     with pytest.raises(ValueError, match="unknown config fields"):
         RunConfig.from_json('{"out": "a.csv", "scenario": "free_eg", "color": "red"}')
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_json_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig.from_json('{"out": "a.csv", "scenario": "free_eg", "gamma": %s}' % text)
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig.from_json(
+            '{"out": "a.csv", "scenario": "free_eg", "sweep_param": "gamma", '
+            '"sweep_values": [1.0, %s]}' % text
+        )
+
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        RunConfig.from_json('{"out": "a.csv", "scenario": "free_eg", "samples": %s}' % text)
+
+
+# a config saved by --save-config while the propagator was adaptive
+LEGACY_CONFIG = """{
+  "J": 4000000000.0,
+  "Omega": null,
+  "abs_tol": 1e-12,
+  "delta_l": null,
+  "driven": null,
+  "gamma": null,
+  "horizon": 1e-09,
+  "initial": "e1g2",
+  "observables": null,
+  "omega0": null,
+  "out": "legacy.csv",
+  "rel_tol": 1e-08,
+  "rhs": "derived",
+  "samples": 11,
+  "scenario": null,
+  "schema_version": 1,
+  "sweep_param": null,
+  "sweep_values": []
+}
+"""
+
+
+def test_legacy_config_with_tolerances_loads(tmp_path, capsys):
+    cfg = RunConfig.from_json(LEGACY_CONFIG)
+    assert cfg == RunConfig(out="legacy.csv", initial="e1g2", J=4e9, horizon=1e-9,
+                            samples=11)
+    assert "rel_tol" not in cfg.to_json()
+    path = tmp_path / "legacy.json"
+    path.write_text(LEGACY_CONFIG)
+    out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
+    assert main(run_args(out2)) == 0
+    capsys.readouterr()
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +323,25 @@ def test_bad_sweep_argument(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_integration_failure_exit_code(tmp_path, capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise IntegrationError("step size collapsed", t_reached=2e-9)
+@pytest.mark.parametrize("text", ["NaN", "Infinity"])
+def test_non_finite_config_exits_2(tmp_path, capsys, text):
+    # a NaN rate once made the run hang instead of failing
+    path = tmp_path / "bad.json"
+    path.write_text('{"out": "%s", "scenario": "free_eg", "gamma": %s}'
+                    % (tmp_path / "x.csv", text))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
-    monkeypatch.setattr(cli_mod, "run_scenario", boom)
-    assert main(run_args(tmp_path / "x.csv")) == 3
-    assert "integration stalled at t = 2.000000e-09" in capsys.readouterr().err
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_sweep_exits_2(tmp_path, capsys, value):
+    # --sweep gamma=inf once wrote a CSV frozen at the initial state
+    out = tmp_path / "s.csv"
+    assert main(["run", "--scenario", "free_eg", "--out", str(out),
+                 "--sweep", f"gamma=1e6,{value}"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

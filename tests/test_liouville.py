@@ -37,6 +37,14 @@ def test_params_validation():
     SystemParams(omega0=1.0, J=1.0, gamma=0.0, Omega=0.5, delta_l=-1.0, driven=True)
 
 
+@pytest.mark.parametrize("name", ["omega0", "J", "gamma", "Omega", "delta_l"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(name, bad):
+    rates = dict(omega0=1.0, J=1.0, gamma=0.0, Omega=0.5, delta_l=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams(**{**rates, name: bad}, driven=True)
+
+
 def test_splitting_selects_frame():
     free = SystemParams(omega0=2.0, J=1.0, gamma=0.0)
     driven = SystemParams(omega0=2.0, J=1.0, gamma=0.0, Omega=0.1, delta_l=0.5, driven=True)

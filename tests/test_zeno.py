@@ -29,6 +29,13 @@ def test_protocol_validation():
                      target=np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_protocol_rejects_non_finite_tau(bad):
+    params = SystemParams(omega0=1.5e11, J=0.0, gamma=0.0)  # no Zeno window
+    with pytest.raises(ValueError, match="tau"):
+        ZenoProtocol(tau=bad, n_measurements=5, params=params)
+
+
 def test_protocol_records_total_time():
     proto = ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE)
     assert proto.total_time == pytest.approx(1e-9)
