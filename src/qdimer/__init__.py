@@ -3,7 +3,7 @@ measurement-conditioned dynamics with entanglement readout."""
 
 from .audit import ConsistencyReport, consistency_report
 from .concurrence import ConcurrenceError, ConcurrenceResult, concurrence, spin_flip
-from .integrate import IntegrationConfig, Trajectory, closed_form_free, integrate
+from .integrate import IntegrationConfig, StepCounts, Trajectory, closed_form_free, integrate
 from .liouville import (
     SystemParams,
     dephasing,
@@ -56,6 +56,7 @@ __all__ = [
     "Scenario",
     "SPEED_OF_LIGHT",
     "SystemParams",
+    "StepCounts",
     "Trajectory",
     "ZenoProtocol",
     "ZenoResult",

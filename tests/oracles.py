@@ -180,17 +180,6 @@ def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
-def _initial_step(lv: np.ndarray, y0: np.ndarray, f0: np.ndarray, rel: float, abs_: float, h_max: float) -> float:
-    # Hairer-Norsett-Wanner starting-step heuristic, order 5.
-    scale = abs_ + rel * np.abs(y0)
-    d0 = _error_norm(y0, scale)
-    d1 = _error_norm(f0, scale)
-
-
-def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-
-
 def _initial_step(lv, y0, f0, rel: float, abs_: float, h_max: float) -> float:
     # Hairer-Norsett-Wanner starting-step heuristic, order 5.
     scale = abs_ + rel * np.abs(y0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdimer.integrate import IntegrationConfig, integrate
+from qdimer import scenarios as scenarios_mod
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import (
     OBSERVABLES,
@@ -206,6 +207,37 @@ def test_published_variant_identical_from_localized_start():
     a = run_scenario(sc, config, variant="derived")
     b = run_scenario(sc, config, variant="published")
     assert np.max(np.abs(a.data - b.data)) < 1e-12
+
+
+# steps of each preset's own run, as (applied, of which dense).  The variant
+# identity above holds only for steps on the Taylor path (|L dt|_1 <= 8), so
+# a change of grid that moves a free preset to the dense path shows up here.
+PRESET_STEPS = {
+    "free_eg": [(2000, 0)],
+    "free_LL": [(5000, 0)],
+    "free_LR": [(5000, 0)],
+    "driven_resonant": [(2000, 2000)],
+    "driven_detuned_s": [(2000, 0)],
+    "driven_detuned_a": [(2000, 0)],
+    # trigger probe, driven segment up to the switch, free tail; the short
+    # steps onto and off the switch time take the Taylor path
+    "switch_off": [(3000, 0), (28, 27), (2973, 2972)],
+    "switch_off_gamma1e5": [(3000, 0), (28, 27), (2973, 2972)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_STEPS))
+def test_preset_grids_take_the_expected_path(name, monkeypatch):
+    steps = []
+
+    def recording(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append((traj.stats.accepted, traj.stats.dense))
+        return traj
+
+    monkeypatch.setattr(scenarios_mod, "integrate", recording)
+    run_scenario(preset(name))
+    assert steps == PRESET_STEPS[name]
 
 
 def test_detuned_drive_reaches_symmetric_state():
