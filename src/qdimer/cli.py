@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -55,13 +54,15 @@ def parse_quantity(text: str, units: dict[str, float], kind: str) -> float:
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"cannot parse {kind} value {text!r}") from err
     suffix = match.group(2).strip().replace("µ", "u").replace("μ", "u")
-    if not suffix:
-        return value  # bare numbers are already SI
-    if suffix not in units:
-        raise argparse.ArgumentTypeError(
-            f"unknown {kind} unit {suffix!r}; accepted: {', '.join(sorted(units))}"
-        )
-    return value * units[suffix]
+    if suffix:  # bare numbers are already SI
+        if suffix not in units:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} unit {suffix!r}; accepted: {', '.join(sorted(units))}"
+            )
+        value *= units[suffix]
+    if not math.isfinite(value):  # 1e400 parses as inf
+        raise argparse.ArgumentTypeError(f"{kind} value {text!r} is not finite")
+    return value
 
 
 def time_quantity(text: str) -> float:
@@ -376,49 +377,39 @@ def _sweep_paths(cfg: RunConfig) -> tuple[str, list[str]]:
     return base + ".index.csv", points
 
 
-def _run_sweep(cfg: RunConfig, jobs: int) -> int:
-    index_path, point_paths = _sweep_paths(cfg)
-
-    def one(value: float, path: str) -> None:
-        if cfg.sweep_param == "horizon":
-            sub = replace(cfg, horizon=value, sweep_param=None, sweep_values=())
-        else:
-            sub = replace(cfg, sweep_param=None, sweep_values=(), **{cfg.sweep_param: value})
-        table = run_scenario(_scenario_from_config(sub), variant=cfg.rhs)
-        emit_csv(table, path)
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [
-            pool.submit(one, value, path)
-            for value, path in zip(cfg.sweep_values, point_paths)
-        ]
-        for future in futures:
-            future.result()
-
-    lines = ["param,value,path"]
-    lines += [
-        f"{cfg.sweep_param},{value:.16e},{path}"
-        for value, path in zip(cfg.sweep_values, point_paths)
-    ]
-    with open(index_path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-    for path in point_paths:
-        print(f"wrote {path}")
-    print(f"wrote {index_path}")
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    index_path, points = None, [(cfg, cfg.out)]
+    if cfg.sweep_param is not None:
+        index_path, paths = _sweep_paths(cfg)
+        points = [
+            (replace(cfg, sweep_param=None, sweep_values=(), **{cfg.sweep_param: value}), path)
+            for value, path in zip(cfg.sweep_values, paths)
+        ]
+    # every point is resolved (and so validated) before the first one runs, and
+    # every point runs before the first file is written, so a point that fails,
+    # even in its switch-off trigger search, leaves no file behind
+    scenarios = [(_scenario_from_config(point), path) for point, path in points]
+    tables = [(run_scenario(sc, variant=cfg.rhs), path) for sc, path in scenarios]
     if args.save_config is not None:
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(cfg.to_json())
         print(f"wrote {args.save_config}")
-    if cfg.sweep_param is not None:
-        return _run_sweep(cfg, args.jobs)
-    table = run_scenario(_scenario_from_config(cfg), variant=cfg.rhs)
-    emit_csv(table, cfg.out)
-    print(f"wrote {cfg.out} ({table.times.size} rows, {len(table.names)} columns)")
+    for table, path in tables:
+        emit_csv(table, path)
+        if index_path is None:
+            print(f"wrote {path} ({table.times.size} rows, {len(table.names)} columns)")
+        else:
+            print(f"wrote {path}")
+    if index_path is not None:
+        lines = ["param,value,path"]
+        lines += [
+            f"{cfg.sweep_param},{value:.16e},{path}"
+            for value, (_, path) in zip(cfg.sweep_values, points)
+        ]
+        with open(index_path, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        print(f"wrote {index_path}")
     return 0
 
 
@@ -455,6 +446,8 @@ def cmd_zeno(args: argparse.Namespace) -> int:
     if args.N is not None:
         n = args.N
     else:
+        if not args.tau > 0.0:
+            raise ValueError(f"--tau must be > 0, got {args.tau:g} s")
         ratio = args.T / args.tau
         n = round(ratio)
         if n < 1 or abs(ratio - n) > 1e-9 * ratio:
@@ -541,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--driven", action="store_const", const=True, default=None,
                        help="interpret the run in the rotating frame of a drive")
     run_p.add_argument("--sweep", help="<param>=<v1,v2,...> one CSV per value + index")
-    run_p.add_argument("--jobs", type=int, default=1, help="concurrent sweep points")
     run_p.set_defaults(func=cmd_run)
 
     cat_p = sub.add_parser("catalog", help="list scenario presets")

@@ -33,9 +33,6 @@ SPIN_FLIP_KERNEL = np.array(
     dtype=complex,
 )
 
-# Eigenvalues of rho*rho_tilde whose magnitude is below this multiple of the
-# largest one are numerical zeros: keeping them would inject sqrt-amplified
-# rounding noise into C for rank-deficient (e.g. pure) states.
 # Eigenvalues of rho*rho_tilde below this fraction of the largest one are
 # rounding debris, not spectrum: for rank-deficient products (pure and
 # near-pure states) the QR solver leaves zeros populated at up to ~1e4*eps

@@ -81,6 +81,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
         unknown = [n for n in self.observables if n not in OBSERVABLES]
@@ -95,11 +97,11 @@ class Scenario:
             if isinstance(off, str):
                 if off != "auto":
                     raise ValueError(f"field_off_time must be a time or 'auto', got {off!r}")
+                if self.params.Omega <= 0.0:
+                    raise ValueError("automatic switch-off needs a nonzero drive")
             elif not 0.0 < off < self.horizon:
                 raise ValueError(f"field_off_time {off} not inside (0, horizon)")
         if self.zeno_taus:
-            if self.params.Omega != 0.0:
-                raise ValueError("a zeno sweep requires free evolution (Omega = 0)")
             grid = max(self.zeno_taus)
             for tau in self.zeno_taus:
                 if tau <= 0.0:
@@ -110,6 +112,10 @@ class Scenario:
                         raise ValueError(
                             f"zeno tau {tau} does not divide the {label} {total}"
                         )
+                # the protocol the run builds checks free evolution and the Zeno window
+                ZenoProtocol(
+                    tau=tau, n_measurements=round(self.horizon / tau), params=self.params
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +267,6 @@ def find_first_maximum(times: np.ndarray, values: np.ndarray) -> tuple[float, fl
 def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     """Time of the first maximum of the symmetric population under the drive."""
     params = scenario.params
-    if params.Omega <= 0.0:
-        raise ValueError("automatic switch-off needs a nonzero drive")
     # the |4> <-> |s> exchange runs at sqrt(2)*Omega; one full swap period
     # brackets the first maximum comfortably
     probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * params.Omega))

@@ -100,14 +100,11 @@ def entangled_transform() -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-_M = None
+_M = entangled_transform()
 
 
 def to_entangled_basis(rho: np.ndarray) -> np.ndarray:
     """Express a density matrix in the (p, s, a, q) basis: M rho M^dagger."""
-    global _M
-    if _M is None:
-        _M = entangled_transform()
     rho = np.asarray(rho, dtype=complex)
     return _M @ rho @ _M.conj().T
 

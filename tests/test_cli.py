@@ -61,6 +61,17 @@ def test_bad_unit_through_argparse_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--d0", "1e400", "--r", "10nm"],
+    ["zeno", "--tau", "1e-13", "--T", "1e400"],
+    ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1e306MV/m"],
+])
+def test_non_finite_unit_flag_exits_2(capsys, argv):
+    # 1e400 parses as inf: constants printed J = inf, zeno overflowed
+    assert main(argv) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run configs
 
@@ -301,8 +312,7 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
 
 def test_sweep_writes_points_and_index(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code = main(run_args(out, "--sweep", "gamma=0,1e6", "--jobs", "2",
-                         "--samples", "5"))
+    code = main(run_args(out, "--sweep", "gamma=0,1e6", "--samples", "5"))
     assert code == 0
     capsys.readouterr()
     p0 = tmp_path / "sweep.gamma0.csv"
@@ -314,6 +324,21 @@ def test_sweep_writes_points_and_index(tmp_path, capsys):
     assert lines[1] == f"gamma,0.0000000000000000e+00,{p0}"
     assert lines[2] == f"gamma,1.0000000000000000e+06,{p1}"
     assert p0.read_bytes() != p1.read_bytes()  # dephasing changes the run
+
+
+@pytest.mark.parametrize("scenario, sweep", [
+    ("free_eg", "gamma=1e6,-1"),
+    ("free_eg", "horizon=1e-9,0"),
+    ("zeno_sweep", "J=4e9,3e10"),  # 1e-10 s intervals leave the Zeno window
+    ("switch_off", "horizon=5e-7,1e-8"),  # the drive never peaks in 10 ns
+])
+def test_sweep_with_a_bad_point_writes_nothing(tmp_path, capsys, scenario, sweep):
+    # the first point's CSV was once written before the second point failed
+    assert main(["run", "--scenario", scenario, "--samples", "11",
+                 "--out", str(tmp_path / "s.csv"), "--sweep", sweep,
+                 "--save-config", str(tmp_path / "s.json")]) == 2
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_sweep_argument(tmp_path, capsys):
@@ -391,6 +416,12 @@ def test_zeno_dephasing_lowers_survival(capsys):
 def test_zeno_inconsistent_duration(capsys):
     assert main(["zeno", "--tau", "0.3ns", "--T", "1ns"]) == 2
     assert "whole number" in capsys.readouterr().err
+
+
+def test_zeno_zero_tau_exits_2(capsys):
+    # T / tau once divided by zero before anything checked tau
+    assert main(["zeno", "--tau", "0", "--T", "1ns"]) == 2
+    assert "tau must be > 0" in capsys.readouterr().err
 
 
 def test_constants_command(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,12 @@ def test_scenario_validation():
         Scenario(**{**ok, "params": DRIVE_S, "field_off_time": 2e-9})  # > horizon
     with pytest.raises(ValueError):
         Scenario(**{**ok, "params": DRIVE_S, "field_off_time": "later"})
+    with pytest.raises(ValueError, match="nonzero drive"):
+        Scenario(**{**ok, "params": replace(DRIVE_S, Omega=0.0), "field_off_time": "auto"})
     with pytest.raises(ValueError, match="free evolution"):
         Scenario(**{**ok, "params": DRIVE_S, "zeno_taus": (1e-10,)})
+    with pytest.raises(ValueError, match="Zeno window"):
+        Scenario(**{**ok, "params": replace(FREE, J=3e10), "zeno_taus": (1e-10,)})
     with pytest.raises(ValueError, match="does not divide"):
         Scenario(**{**ok, "zeno_taus": (1e-10, 3e-11)})  # 3e-11 vs grid 1e-10
     with pytest.raises(ValueError, match="does not divide"):
@@ -84,6 +90,14 @@ def test_scenario_rejects_non_finite_horizon(bad):
     with pytest.raises(ValueError, match="horizon"):
         Scenario(name="x", initial="e1g2", params=FREE, horizon=bad,
                  observables=("rho11",))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 2.5])
+def test_scenario_samples_must_be_an_integer(bad):
+    # a NaN count once passed validation and failed later inside np.linspace
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        Scenario(name="x", initial="e1g2", params=FREE, horizon=1e-9,
+                 observables=("rho11",), samples=bad)
 
 
 def test_table_column_lookup():
