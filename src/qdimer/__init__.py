@@ -2,7 +2,14 @@
 measurement-conditioned dynamics with entanglement readout."""
 
 from .audit import ConsistencyReport, consistency_report
-from .concurrence import ConcurrenceError, ConcurrenceResult, concurrence, spin_flip
+from .concurrence import (
+    ConcurrenceError,
+    ConcurrenceResult,
+    ConcurrenceStack,
+    concurrence,
+    concurrence_stack,
+    spin_flip,
+)
 from .integrate import IntegrationConfig, StepCounts, Trajectory, closed_form_free, integrate
 from .liouville import (
     SystemParams,
@@ -45,6 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConcurrenceError",
     "ConcurrenceResult",
+    "ConcurrenceStack",
     "ConsistencyReport",
     "DEBYE",
     "EPSILON_0",
@@ -64,6 +72,7 @@ __all__ = [
     "catalog",
     "closed_form_free",
     "concurrence",
+    "concurrence_stack",
     "consistency_report",
     "debye_to_cm",
     "dephasing",

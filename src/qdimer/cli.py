@@ -23,11 +23,13 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .audit import consistency_report
 from .liouville import SystemParams
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import ObservableTable, Scenario, catalog, run_scenario
-from .states import named_state, pure_density
+from .states import blocks, named_state, pure_density
 from .zeno import ZenoProtocol, analytic_survival, run_zeno
 
 __all__ = ["RunConfig", "emit_csv", "emit_plot_script", "main"]
@@ -232,15 +234,17 @@ def _scenario_from_config(cfg: RunConfig) -> Scenario:
 
 def emit_csv(table: ObservableTable, path: str) -> None:
     """Deterministic CSV: header `t_s,<names...>`, 17-significant-digit
-    scientific notation, LF newlines, UTF-8 bytes."""
-    lines = ["t_s," + ",".join(table.names)]
-    for k in range(table.times.size):
-        cells = [f"{table.times[k]:.16e}"]
-        cells += [f"{value:.16e}" for value in table.data[k]]
-        lines.append(",".join(cells))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    scientific notation, LF newlines, UTF-8 bytes.
+
+    Rows are formatted and written a block at a time, so the text of the
+    whole file is never held in memory.
+    """
+    row = ",".join(["%.16e"] * (1 + len(table.names))) + "\n"
     with open(path, "wb") as fh:
-        fh.write(payload)
+        fh.write(("t_s," + ",".join(table.names) + "\n").encode("utf-8"))
+        for block in blocks(table.times.size):
+            cells = np.column_stack([table.times[block], table.data[block]])
+            fh.write((row * len(cells) % tuple(cells.ravel().tolist())).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -373,7 +377,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _sweep_paths(cfg: RunConfig) -> tuple[str, list[str]]:
     base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    points = [f"{base}.{cfg.sweep_param}{value:g}.csv" for value in cfg.sweep_values]
+    points: list[str] = []
+    for value in cfg.sweep_values:
+        path = f"{base}.{cfg.sweep_param}{value:g}.csv"
+        if path in points:
+            # {value:g} keeps 6 significant digits, so close values share a name
+            first = cfg.sweep_values[points.index(path)]
+            raise ValueError(
+                f"sweep values {first!r} and {value!r} would both write {path}"
+            )
+        points.append(path)
     return base + ".index.csv", points
 
 
@@ -508,8 +521,22 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-4e7" or "-2ns" after a flag as the flag's value.
+
+    argparse only takes plain negative numbers such as "-4" or "-0.5" for
+    values and reads any other argument that starts with "-" as an option,
+    so "--delta-l -4e7" failed while "--delta-l=-4e7" worked.  Subparsers
+    are built with the class of their parent, so they inherit this.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?[0-9]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdimer",
         description="Coupled-doublet dimer simulations: free, driven and "
         "measurement-conditioned evolution with entanglement readout.",

@@ -9,7 +9,10 @@ silently repaired.
 
 The eigenvalues of the (non-Hermitian) 4x4 product are taken directly via
 Hessenberg reduction plus shifted QR iteration (LAPACK zgeev through
-numpy.linalg.eigvals), avoiding any matrix square root.  An independent
+numpy.linalg.eigvals), avoiding any matrix square root.  concurrence_stack
+makes one batched call for a whole stack of states; LAPACK still sees one
+4x4 matrix at a time, so each sample's result is the single-state one bit
+for bit, and concurrence() is its one-state case.  An independent
 characteristic-polynomial solver used to cross-check this path lives in the
 test suite.
 """
@@ -20,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SPIN_FLIP_KERNEL", "ConcurrenceError", "ConcurrenceResult", "spin_flip", "concurrence"]
+__all__ = [
+    "SPIN_FLIP_KERNEL",
+    "ConcurrenceError",
+    "ConcurrenceResult",
+    "ConcurrenceStack",
+    "spin_flip",
+    "concurrence",
+    "concurrence_stack",
+]
 
 # sigma_y (x) sigma_y: anti-diagonal (-1, +1, +1, -1)
 SPIN_FLIP_KERNEL = np.array(
@@ -64,9 +75,74 @@ class ConcurrenceResult:
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
+    """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
+
+    rho may be one (4, 4) state or an (N, 4, 4) stack.
+    """
     rho = np.asarray(rho, dtype=complex)
     return SPIN_FLIP_KERNEL @ rho.conj() @ SPIN_FLIP_KERNEL
+
+
+@dataclass(frozen=True, eq=False)
+class ConcurrenceStack:
+    """Concurrence of every state in a stack, sample by sample.
+
+    Entries follow ConcurrenceResult: values[n] and lambdas[n] (descending
+    sqrt(lambda_i)) are what concurrence() gives for state n, and clamped[n]
+    its clamp flag.  valid[n] is False where concurrence() would raise; the
+    value there is NaN and error(n) is the exception it would raise;
+    imag_max[n] and low[n] are the largest |imaginary part| and the lowest
+    real part of its raw spectrum, which the tolerances are applied to.
+    """
+
+    values: np.ndarray
+    lambdas: np.ndarray
+    clamped: np.ndarray
+    valid: np.ndarray
+    imag_max: np.ndarray
+    low: np.ndarray
+
+    def error(self, n: int) -> ConcurrenceError:
+        imag_max, low = float(self.imag_max.flat[n]), float(self.low.flat[n])
+        if imag_max > IMAG_TOL:
+            return ConcurrenceError(f"complex eigenvalue (|imag| = {imag_max:.3e}) in rho*rho_tilde")
+        return ConcurrenceError(f"negative eigenvalue {low:.3e} in rho*rho_tilde")
+
+    def check(self) -> None:
+        """Raise the error of the first invalid sample, if there is one."""
+        bad = np.flatnonzero(~self.valid)
+        if bad.size:
+            raise self.error(int(bad[0]))
+
+
+def concurrence_stack(rhos: np.ndarray) -> ConcurrenceStack:
+    """Wootters concurrence over an (N, 4, 4) stack of density matrices.
+
+    One batched eigenvalue call, then per sample the tolerances, clamping
+    and noise floor of concurrence().  Never raises for unphysical samples;
+    they are marked in ``valid``.  One (4, 4) state gives 0-d fields.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    lam = np.linalg.eigvals(rhos @ spin_flip(rhos))
+
+    imag_max = np.max(np.abs(lam.imag), axis=-1)
+    real = lam.real
+    low = np.min(real, axis=-1)
+    valid = ~((imag_max > IMAG_TOL) | (low < -NEG_TOL))
+
+    negative = real < 0.0
+    clamped = np.any(negative, axis=-1)
+    real = np.where(negative, 0.0, real)
+
+    floor = _NOISE_FLOOR * np.max(real, axis=-1, initial=0.0)[..., None]
+    snap = np.any((real > 0.0) & (real < floor), axis=-1)
+    real = np.where(snap[..., None] & (real < floor), 0.0, real)
+    clamped |= snap
+
+    roots = np.sqrt(np.sort(real, axis=-1)[..., ::-1])
+    value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    values = np.where(valid, np.maximum(0.0, value), np.nan)
+    return ConcurrenceStack(values, roots, clamped, valid, imag_max, low)
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
@@ -75,29 +151,9 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     Raises ConcurrenceError if the eigenvalues of rho*rho_tilde carry
     imaginary parts above 1e-9 or negative parts below -1e-9.
     """
-    rho = np.asarray(rho, dtype=complex)
-    lam = np.linalg.eigvals(rho @ spin_flip(rho))
-
-    imag_max = float(np.max(np.abs(lam.imag)))
-    if imag_max > IMAG_TOL:
-        raise ConcurrenceError(f"complex eigenvalue (|imag| = {imag_max:.3e}) in rho*rho_tilde")
-    real = lam.real
-
-    clamped = False
-    if np.any(real < 0.0):
-        low = float(real.min())
-        if low < -NEG_TOL:
-            raise ConcurrenceError(f"negative eigenvalue {low:.3e} in rho*rho_tilde")
-        real = np.where(real < 0.0, 0.0, real)
-        clamped = True
-
-    top = float(real.max(initial=0.0))
-    floor = _NOISE_FLOOR * top
-    if np.any((real > 0.0) & (real < floor)):
-        real = np.where(real < floor, 0.0, real)
-        clamped = True
-
-    roots = np.sqrt(np.sort(real)[::-1])
-    value = float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
-    lambdas = (float(roots[0]), float(roots[1]), float(roots[2]), float(roots[3]))
-    return ConcurrenceResult(value=value, lambdas=lambdas, clamped=clamped)
+    stack = concurrence_stack(rho)
+    stack.check()
+    r0, r1, r2, r3 = (float(root) for root in stack.lambdas)
+    return ConcurrenceResult(
+        value=float(stack.values), lambdas=(r0, r1, r2, r3), clamped=bool(stack.clamped)
+    )

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .concurrence import concurrence
+from .concurrence import concurrence_stack
 from .integrate import IntegrationConfig, integrate
 from .liouville import RhsVariant, SystemParams
-from .states import named_state, population, pure_density
+from .states import blocks, named_state, population, pure_density
 from .zeno import ZenoProtocol, analytic_survival, run_zeno
 
 __all__ = [
@@ -36,25 +36,41 @@ __all__ = [
 ]
 
 
-def _entangled_population(name: str) -> Callable[[np.ndarray], float]:
+def _entangled_population(name: str) -> Callable[[np.ndarray], np.ndarray]:
     psi = named_state(name)
     return lambda rho: population(rho, psi)
 
 
-OBSERVABLES: dict[str, Callable[[np.ndarray], float]] = {
-    "rho11": lambda rho: rho[0, 0].real,
-    "rho22": lambda rho: rho[1, 1].real,
-    "rho33": lambda rho: rho[2, 2].real,
-    "rho44": lambda rho: rho[3, 3].real,
+def _concurrence(rho: np.ndarray) -> np.ndarray:
+    stack = concurrence_stack(rho)
+    stack.check()
+    return stack.values[()]
+
+
+# each entry takes one (4, 4) state or an (N, 4, 4) stack
+OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "rho11": lambda rho: rho[..., 0, 0].real,
+    "rho22": lambda rho: rho[..., 1, 1].real,
+    "rho33": lambda rho: rho[..., 2, 2].real,
+    "rho44": lambda rho: rho[..., 3, 3].real,
     "rho_pp": _entangled_population("p"),
     "rho_ss": _entangled_population("s"),
     "rho_aa": _entangled_population("a"),
     "rho_qq": _entangled_population("q"),
     "rho_ff": _entangled_population("f"),
     "rho_kk": _entangled_population("k"),
-    "re_rho23": lambda rho: rho[1, 2].real,
-    "C": lambda rho: concurrence(rho).value,
+    "re_rho23": lambda rho: rho[..., 1, 2].real,
+    "C": _concurrence,
 }
+
+
+def _evaluate(names: Sequence[str], states: np.ndarray) -> np.ndarray:
+    """data[k, m] = OBSERVABLES[names[m]](states[k]), computed block by block."""
+    data = np.empty((len(states), len(names)))
+    for block in blocks(len(states)):
+        for m, name in enumerate(names):
+            data[block, m] = OBSERVABLES[name](states[block])
+    return data
 
 
 @dataclass(frozen=True)
@@ -274,7 +290,7 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     config = IntegrationConfig(sample_times=probe_times)
     rho0 = pure_density(named_state(scenario.initial))
     traj = integrate(variant, rho0, params, config)
-    series = np.array([OBSERVABLES["rho_ss"](rho) for rho in traj.states])
+    series = _evaluate(("rho_ss",), traj.states)[:, 0]
     t_off, _ = find_first_maximum(probe_times, series)
     if not 0.0 < t_off < scenario.horizon:
         raise ValueError(f"switch-off trigger {t_off:.3e} s outside (0, horizon)")
@@ -361,10 +377,9 @@ def run_scenario(
         if isinstance(t_off, str):
             t_off = _switch_trigger(scenario, variant)
         states = _integrate_with_switch_off(variant, rho0, scenario.params, t_off, times)
-    data = np.empty((times.size, len(scenario.observables)))
-    for m, name in enumerate(scenario.observables):
-        fn = OBSERVABLES[name]
-        data[:, m] = [fn(rho) for rho in states]
     return ObservableTable(
-        scenario=scenario.name, times=times.copy(), names=scenario.observables, data=data
+        scenario=scenario.name,
+        times=times.copy(),
+        names=scenario.observables,
+        data=_evaluate(scenario.observables, states),
     )

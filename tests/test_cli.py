@@ -18,6 +18,7 @@ from qdimer.cli import (
 )
 from qdimer.physics import DEBYE
 from qdimer.scenarios import ObservableTable, catalog
+from qdimer.states import BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,46 @@ def test_bad_quantities_rejected():
 def test_bad_unit_through_argparse_exits_2(capsys):
     assert main(["zeno", "--tau", "1bogus", "--N", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--delta-l", "-4e7"),
+    ("--delta-l", "-4E+7"),
+    ("--delta-l", "-4e7 rad/s"),
+    ("--delta-l", "-.4e8"),
+    ("--delta-l", "-4000000e1"),
+    ("--Omega", "-4e7"),  # rejected later, as a value, not as an option
+    ("--horizon", "-1e-9"),
+    ("--horizon", "-1ns"),
+])
+def test_negative_value_as_separate_argument(tmp_path, capsys, flag, value):
+    # "--delta-l -4e7" once exited 2 with "expected one argument"
+    sep, joined = tmp_path / "sep.csv", tmp_path / "joined.csv"
+    base = ["run", "--scenario", "driven_detuned_s", "--samples", "11"]
+    code_sep = main(base + ["--out", str(sep), flag, value])
+    err_sep = capsys.readouterr().err.replace(str(sep), "OUT")
+    code_joined = main(base + ["--out", str(joined), f"{flag}={value}"])
+    err_joined = capsys.readouterr().err.replace(str(joined), "OUT")
+    assert "expected one argument" not in err_sep
+    assert (code_sep, err_sep) == (code_joined, err_joined)
+    if code_joined == 0:
+        assert sep.read_bytes() == joined.read_bytes()
+    else:
+        assert code_joined == 2 and not sep.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeno", "--tau", "-1e-13", "--N", "10"],
+    ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "-1e3"],
+])
+def test_negative_value_reaches_every_subcommand(capsys, argv):
+    flag, value = argv[-2:]
+    separate = main(argv)
+    out_sep = capsys.readouterr()
+    joined = main(argv[:-2] + [f"{flag}={value}"])
+    out_joined = capsys.readouterr()
+    assert "expected one argument" not in out_sep.err
+    assert (separate, out_sep.out, out_sep.err) == (joined, out_joined.out, out_joined.err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -183,6 +224,34 @@ def test_csv_bytes(tmp_path):
     assert lines[0] == "t_s,a,b"
     assert lines[1].startswith("0.0000000000000000e+00,1.0000000000000000e+00,")
     assert len(lines) == 3
+
+
+def per_cell_csv(table):
+    # the per-cell formatting the block writer replaced
+    lines = ["t_s," + ",".join(table.names)]
+    for k in range(table.times.size):
+        cells = [f"{table.times[k]:.16e}"]
+        cells += [f"{value:.16e}" for value in table.data[k]]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_csv_matches_per_cell_formatting(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    data = rng.normal(size=(rows, 4)) * 10.0 ** rng.integers(-300, 300, size=(rows, 4))
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                -5e-324, 0.0, 1.0 / 3.0, 2.2250738585072014e-308]
+    flat = data.ravel()
+    flat[: min(len(extremes), flat.size)] = extremes[: flat.size]
+    flat[-1] = -0.0
+    table = ObservableTable(
+        scenario="x", times=np.linspace(0.0, 1e-9, rows), names=("a", "b", "c", "d"),
+        data=data,
+    )
+    path = tmp_path / "t.csv"
+    emit_csv(table, str(path))
+    assert path.read_bytes() == per_cell_csv(table)
 
 
 def test_csv_round_trips_doubles_exactly(tmp_path):
@@ -338,6 +407,17 @@ def test_sweep_with_a_bad_point_writes_nothing(tmp_path, capsys, scenario, sweep
                  "--out", str(tmp_path / "s.csv"), "--sweep", sweep,
                  "--save-config", str(tmp_path / "s.json")]) == 2
     capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sweep", ["Omega=4e7,4.0000001e7", "Omega=4e7,4e7",
+                                   "Omega=3e7,4e7,5e7,4.0000001e7"])
+def test_sweep_with_colliding_paths_writes_nothing(tmp_path, capsys, sweep):
+    # both points once went to s.Omega4e+07.csv, the second over the first
+    assert main(["run", "--scenario", "driven_detuned_s", "--samples", "11",
+                 "--out", str(tmp_path / "s.csv"), "--sweep", sweep,
+                 "--save-config", str(tmp_path / "s.json")]) == 2
+    assert "would both write" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

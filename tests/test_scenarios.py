@@ -184,16 +184,27 @@ def test_first_maximum_boundary_and_errors():
 # running presets
 
 def test_run_matches_direct_integration():
-    sc = preset("free_eg")
-    config = IntegrationConfig(sample_times=np.linspace(0.0, sc.horizon, 201))
-    table = run_scenario(sc, config)
-    traj = integrate("derived", pure_density(named_state("e1g2")), sc.params, config)
-    for name in sc.observables:
-        fn = OBSERVABLES[name]
-        direct = np.array([fn(rho) for rho in traj.states])
-        assert np.array_equal(table.column(name), direct), name
-    assert table.scenario == "free_eg"
-    assert np.array_equal(table.times, config.sample_times)
+    # every preset the integrator runs, each state evaluated on its own
+    for sc in catalog():
+        if sc.zeno_taus:
+            continue
+        times = np.linspace(0.0, sc.horizon, 201)
+        config = IntegrationConfig(sample_times=times)
+        table = run_scenario(sc, config)
+        rho0 = pure_density(named_state(sc.initial))
+        if sc.field_off_time is None:
+            states = integrate("derived", rho0, sc.params, config).states
+        else:
+            t_off = scenarios_mod._switch_trigger(sc, "derived")
+            states = scenarios_mod._integrate_with_switch_off(
+                "derived", rho0, sc.params, t_off, times
+            )
+        for name in sc.observables:
+            fn = OBSERVABLES[name]
+            direct = np.array([fn(rho) for rho in states])
+            assert np.array_equal(table.column(name), direct), (sc.name, name)
+        assert table.scenario == sc.name
+        assert np.array_equal(table.times, times)
 
 
 def test_free_LL_closed_forms():

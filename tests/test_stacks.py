@@ -1,0 +1,227 @@
+"""Observables over a stack of states give each state's single-state result.
+
+Bit for bit: the stacked forms run the same BLAS and LAPACK calls one 4x4
+matrix at a time, so batching may not move a single digit of the CSVs.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import random_density, random_pure
+from qdimer import scenarios as scenarios_mod
+from qdimer.audit import consistency_report
+from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack
+from qdimer.integrate import IntegrationConfig, integrate
+from qdimer.liouville import SystemParams
+from qdimer.scenarios import OBSERVABLES, catalog, run_scenario
+from qdimer.states import BLOCK, NAMED_STATES, named_state, population, pure_density
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def draw_state(rng, kind):
+    if kind == "pure":
+        psi = random_pure(rng)
+        return np.outer(psi, psi.conj())
+    if kind == "rank2":
+        a, b = random_pure(rng), random_pure(rng)
+        w = rng.uniform()
+        return w * np.outer(a, a.conj()) + (1.0 - w) * np.outer(b, b.conj())
+    if kind == "clamped":
+        # a diagonal state a hair outside the physical set: both its
+        # concurrence spectrum and its bare populations need clamping
+        w = rng.uniform()
+        return np.diag(rng.permutation([w, 1.0 - w, 1e-12, -1e-12])).astype(complex)
+    return random_density(rng)
+
+
+@st.composite
+def density_stacks(draw):
+    """1-40 states mixing pure, rank-2, clamped and full-rank ones."""
+    kinds = draw(st.lists(st.sampled_from(("pure", "rank2", "clamped", "full")),
+                          min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([draw_state(rng, kind) for kind in kinds])
+
+
+def clamped_population(rho, psi):
+    # the single-state formula before stacks: vdot, then the [0, 1] clamp
+    value = float(np.real(np.vdot(psi, rho @ psi)))
+    return min(max(value, 0.0), 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(density_stacks())
+def test_concurrence_stack_matches_single_states(rhos):
+    stack = concurrence_stack(rhos)
+    assert stack.valid.all()
+    for n, rho in enumerate(rhos):
+        single = concurrence(rho)
+        assert bits(stack.values[n]) == bits(single.value)
+        assert bits(stack.lambdas[n]) == bits(single.lambdas)
+        assert bool(stack.clamped[n]) == single.clamped
+    assert bits(OBSERVABLES["C"](rhos)) == bits(stack.values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(density_stacks())
+def test_population_stack_matches_single_states(rhos):
+    for name, amps in NAMED_STATES.items():
+        psi = np.array(amps, dtype=complex)
+        stacked = population(rhos, psi)
+        assert stacked.shape == (len(rhos),)
+        single = [population(rho, psi) for rho in rhos]
+        assert bits(stacked) == bits(single), name
+        assert bits(stacked) == bits([clamped_population(rho, psi) for rho in rhos]), name
+
+
+def test_clamped_states_are_drawn_clamped():
+    rho = draw_state(np.random.default_rng(3), "clamped")
+    assert concurrence(rho).clamped
+    bare = [population(rho, named_state(n)) for n in ("g1g2", "g1e2", "e1g2", "e1e2")]
+    assert 0.0 in bare
+
+
+@pytest.fixture(scope="module")
+def preset_states():
+    """The states run_scenario evaluates, for every non-Zeno preset."""
+    captured = {}
+    evaluate = scenarios_mod._evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        for sc in catalog():
+            if sc.zeno_taus:
+                continue
+
+            def record(names, states, name=sc.name):
+                captured[name] = states  # the last call: the trigger probe runs first
+                return evaluate(names, states)
+
+            mp.setattr(scenarios_mod, "_evaluate", record)
+            run_scenario(sc)
+    return captured
+
+
+def test_preset_states_span_blocks(preset_states):
+    assert len(preset_states) == 8
+    assert all(len(states) > BLOCK for states in preset_states.values())
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVABLES))
+def test_observables_stack_matches_single_states_on_presets(preset_states, name):
+    fn = OBSERVABLES[name]
+    for preset, states in preset_states.items():
+        single = [fn(rho) for rho in states]
+        assert bits(fn(states)) == bits(single), preset
+        # and the block-wise table of run_scenario
+        assert bits(scenarios_mod._evaluate((name,), states)[:, 0]) == bits(single), preset
+
+
+NEGATIVE = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
+SKEW = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+SKEW[0, 1], SKEW[1, 0] = 0.3, -0.3
+
+
+def good_stack(n):
+    rng = np.random.default_rng(11)
+    return np.stack([random_density(rng) for _ in range(n)])
+
+
+def raised(fn, arg):
+    with pytest.raises(Exception) as info:
+        fn(arg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [NEGATIVE, SKEW], ids=["negative", "complex"])
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_unphysical_state_k_raises_its_single_state_error(bad, k):
+    rhos = good_stack(10)
+    rhos[k] = bad
+    expected = raised(concurrence, bad)
+    assert expected[0] is ConcurrenceError
+    stack = concurrence_stack(rhos)
+    assert np.flatnonzero(~stack.valid).tolist() == [k]
+    assert np.isnan(stack.values[k])
+    assert raised(lambda _: stack.check(), None) == expected
+    assert raised(OBSERVABLES["C"], rhos) == expected
+    assert raised(OBSERVABLES["C"], bad) == expected
+
+
+def test_first_unphysical_state_decides_the_error():
+    rhos = good_stack(10)
+    rhos[3], rhos[7] = SKEW, NEGATIVE
+    assert raised(OBSERVABLES["C"], rhos) == raised(concurrence, SKEW)
+    rhos[3], rhos[7] = NEGATIVE, SKEW
+    assert raised(OBSERVABLES["C"], rhos) == raised(concurrence, NEGATIVE)
+
+
+def excess(name):
+    # the existing single-state test's broken state: a pure state plus 1e-3
+    rho = pure_density(named_state(name))
+    rho[1, 1] += 1e-3
+    return rho
+
+
+@pytest.mark.parametrize("k", [0, 5, 9])
+def test_unphysical_population_k_raises_its_single_state_error(k):
+    rhos = good_stack(10)
+    for name, bad, message in [
+        ("rho_ss", excess("s"), "above 1"),
+        ("rho_ff", excess("f"), "above 1"),
+        ("rho_ss", -excess("s"), "below 0"),
+    ]:
+        rhos[k] = bad
+        expected = raised(OBSERVABLES[name], bad)
+        assert expected[0] is ValueError and message in expected[1]
+        assert raised(OBSERVABLES[name], rhos) == expected
+
+
+def per_sample_audit(params, rho0, horizon, samples):
+    # the per-sample loops of consistency_report before it took stacks
+    config = IntegrationConfig(np.linspace(0.0, horizon, samples))
+    derived = integrate("derived", rho0, params, config).states
+    published = integrate("published", rho0, params, config).states
+    raw = integrate("published", rho0, params, config, closure=False, trace_guard=False)
+    pops_d = np.array([np.diag(rho).real for rho in derived])
+    pops_p = np.array([np.diag(rho).real for rho in published])
+    max_conc, skipped = 0.0, 0
+    for rho_d, rho_p in zip(derived, published):
+        c_d = concurrence(rho_d).value
+        try:
+            c_p = concurrence(rho_p).value
+        except ConcurrenceError:
+            skipped += 1
+            continue
+        max_conc = max(max_conc, abs(c_d - c_p))
+    traces = np.array([np.trace(rho).real for rho in raw.states])
+    diff_p = pops_p[:, 2] - pops_p[:, 1]
+    diff_d = pops_d[:, 2] - pops_d[:, 1]
+    return {
+        "max_population_deviation": float(np.max(np.abs(pops_d - pops_p))),
+        "max_rho_deviation": float(np.max(np.abs(derived - published))),
+        "max_concurrence_deviation": max_conc,
+        "concurrence_skipped": skipped,
+        "published_trace_drift_no_closure": float(np.max(np.abs(traces - 1.0))),
+        "published_pop23_diff_drift": float(np.max(np.abs(diff_p - diff_p[0]))),
+        "derived_pop23_diff_range": float(np.max(diff_d) - np.min(diff_d)),
+    }
+
+
+@pytest.mark.parametrize("initial, samples", [
+    ("e1g2", 501), ("g1e2", 501), ("f", 501), ("k", 501), ("L1L2", 501),
+    ("g1e2", 3 * BLOCK + 1),
+])
+def test_audit_matches_per_sample_loops(initial, samples):
+    # the audit command's defaults, at a 5 ns horizon
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    rho0 = pure_density(named_state(initial))
+    report = consistency_report(params, rho0, 5e-9, samples=samples)
+    expected = per_sample_audit(params, rho0, 5e-9, samples)
+    got = {field: getattr(report, field) for field in expected}
+    assert bits(list(got.values())) == bits(list(expected.values())), got
+    if initial == "g1e2":  # the published run leaves the physical set
+        assert report.concurrence_skipped == (25 if samples == 501 else 76)
