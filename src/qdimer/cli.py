@@ -44,7 +44,10 @@ _DIPOLE_UNITS = {"D": DEBYE, "C*m": 1.0, "Cm": 1.0}
 _FIELD_UNITS = {"V/m": 1.0, "kV/m": 1e3, "MV/m": 1e6}
 _RATE_UNITS = {"s^-1": 1.0, "1/s": 1.0, "rad/s": 1.0}
 
-_QUANTITY_RE = re.compile(r"([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)\s*(.*)")
+# a number (nan and inf included, so they can be refused by name) and a unit
+_QUANTITY_RE = re.compile(
+    r"([+-]?(?:[0-9.]+(?:[eE][+-]?[0-9]+)?|(?i:inf(?:inity)?|nan)))\s*(.*)"
+)
 
 
 def parse_quantity(text: str, units: dict[str, float], kind: str) -> float:
@@ -91,7 +94,15 @@ def rate_quantity(text: str) -> float:
 # run configuration
 
 _PARAM_FIELDS = ("omega0", "J", "Omega", "gamma", "delta_l")
-_SWEEP_FIELDS = ("omega0", "J", "Omega", "gamma", "delta_l", "horizon")
+# each sweepable field with the unit parser of its own flag
+_SWEEP_FIELDS = {
+    "omega0": rate_quantity,
+    "J": rate_quantity,
+    "Omega": rate_quantity,
+    "gamma": rate_quantity,
+    "delta_l": rate_quantity,
+    "horizon": time_quantity,
+}
 _SCHEMA_VERSION = 1
 
 
@@ -349,10 +360,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError("--sweep expects <param>=<v1,v2,...>")
         sweep_param, _, tail = args.sweep.partition("=")
         sweep_param = sweep_param.strip()
+        if sweep_param not in _SWEEP_FIELDS:
+            raise ValueError(f"sweep parameter must be one of {', '.join(_SWEEP_FIELDS)}")
+        parse = _SWEEP_FIELDS[sweep_param]
         try:
-            sweep_values = tuple(float(v) for v in tail.split(",") if v.strip())
-        except ValueError as err:
-            raise ValueError(f"bad sweep values in {args.sweep!r}") from err
+            sweep_values = tuple(parse(v) for v in tail.split(",") if v.strip())
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"bad sweep values in {args.sweep!r}: {err}") from err
     observables = None
     if args.observables is not None:
         observables = tuple(n.strip() for n in args.observables.split(",") if n.strip())

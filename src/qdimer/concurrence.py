@@ -1,20 +1,25 @@
 """Two-qubit entanglement measured by the spin-flip concurrence.
 
-C(rho) = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) where l1 >= l2 >=
-l3 >= l4 are the eigenvalues of rho * rho_tilde and rho_tilde is the
-spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  For a valid
-density matrix this spectrum is real and non-negative; departures beyond
-tolerance are treated as a signal of unphysical input and raised, never
-silently repaired.
+C(rho) = max(0, s1 - s2 - s3 - s4) where s1 >= s2 >= s3 >= s4 are the square
+roots of the eigenvalues of rho * rho_tilde, and rho_tilde is the
+spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y) (Wootters
+1998, PRL 80:2245).
 
-The eigenvalues of the (non-Hermitian) 4x4 product are taken directly via
-Hessenberg reduction plus shifted QR iteration (LAPACK zgeev through
-numpy.linalg.eigvals), avoiding any matrix square root.  concurrence_stack
-makes one batched call for a whole stack of states; LAPACK still sees one
-4x4 matrix at a time, so each sample's result is the single-state one bit
-for bit, and concurrence() is its one-state case.  An independent
-characteristic-polynomial solver used to cross-check this path lives in the
-test suite.
+The s_i are computed as singular values, never as eigenvalues of the
+non-Hermitian product (Uhlmann 2000, PRA 62:032307): with rho = X X^H, where
+X = V sqrt(w) comes from the Hermitian eigendecomposition rho = V diag(w) V^H,
+they are the singular values of tau = X^T (sigma_y x sigma_y) X.  Singular
+values are perfectly conditioned, so a rank-deficient (pure or near-pure)
+state needs no noise floor: rounding in rho moves C by rounding, not by its
+square root.  A state is unphysical when its lowest eigenvalue lies below
+-NEG_TOL or when it departs from Hermiticity by more than IMAG_TOL; that is
+raised, never silently repaired.  Negative eigenvalues within tolerance are
+clipped to zero and the sample is marked clamped.
+
+concurrence_stack makes one batched eigh and one batched svd for a whole
+stack of states; LAPACK still sees one 4x4 matrix at a time, so each
+sample's result is the single-state one bit for bit, and concurrence() is
+its one-state case.
 """
 
 from __future__ import annotations
@@ -44,18 +49,12 @@ SPIN_FLIP_KERNEL = np.array(
     dtype=complex,
 )
 
-# Eigenvalues of rho*rho_tilde below this fraction of the largest one are
-# rounding debris, not spectrum: for rank-deficient products (pure and
-# near-pure states) the QR solver leaves zeros populated at up to ~1e4*eps
-# relative, and taking their square roots would leak ~1e-6 into C.
-_NOISE_FLOOR = 16384.0 * np.finfo(float).eps
-
 IMAG_TOL = 1e-9
 NEG_TOL = 1e-9
 
 
 class ConcurrenceError(ValueError):
-    """Spectrum of rho*rho_tilde is not physical within tolerance."""
+    """rho is not a density matrix within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,8 @@ class ConcurrenceResult:
 
     lambdas holds the four sqrt(lambda_i), descending, so that
     value = max(0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
-    holds exactly.  clamped is True when any eigenvalue needed adjustment:
-    a small negative clamped to zero or a sub-noise-floor magnitude snapped
-    to zero.
+    holds exactly.  clamped is True when a negative eigenvalue of rho
+    (within tolerance) was clipped to zero.
     """
 
     value: float
@@ -90,23 +88,23 @@ class ConcurrenceStack:
     Entries follow ConcurrenceResult: values[n] and lambdas[n] (descending
     sqrt(lambda_i)) are what concurrence() gives for state n, and clamped[n]
     its clamp flag.  valid[n] is False where concurrence() would raise; the
-    value there is NaN and error(n) is the exception it would raise;
-    imag_max[n] and low[n] are the largest |imaginary part| and the lowest
-    real part of its raw spectrum, which the tolerances are applied to.
+    value there is NaN and error(n) is the exception it would raise.
+    skew[n] is max |rho - rho^H| of state n and low[n] its lowest
+    eigenvalue, which the tolerances are applied to.
     """
 
     values: np.ndarray
     lambdas: np.ndarray
     clamped: np.ndarray
     valid: np.ndarray
-    imag_max: np.ndarray
+    skew: np.ndarray
     low: np.ndarray
 
     def error(self, n: int) -> ConcurrenceError:
-        imag_max, low = float(self.imag_max.flat[n]), float(self.low.flat[n])
-        if imag_max > IMAG_TOL:
-            return ConcurrenceError(f"complex eigenvalue (|imag| = {imag_max:.3e}) in rho*rho_tilde")
-        return ConcurrenceError(f"negative eigenvalue {low:.3e} in rho*rho_tilde")
+        skew, low = float(self.skew.flat[n]), float(self.low.flat[n])
+        if not skew <= IMAG_TOL:  # a NaN or inf entry gives a NaN skew
+            return ConcurrenceError(f"rho is not Hermitian (max |rho - rho^H| = {skew:.3e})")
+        return ConcurrenceError(f"negative eigenvalue {low:.3e} of rho")
 
     def check(self) -> None:
         """Raise the error of the first invalid sample, if there is one."""
@@ -118,38 +116,30 @@ class ConcurrenceStack:
 def concurrence_stack(rhos: np.ndarray) -> ConcurrenceStack:
     """Wootters concurrence over an (N, 4, 4) stack of density matrices.
 
-    One batched eigenvalue call, then per sample the tolerances, clamping
-    and noise floor of concurrence().  Never raises for unphysical samples;
-    they are marked in ``valid``.  One (4, 4) state gives 0-d fields.
+    One batched eigh, then one batched svd of tau = X^T (sigma_y x sigma_y) X.
+    Never raises for unphysical samples; they are marked in ``valid``.
+    One (4, 4) state gives 0-d fields.
     """
     rhos = np.asarray(rhos, dtype=complex)
-    lam = np.linalg.eigvals(rhos @ spin_flip(rhos))
+    skew = np.max(np.abs(rhos - np.swapaxes(rhos, -1, -2).conj()), axis=(-2, -1))
+    w, v = np.linalg.eigh(rhos)  # ascending
+    low = w[..., 0]
+    valid = (skew <= IMAG_TOL) & (low >= -NEG_TOL)
+    clamped = low < 0.0
 
-    imag_max = np.max(np.abs(lam.imag), axis=-1)
-    real = lam.real
-    low = np.min(real, axis=-1)
-    valid = ~((imag_max > IMAG_TOL) | (low < -NEG_TOL))
-
-    negative = real < 0.0
-    clamped = np.any(negative, axis=-1)
-    real = np.where(negative, 0.0, real)
-
-    floor = _NOISE_FLOOR * np.max(real, axis=-1, initial=0.0)[..., None]
-    snap = np.any((real > 0.0) & (real < floor), axis=-1)
-    real = np.where(snap[..., None] & (real < floor), 0.0, real)
-    clamped |= snap
-
-    roots = np.sqrt(np.sort(real, axis=-1)[..., ::-1])
+    x = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    tau = np.swapaxes(x, -1, -2) @ SPIN_FLIP_KERNEL @ x
+    roots = np.linalg.svd(tau, compute_uv=False)  # descending
     value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
     values = np.where(valid, np.maximum(0.0, value), np.nan)
-    return ConcurrenceStack(values, roots, clamped, valid, imag_max, low)
+    return ConcurrenceStack(values, roots, clamped, valid, skew, low)
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix.
 
-    Raises ConcurrenceError if the eigenvalues of rho*rho_tilde carry
-    imaginary parts above 1e-9 or negative parts below -1e-9.
+    Raises ConcurrenceError if rho departs from Hermiticity by more than
+    1e-9 or has an eigenvalue below -1e-9.
     """
     stack = concurrence_stack(rho)
     stack.check()

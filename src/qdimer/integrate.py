@@ -1,16 +1,15 @@
 """Exact propagation of the master equation and its analytic free limit.
 
 For fixed parameters the generator L is a constant 16x16 matrix, so
-rho(t + dt) = exp(L dt) rho(t) holds exactly.  `integrate` walks the
-samples applying exp(L dt) for each spacing dt of the grid, to double
-precision: short steps as Taylor series in matrix-vector products with L
-(Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33:488), long ones through the
-dense exponential by degree-13 Pade with scaling and squaring (Higham 2005,
-SIAM J. Matrix Anal. Appl. 26:1179), computed once per distinct dt.
-Neither needs an eigendecomposition, so the non-diagonalizable generators at
-the exceptional point gamma = 2J and the raw published rows are handled
-like any other.  No trace renormalization is ever applied: trace drift is
-an error signal, not something to hide.
+rho(t + dt) = exp(L dt) rho(t) holds exactly.  `integrate` builds
+S = exp(L dt) as a 16x16 matrix once per distinct spacing dt of the grid --
+the Taylor series of L dt / 2**s by matrix Horner, then s squarings
+(Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33:488) -- and walks the
+samples with one product S @ rho each.  Neither step needs an
+eigendecomposition, so the non-diagonalizable generators at the exceptional
+point gamma = 2J and the raw published rows are handled like any other.
+No trace renormalization is ever applied: trace drift is an error signal,
+not something to hide.
 
 Everything here is deterministic -- identical inputs give bit-identical
 trajectories.
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -61,14 +59,11 @@ class IntegrationConfig:
 class StepCounts:
     """Steps exp(L dt) that one `integrate` call applied.
 
-    accepted  all of them, one per sample after t = 0 (an exact step is
-              never rejected; the name is the one the benchmark's trace reads)
-    dense     those applied through the dense exponential rather than the
-              Taylor series in matrix-vector products
+    accepted  one per sample after t = 0 (an exact step is never rejected;
+              the name is the one the benchmark's trace reads)
     """
 
     accepted: int
-    dense: int
 
 
 @dataclass
@@ -82,79 +77,34 @@ class Trajectory:
     stats: StepCounts
 
 
-# Steps are applied as Taylor series summed by products with L, in substeps
-# of 1-norm at most 2 (the largest term is 2**2/2! = 2, so cancellation costs
-# at most a bit).  Every operation on rho is then a product with L or a
-# linear combination, so two generators that act alike on rho give
-# bit-identical trajectories (the two variants do from symmetric starts,
-# where concurrence is too ill-conditioned to tolerate any other rounding).
-# The cap is not a speed crossover: a dense step is always cheaper per
-# sample.  Measured on a 2-vCPU x86-64 host, a Taylor step costs about
-# 90-120 us at |L dt|_1 <= 2 (18-23 products) and 370-450 us at 8 (92
-# products), growing linearly beyond; a dense step costs 1-2.5 us per sample
-# plus about 140 us once per distinct dt.  Four substeps (|L dt|_1 <= 8)
-# keep the free presets' grids, and their 201-sample test grids (|L dt|_1 =
-# 7.5), on the Taylor path while bounding its cost; longer steps go dense.
-_SUBSTEP_NORM = 2.0
-_MAX_SUBSTEPS = 4
+# exp(L dt) is the Taylor series of L dt / 2**s, summed as a matrix by
+# Horner's rule and squared s times (Al-Mohy & Higham 2011).  The scaled
+# norm is at most 2, so the largest term is 2**2/2! = 2 and cancellation
+# costs at most a bit; the degree is the first at which the omitted term
+# falls below the unit roundoff.
+_SCALED_NORM = 2.0
 _UNIT_ROUNDOFF = 2.0**-53
 
-# Degree-13 Pade coefficients and the 1-norm up to which that approximant
-# reaches double precision without scaling (Higham 2005, Table 2.3).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
 
-
-def _expm(a: np.ndarray, norm: float) -> np.ndarray:
-    """exp(a) by scaling and squaring degree-13 Pade; norm is |a|_1."""
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
-    a = a / 2.0**squarings
-    b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def _propagator(a: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], bool]:
-    """Function mapping a vector y to exp(a) y, and whether it is dense."""
+def _exponential(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix; ValueError if its 1-norm is not finite."""
     norm = float(np.linalg.norm(a, 1))
     if not math.isfinite(norm):
         raise ValueError("generator times time step is not finite")
-    substeps = math.ceil(norm / _SUBSTEP_NORM)
-    if substeps > _MAX_SUBSTEPS:
-        dense = _expm(a, norm)
-        return (lambda y: dense @ y), True
-    if substeps:
-        a = a / substeps
-    # Taylor degree: the first omitted term x**(m+1)/(m+1)! is below roundoff
-    x = norm / max(substeps, 1)
+    squarings = 0 if norm <= _SCALED_NORM else math.ceil(math.log2(norm / _SCALED_NORM))
+    a = a / 2.0**squarings
+    x = norm / 2.0**squarings
     degree, term = 0, x
     while term > _UNIT_ROUNDOFF:
         degree += 1
         term *= x / (degree + 1)
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        for _ in range(substeps):
-            acc = y
-            for j in range(degree, 0, -1):
-                acc = y + (a @ acc) / j
-            y = acc
-        return y
-
-    return apply, False
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    result = eye
+    for j in range(degree, 0, -1):
+        result = eye + (a @ result) / j
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def integrate(
@@ -169,13 +119,15 @@ def integrate(
     """Propagate rho0 under the chosen generator, sampling at config times.
 
     Each sample is exp(L dt) applied to the previous one (to rho0 for the
-    first, with dt = times[0]); a sample at t = 0 is rho0 itself.  Steps
-    with |L dt|_1 <= 8 touch rho only through products with L, so two
-    generators that agree on rho's span give bit-identical trajectories;
-    longer steps use the dense exponential of L dt, which keeps that only
-    to rounding.  `stats` counts the steps of each kind.  Raises
-    ValueError for a non-finite rho0, and if the sampled trace drifts from 1
-    by more than 1e-6 -- that much drift means the run cannot be trusted.
+    first, with dt = times[0]); a sample at t = 0 is rho0 itself.  `stats`
+    counts the steps.  Raises ValueError for a non-finite rho0, and if the
+    sampled trace drifts from 1 by more than 1e-6 -- that much drift means
+    the run cannot be trusted.
+
+    From symmetric starts such as L1L2 the two generator variants act alike
+    on every state the run reaches, but exp(L dt) is built from all of L, so
+    their trajectories agree to rounding, not bit for bit; the published
+    generator's growing mode amplifies that rounding over the run.
 
     closure=False selects the audit form of the published generator whose
     last diagonal row is not tied to the others; such runs are expected to
@@ -190,18 +142,16 @@ def integrate(
     times = config.sample_times
     lv = superoperator(variant, params, closure=closure)
     # exact float keys: a uniform grid has only a handful of distinct spacings
-    steps: dict[float, tuple[Callable[[np.ndarray], np.ndarray], bool]] = {}
+    steps: dict[float, np.ndarray] = {}
     out = np.empty((times.size, 16), dtype=complex)
     y = rho0.reshape(16)
-    accepted = dense = 0
+    accepted = 0
     for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
         if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
             if dt not in steps:
-                steps[dt] = _propagator(lv * dt)
-            apply, is_dense = steps[dt]
-            y = apply(y)
+                steps[dt] = _exponential(lv * dt)
+            y = steps[dt] @ y
             accepted += 1
-            dense += is_dense
         out[k] = y
 
     states = out.reshape(times.size, 4, 4)
@@ -209,7 +159,7 @@ def integrate(
         drift = np.max(np.abs(np.einsum("kii->k", states).real - 1.0))
         if not drift <= 1e-6:  # NaN drift fails too
             raise ValueError(f"trace drifted by {drift:.3e} during integration")
-    return Trajectory(times.copy(), states, params, variant, StepCounts(accepted, dense))
+    return Trajectory(times.copy(), states, params, variant, StepCounts(accepted))
 
 
 def _block23_propagator(j: float, gamma: float, t: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Independent reference implementations used to cross-check the library.
 
-Nothing here imports from the integrator or the entanglement module's
-eigenvalue path.  The quartic eigensolver below goes through the
-characteristic polynomial (Faddeev-LeVerrier coefficients, Durand-Kerner
-root finding in extended precision, Newton polish), so agreement with
-`np.linalg.eigvals` is a genuine two-route check rather than the same
-code called twice.  The polynomial route is accurate for simple roots;
-for heavily repeated roots (pure-state products) the algebraic
-closed forms in the tests are the better oracle.
+Nothing here imports from the integrator or the entanglement module.  The
+quartic eigensolver below goes through the characteristic polynomial
+(Faddeev-LeVerrier coefficients, Durand-Kerner root finding in extended
+precision, Newton polish), so agreement with the library is a genuine
+two-route check rather than the same code called twice.  The polynomial
+route is accurate for simple roots (full-rank states); for rank-deficient
+states, whose spin-flip spectrum has repeated zeros, concurrence has two
+other references here: the closed form for X states and a 40-digit mpmath
+evaluation of the eigenvalue definition.
 
 Driven runs have no closed form; they are checked against the adaptive
 Dormand-Prince stepper at the end of this file, which shares only the
@@ -18,9 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from qdimer.liouville import SystemParams, superoperator
+
+# sigma_y (x) sigma_y, written out here rather than imported
+_FLIP = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
 
 
 def char_poly_coefficients(m: np.ndarray) -> np.ndarray:
@@ -88,18 +94,48 @@ def eigvals_4x4(m: np.ndarray) -> np.ndarray:
 def concurrence_reference(rho: np.ndarray) -> float:
     """Concurrence via the characteristic-polynomial eigenvalue route.
 
-    Uses the same relative noise floor as the library so both routes agree
-    on which near-zero eigenvalues are rounding debris.
+    For full-rank states only: near-zero repeated roots of rho*rho_tilde
+    come out of the quartic solver with errors far above rounding.
     """
-    flip = np.zeros((4, 4))
-    flip[0, 3], flip[1, 2], flip[2, 1], flip[3, 0] = -1.0, 1.0, 1.0, -1.0
-    product = rho @ (flip @ rho.conj() @ flip)
-    lams = eigvals_4x4(product).real
-    lams = np.clip(lams, 0.0, None)
-    floor = 16384.0 * np.finfo(float).eps * lams.max(initial=0.0)
-    lams = np.where(lams < floor, 0.0, lams)
+    product = rho @ (_FLIP @ rho.conj() @ _FLIP)
+    lams = np.clip(eigvals_4x4(product).real, 0.0, None)
     s = np.sqrt(np.sort(lams)[::-1])
     return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+
+
+def concurrence_x_state(rho: np.ndarray) -> np.ndarray:
+    """Closed form for X states, whose only coherences are rho14 and rho23:
+    C = 2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33)).
+
+    rho may be one (4, 4) state or an (N, 4, 4) stack.
+    """
+    rho = np.asarray(rho)
+    pop = np.diagonal(rho, axis1=-2, axis2=-1).real
+    outer = np.abs(rho[..., 1, 2]) - np.sqrt(pop[..., 0] * pop[..., 3])
+    inner = np.abs(rho[..., 0, 3]) - np.sqrt(pop[..., 1] * pop[..., 2])
+    return 2.0 * np.maximum(0.0, np.maximum(outer, inner))
+
+
+def concurrence_mpmath(rho: np.ndarray, digits: int = 40) -> float:
+    """Wootters' eigenvalue definition evaluated in `digits`-digit arithmetic.
+
+    rho is read exactly, its Hermitian part projected onto the positive
+    semidefinite cone (negative eigenvalues set to zero), and C taken from
+    the eigenvalues of rho * rho_tilde, which are then real and non-negative
+    to far below double precision.
+    """
+    with mpmath.workdps(digits):
+        m = mpmath.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                m[i, j] = (mpmath.mpc(complex(rho[i, j]))
+                           + mpmath.mpc(complex(rho[j, i])).conjugate()) / 2
+        w, v = mpmath.eighe(m)
+        plus = v * mpmath.diag([max(x, 0) for x in w]) * v.transpose_conj()
+        flip = mpmath.matrix(_FLIP.tolist())
+        lams = mpmath.eig(plus * (flip * plus.conjugate() * flip), left=False, right=False)
+        s = sorted((mpmath.sqrt(abs(mpmath.re(x))) for x in lams), reverse=True)
+        return float(max(mpmath.mpf(0), s[0] - s[1] - s[2] - s[3]))
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:

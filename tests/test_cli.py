@@ -106,6 +106,8 @@ def test_negative_value_reaches_every_subcommand(capsys, argv):
     ["constants", "--d0", "1e400", "--r", "10nm"],
     ["zeno", "--tau", "1e-13", "--T", "1e400"],
     ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1e306MV/m"],
+    ["zeno", "--tau", "nan", "--T", "1ns"],
+    ["zeno", "--tau", "1e-13", "--T", "-Infinity ns"],
 ])
 def test_non_finite_unit_flag_exits_2(capsys, argv):
     # 1e400 parses as inf: constants printed J = inf, zeno overflowed
@@ -393,6 +395,35 @@ def test_sweep_writes_points_and_index(tmp_path, capsys):
     assert lines[1] == f"gamma,0.0000000000000000e+00,{p0}"
     assert lines[2] == f"gamma,1.0000000000000000e+06,{p1}"
     assert p0.read_bytes() != p1.read_bytes()  # dephasing changes the run
+
+
+def test_sweep_values_take_their_flags_units(tmp_path, capsys):
+    # --sweep horizon=1ns,2ns once exited 2 while --horizon 2ns worked
+    written = {}
+    for name, sweep in [("si", "horizon=1e-9,2e-9"), ("units", "horizon=1ns, 2 ns")]:
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "s.csv"
+        assert main(["run", "--scenario", "free_eg", "--samples", "11",
+                     "--out", str(out), "--sweep", sweep]) == 0
+        written[name] = {p.name: p.read_text().replace(str(tmp_path / name), "DIR")
+                         for p in sorted((tmp_path / name).iterdir())}
+    capsys.readouterr()
+    assert sorted(written["si"]) == ["s.horizon1e-09.csv", "s.horizon2e-09.csv", "s.index.csv"]
+    assert written["units"] == written["si"]
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("gamma=1ns", "unknown rate unit 'ns'"),
+    ("horizon=1e-9,2 rad/s", "unknown time unit 'rad/s'"),
+    ("gamma=1e6,abc", "cannot parse rate value 'abc'"),
+    ("gamma=1e6,nan", "not finite"),
+    ("tau=1e-9", "sweep parameter must be one of"),
+])
+def test_bad_sweep_value_exits_2(tmp_path, capsys, sweep, message):
+    assert main(["run", "--scenario", "free_eg", "--out", str(tmp_path / "s.csv"),
+                 "--sweep", sweep]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("scenario, sweep", [

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import concurrence_reference, random_density, random_pure
-from qdimer.concurrence import ConcurrenceError, concurrence, spin_flip
+from oracles import (
+    concurrence_mpmath,
+    concurrence_reference,
+    concurrence_x_state,
+    random_density,
+    random_pure,
+)
+from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack, spin_flip
+from qdimer.integrate import IntegrationConfig, integrate
+from qdimer.scenarios import catalog
 from qdimer.states import named_state, pure_density
 
 
@@ -72,8 +80,8 @@ def test_localized_products_unentangled():
 )
 def test_werner_family(p, expected):
     assert concurrence(werner(p)).value == pytest.approx(expected, abs=1e-12)
-    # same values through the independent characteristic-polynomial solver
-    assert concurrence_reference(werner(p)) == pytest.approx(expected, abs=1e-9)
+    # Werner states are X states
+    assert concurrence_x_state(werner(p)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_single_excitation_superpositions():
@@ -153,8 +161,64 @@ def test_strongly_nonhermitian_state_rejected():
         concurrence(rho)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_rejected(bad):
+    rho = werner(0.6)
+    rho[1, 2] = bad
+    with pytest.raises(ConcurrenceError, match="not Hermitian"):
+        concurrence(rho)
+
+
 def test_tiny_negativity_is_clamped_not_fatal():
+    # lowest eigenvalue -1e-12 of rho lies within NEG_TOL: clipped, not raised
     rho = np.diag([0.5, 0.5, 1e-12, -1e-12]).astype(complex)
     res = concurrence(rho)
     assert res.clamped
-    assert res.value >= 0.0
+    assert res.value == 0.0
+
+
+def test_negativity_beyond_tolerance_raises():
+    rho = np.diag([0.5, 0.5, 2e-9, -2e-9]).astype(complex)
+    with pytest.raises(ConcurrenceError, match="negative eigenvalue -2.000e-09 of rho"):
+        concurrence(rho)
+
+
+def test_positive_state_is_not_clamped():
+    assert not concurrence(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)).clamped
+
+
+def test_tiny_skew_is_tolerated():
+    rho = werner(0.6)
+    rho[0, 1] += 1e-12
+    assert concurrence(rho).value == pytest.approx(0.4, abs=1e-12)
+    rho[0, 1] += 2e-9
+    with pytest.raises(ConcurrenceError, match="not Hermitian"):
+        concurrence(rho)
+
+
+# ---------------------------------------------------------------------------
+# the free presets' own states, against references that share no code path
+
+def preset_states(name):
+    sc = next(s for s in catalog() if s.name == name)
+    times = np.linspace(0.0, sc.horizon, sc.samples)
+    rho0 = pure_density(named_state(sc.initial))
+    return times, integrate("derived", rho0, sc.params, IntegrationConfig(times)).states
+
+
+def test_free_eg_states_match_x_state_form():
+    # every state of an e1g2 run is an X state; near t = 0 it is nearly pure
+    # and the spin-flip spectrum has a near-repeated zero
+    _, states = preset_states("free_eg")
+    got = concurrence_stack(states).values
+    assert np.max(np.abs(got - concurrence_x_state(states))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["free_LL", "free_LR"])
+@pytest.mark.parametrize("t", [1e-12, 7.29e-10, 2.758e-9, 5e-9])
+def test_localized_states_match_mpmath(name, t):
+    # at t = 2.758 ns the spin-flip spectrum is 0.993, 1.89e-6 (twice) and
+    # 3.6e-12: the last is a true eigenvalue, far below the first
+    times, states = preset_states(name)
+    k = int(np.argmin(np.abs(times - t)))
+    assert abs(concurrence(states[k]).value - concurrence_mpmath(states[k])) <= 1e-14

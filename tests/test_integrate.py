@@ -85,10 +85,22 @@ def test_sample_at_t0_is_initial_state():
 def test_step_counts():
     rho0 = pure_density(named_state("e1g2"))
     fine = integrate("derived", rho0, FREE, IntegrationConfig(np.linspace(0.0, 1e-10, 11)))
-    assert fine.stats == StepCounts(accepted=10, dense=0)
-    # 1e-9 s steps have |L dt|_1 = 300 and take the dense exponential
-    coarse = integrate("derived", rho0, FREE, IntegrationConfig(np.linspace(1e-9, 5e-9, 5)))
-    assert coarse.stats == StepCounts(accepted=5, dense=5)
+    assert fine.stats == StepCounts(accepted=10)
+    # a grid that starts after t = 0 takes a step onto its first sample too
+    late = integrate("derived", rho0, FREE, IntegrationConfig(np.linspace(1e-9, 5e-9, 5)))
+    assert late.stats == StepCounts(accepted=5)
+
+
+@pytest.mark.parametrize("initial", ["e1g2", "L1L2", "f"])
+@pytest.mark.parametrize("params", [FREE, FREE_NODEPH], ids=["gamma1e6", "gamma0"])
+def test_long_step_matches_closed_form(initial, params):
+    # one step of 10 us: |L dt|_1 = 3e6, so exp(L dt) takes 21 squarings
+    rho0 = pure_density(named_state(initial))
+    times = np.array([0.0, 1e-5])
+    states = integrate("derived", rho0, params, IntegrationConfig(times)).states
+    # phi radians of phase carry a rounding error of about eps * phi
+    tol = 1e-12 + 16.0 * EPS * params.fastest_rate() * times[-1]
+    assert np.max(np.abs(states - closed_form_free(rho0, params, times))) <= tol
 
 
 def test_first_sample_after_t0_works():
@@ -133,10 +145,9 @@ def test_free_presets_match_closed_form():
 def test_driven_presets_match_oracle(name):
     # each driven preset's parameters on its own sample grid, without the
     # switch-off, up to 0.5 us: at least four periods of the sqrt(2)*Omega
-    # exchange, on the dense path for driven_resonant and switch_off and on
-    # the Taylor path for the detuned presets.  The stepper's cost grows
-    # with the horizon (40-60k steps per us); at its default tolerance its own
-    # error on the full horizons is 1e-9 to 1.5e-8
+    # exchange.  The stepper's cost grows with the horizon (40-60k steps per
+    # us); at its default tolerance its own error on the full horizons is
+    # 1e-9 to 1.5e-8
     sc = next(s for s in catalog() if s.name == name)
     rho0 = pure_density(named_state(sc.initial))
     times = np.linspace(0.0, sc.horizon, sc.samples)

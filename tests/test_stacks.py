@@ -32,8 +32,8 @@ def draw_state(rng, kind):
         w = rng.uniform()
         return w * np.outer(a, a.conj()) + (1.0 - w) * np.outer(b, b.conj())
     if kind == "clamped":
-        # a diagonal state a hair outside the physical set: both its
-        # concurrence spectrum and its bare populations need clamping
+        # a diagonal state a hair outside the physical set: its eigenvalue
+        # -1e-12 is clipped for C and its bare populations need clamping
         w = rng.uniform()
         return np.diag(rng.permutation([w, 1.0 - w, 1e-12, -1e-12])).astype(complex)
     return random_density(rng)
@@ -223,5 +223,10 @@ def test_audit_matches_per_sample_loops(initial, samples):
     expected = per_sample_audit(params, rho0, 5e-9, samples)
     got = {field: getattr(report, field) for field in expected}
     assert bits(list(got.values())) == bits(list(expected.values())), got
-    if initial == "g1e2":  # the published run leaves the physical set
-        assert report.concurrence_skipped == (25 if samples == 501 else 76)
+    if initial == "g1e2":
+        # the published run leaves the physical set at once: every state after
+        # t = 0 has an eigenvalue below -NEG_TOL (down to -418 by 5 ns)
+        assert report.concurrence_skipped == samples - 1
+        published = concurrence_stack(report.published.states)
+        assert published.valid.tolist() == [True] + [False] * (samples - 1)
+        assert np.min(published.low) < -400.0
