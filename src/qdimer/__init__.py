@@ -10,7 +10,7 @@ from .concurrence import (
     concurrence_stack,
     spin_flip,
 )
-from .integrate import IntegrationConfig, StepCounts, Trajectory, closed_form_free, integrate
+from .integrate import closed_form_free, integrate
 from .liouville import (
     SystemParams,
     dephasing,
@@ -57,15 +57,12 @@ __all__ = [
     "DEBYE",
     "EPSILON_0",
     "HBAR",
-    "IntegrationConfig",
     "MolecularConstants",
     "OBSERVABLES",
     "ObservableTable",
     "Scenario",
     "SPEED_OF_LIGHT",
     "SystemParams",
-    "StepCounts",
-    "Trajectory",
     "ZenoProtocol",
     "ZenoResult",
     "analytic_survival",

@@ -154,6 +154,8 @@ class RunConfig:
                 _require_finite(name, value)
         for value in self.sweep_values:
             _require_finite("sweep value", value)
+        if self.driven is not None and not isinstance(self.driven, bool):
+            raise ValueError(f"driven must be true, false or null, got {self.driven!r}")
         if self.samples is not None and (
             isinstance(self.samples, bool) or not isinstance(self.samples, int)
         ):
@@ -187,6 +189,10 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
         if doc.get("observables") is not None:
+            if not isinstance(doc["observables"], list):
+                raise ValueError(
+                    f"observables must be a list of names, got {doc['observables']!r}"
+                )
             doc["observables"] = tuple(doc["observables"])
         if doc.get("sweep_values") is not None:
             doc["sweep_values"] = tuple(doc["sweep_values"])

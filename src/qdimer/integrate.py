@@ -18,63 +18,12 @@ trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .liouville import RhsVariant, SystemParams, superoperator
 
-__all__ = [
-    "IntegrationConfig",
-    "StepCounts",
-    "Trajectory",
-    "integrate",
-    "closed_form_free",
-]
-
-
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Sampling grid for one integration.
-
-    sample_times  finite, strictly increasing, first entry >= 0 (seconds)
-    """
-
-    sample_times: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.sample_times, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("sample_times must be a non-empty 1-d array")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("sample_times must be finite")
-        if times[0] < 0.0:
-            raise ValueError("sample_times must start at >= 0")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("sample_times must be strictly increasing")
-        object.__setattr__(self, "sample_times", times)
-
-
-@dataclass(frozen=True)
-class StepCounts:
-    """Steps exp(L dt) that one `integrate` call applied.
-
-    accepted  one per sample after t = 0 (an exact step is never rejected;
-              the name is the one the benchmark's trace reads)
-    """
-
-    accepted: int
-
-
-@dataclass
-class Trajectory:
-    """Sampled solution: states[k] is rho at times[k]."""
-
-    times: np.ndarray
-    states: np.ndarray
-    params: SystemParams
-    variant: str
-    stats: StepCounts
+__all__ = ["integrate", "closed_form_free"]
 
 
 # exp(L dt) is the Taylor series of L dt / 2**s, summed as a matrix by
@@ -111,18 +60,19 @@ def integrate(
     variant: RhsVariant,
     rho0: np.ndarray,
     params: SystemParams,
-    config: IntegrationConfig,
+    times: np.ndarray,
     *,
     closure: bool = True,
     trace_guard: bool = True,
-) -> Trajectory:
-    """Propagate rho0 under the chosen generator, sampling at config times.
+) -> np.ndarray:
+    """Propagate rho0 under the chosen generator; states[k] is rho at times[k].
 
+    times must be finite, strictly increasing and start at >= 0 (seconds).
     Each sample is exp(L dt) applied to the previous one (to rho0 for the
-    first, with dt = times[0]); a sample at t = 0 is rho0 itself.  `stats`
-    counts the steps.  Raises ValueError for a non-finite rho0, and if the
-    sampled trace drifts from 1 by more than 1e-6 -- that much drift means
-    the run cannot be trusted.
+    first, with dt = times[0]); a sample at t = 0 is rho0 itself.  Returns
+    the (len(times), 4, 4) stack.  Raises ValueError for a bad grid, a
+    non-finite rho0, and if the sampled trace drifts from 1 by more than
+    1e-6 -- that much drift means the run cannot be trusted.
 
     From symmetric starts such as L1L2 the two generator variants act alike
     on every state the run reaches, but exp(L dt) is built from all of L, so
@@ -133,25 +83,31 @@ def integrate(
     last diagonal row is not tied to the others; such runs are expected to
     drift, so they are normally paired with trace_guard=False.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("sample_times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample_times must be finite")
+    if times[0] < 0.0:
+        raise ValueError("sample_times must start at >= 0")
+    if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        raise ValueError("sample_times must be strictly increasing")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected rho0 shape (4, 4), got {rho0.shape}")
     if not np.all(np.isfinite(rho0)):
         raise ValueError("rho0 must be finite")
 
-    times = config.sample_times
     lv = superoperator(variant, params, closure=closure)
     # exact float keys: a uniform grid has only a handful of distinct spacings
     steps: dict[float, np.ndarray] = {}
     out = np.empty((times.size, 16), dtype=complex)
     y = rho0.reshape(16)
-    accepted = 0
     for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
         if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
             if dt not in steps:
                 steps[dt] = _exponential(lv * dt)
             y = steps[dt] @ y
-            accepted += 1
         out[k] = y
 
     states = out.reshape(times.size, 4, 4)
@@ -159,7 +115,7 @@ def integrate(
         drift = np.max(np.abs(np.einsum("kii->k", states).real - 1.0))
         if not drift <= 1e-6:  # NaN drift fails too
             raise ValueError(f"trace drifted by {drift:.3e} during integration")
-    return Trajectory(times.copy(), states, params, variant, StepCounts(accepted))
+    return states
 
 
 def _block23_propagator(j: float, gamma: float, t: np.ndarray) -> np.ndarray:

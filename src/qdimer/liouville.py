@@ -62,6 +62,8 @@ class SystemParams:
     driven: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.driven, bool):
+            raise ValueError(f"driven must be True or False, got {self.driven!r}")
         for name in ("omega0", "J", "gamma", "Omega", "delta_l"):
             value = getattr(self, name)
             if not math.isfinite(value):

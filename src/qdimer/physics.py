@@ -51,14 +51,16 @@ class MolecularConstants:
     E_l: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.d0 <= 0.0:
-            raise ValueError(f"d0 must be > 0, got {self.d0}")
-        if self.r <= 0.0:
-            raise ValueError(f"r must be > 0, got {self.r}")
-        if self.E_l < 0.0:
-            raise ValueError(f"E_l must be >= 0, got {self.E_l}")
         if self.mu_eg is None:
             object.__setattr__(self, "mu_eg", self.d0)
+        for name in ("d0", "r", "mu_eg", "E_l"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name != "E_l" and value <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if self.E_l < 0.0:
+            raise ValueError(f"E_l must be >= 0, got {self.E_l}")
 
 
 def dipole_coupling(constants: MolecularConstants) -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import IntegrationConfig, integrate
+from .integrate import integrate
 from .liouville import RhsVariant, SystemParams
 from .states import blocks, named_state, population, pure_density
 from .zeno import ZenoProtocol, analytic_survival, run_zeno
@@ -287,10 +287,9 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     # brackets the first maximum comfortably
     probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * params.Omega))
     probe_times = np.linspace(0.0, probe_horizon, 3001)
-    config = IntegrationConfig(sample_times=probe_times)
     rho0 = pure_density(named_state(scenario.initial))
-    traj = integrate(variant, rho0, params, config)
-    series = _evaluate(("rho_ss",), traj.states)[:, 0]
+    states = integrate(variant, rho0, params, probe_times)
+    series = _evaluate(("rho_ss",), states)[:, 0]
     t_off, _ = find_first_maximum(probe_times, series)
     if not 0.0 < t_off < scenario.horizon:
         raise ValueError(f"switch-off trigger {t_off:.3e} s outside (0, horizon)")
@@ -313,13 +312,11 @@ def _integrate_with_switch_off(
     head = times[times <= t_off]
     tail = times[times > t_off]
     seg1_times = head if head.size and head[-1] == t_off else np.append(head, t_off)
-    traj1 = integrate(variant, rho0, params, IntegrationConfig(seg1_times))
-    states = [traj1.states[: head.size]]
+    driven = integrate(variant, rho0, params, seg1_times)
+    states = [driven[: head.size]]
     if tail.size:
-        rho_off = traj1.states[-1]
         params_free = replace(params, Omega=0.0)
-        traj2 = integrate(variant, rho_off, params_free, IntegrationConfig(tail - t_off))
-        states.append(traj2.states)
+        states.append(integrate(variant, driven[-1], params_free, tail - t_off))
     return np.concatenate(states, axis=0)
 
 
@@ -355,23 +352,15 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
     )
 
 
-def run_scenario(
-    scenario: Scenario,
-    config: IntegrationConfig | None = None,
-    *,
-    variant: RhsVariant = "derived",
-) -> ObservableTable:
-    """Run one preset and evaluate its observables at every sample time."""
+def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> ObservableTable:
+    """Run one preset and evaluate its observables at its `samples` evenly
+    spaced times over [0, horizon]."""
     if scenario.zeno_taus:
         return _zeno_sweep_table(scenario)
-    if config is None:
-        config = IntegrationConfig(
-            sample_times=np.linspace(0.0, scenario.horizon, scenario.samples)
-        )
     rho0 = pure_density(named_state(scenario.initial))
-    times = config.sample_times
+    times = np.linspace(0.0, scenario.horizon, scenario.samples)
     if scenario.field_off_time is None:
-        states = integrate(variant, rho0, scenario.params, config).states
+        states = integrate(variant, rho0, scenario.params, times)
     else:
         t_off = scenario.field_off_time
         if isinstance(t_off, str):
@@ -379,7 +368,7 @@ def run_scenario(
         states = _integrate_with_switch_off(variant, rho0, scenario.params, t_off, times)
     return ObservableTable(
         scenario=scenario.name,
-        times=times.copy(),
+        times=times,
         names=scenario.observables,
         data=_evaluate(scenario.observables, states),
     )

@@ -44,6 +44,8 @@ class ZenoProtocol:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if isinstance(self.n_measurements, bool) or not isinstance(self.n_measurements, int):
+            raise ValueError(f"n_measurements must be an integer, got {self.n_measurements!r}")
         if self.n_measurements < 1:
             raise ValueError(f"need at least one measurement, got {self.n_measurements}")
         if self.params.Omega != 0.0:

@@ -7,6 +7,7 @@ as-is and fails honestly; the analysis lives in the decisions ledger
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from oracles import concurrence_reference, random_density
 from qdimer.audit import consistency_report
 from qdimer.cli import emit_csv
 from qdimer.concurrence import concurrence
-from qdimer.integrate import IntegrationConfig, closed_form_free, integrate
+from qdimer.integrate import closed_form_free, integrate
 from qdimer.liouville import SystemParams
 from qdimer.physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a
 from qdimer.scenarios import (
@@ -46,9 +47,9 @@ def preset(name):
 
 def free_run(initial, gamma, horizon, samples):
     params = SystemParams(omega0=OMEGA0, J=J_REF, gamma=gamma)
-    config = IntegrationConfig(np.linspace(0.0, horizon, samples))
-    traj = integrate("derived", pure_density(named_state(initial)), params, config)
-    return traj.times, traj.states
+    times = np.linspace(0.0, horizon, samples)
+    states = integrate("derived", pure_density(named_state(initial)), params, times)
+    return times, states
 
 
 def column(states, name):
@@ -163,9 +164,9 @@ def driven_resonant_run(initial, j, horizon, samples):
     params = SystemParams(
         omega0=OMEGA0, J=j, gamma=1.0e6, Omega=7.0e7, delta_l=0.0, driven=True
     )
-    config = IntegrationConfig(np.linspace(0.0, horizon, samples))
-    traj = integrate("derived", pure_density(named_state(initial)), params, config)
-    return traj.times, traj.states
+    times = np.linspace(0.0, horizon, samples)
+    states = integrate("derived", pure_density(named_state(initial)), params, times)
+    return times, states
 
 
 def slow_peaks(times, values, width, min_separation):
@@ -295,14 +296,14 @@ def test_criterion_09_oracles_and_audit():
     for name in ("free_eg", "free_LL", "free_LR"):
         sc = preset(name)
         t = np.linspace(0.0, sc.horizon, 251)
-        traj = integrate(
+        states = integrate(
             "derived",
             pure_density(named_state(sc.initial)),
             sc.params,
-            IntegrationConfig(t),
+            t,
         )
         exact = closed_form_free(pure_density(named_state(sc.initial)), sc.params, t)
-        worst_free = max(worst_free, np.max(np.abs(traj.states - exact)))
+        worst_free = max(worst_free, np.max(np.abs(states - exact)))
 
     rng = np.random.default_rng(20260814)
     worst_c = max(
@@ -335,13 +336,12 @@ def test_criterion_09_oracles_and_audit():
 def test_criterion_10_property_suite(tmp_path):
     start = time.perf_counter()
     sc = preset("driven_detuned_s")
-    traj = integrate(
+    states = integrate(
         "derived",
         pure_density(named_state(sc.initial)),
         sc.params,
-        IntegrationConfig(np.linspace(0.0, sc.horizon, 401)),
+        np.linspace(0.0, sc.horizon, 401),
     )
-    states = traj.states
     trace_dev = np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0))
     herm_dev = np.max(np.abs(states - states.conj().transpose(0, 2, 1)))
     min_eig = min(np.min(np.linalg.eigvalsh(rho)) for rho in states)
@@ -367,8 +367,7 @@ def test_criterion_10_property_suite(tmp_path):
             abs(concurrence(u @ rho @ u.conj().T).value - concurrence(rho).value),
         )
 
-    table = run_scenario(preset("free_eg"),
-                         IntegrationConfig(np.linspace(0.0, 5e-9, 101)))
+    table = run_scenario(replace(preset("free_eg"), samples=101))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(table, str(a))
     emit_csv(table, str(b))

@@ -1,9 +1,14 @@
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qdimer
 from qdimer.cli import (
     RunConfig,
     dipole_quantity,
@@ -164,6 +169,20 @@ def test_config_json_rejects_non_finite(text):
 
     with pytest.raises(ValueError, match="samples must be an integer"):
         RunConfig.from_json('{"out": "a.csv", "scenario": "free_eg", "samples": %s}' % text)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("driven", '"false"'), ("driven", "0"), ("observables", '"C"'),
+])
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, text):
+    # "false" once ran free_eg in the rotating frame, and a string of
+    # observables was split into one column name per character
+    path = tmp_path / "bad.json"
+    path.write_text('{"out": "%s", "scenario": "free_eg", "%s": %s}'
+                    % (tmp_path / "x.csv", field, text))
+    assert main(["run", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # a config saved by --save-config while the propagator was adaptive
@@ -560,6 +579,10 @@ def test_audit_command_divergent_start(capsys):
     # ...while the frozen population gap of the closed published system stays put
     assert float(report["published_pop23_diff_drift"]) < 1e-6
     assert float(report["published_trace_drift_no_closure"]) > 0.1
+    # every published state after t = 0 is unphysical, so the concurrence
+    # deviation is unknown rather than 0
+    assert int(report["concurrence_skipped"]) == 40
+    assert math.isnan(float(report["max_concurrence_deviation"]))
 
 
 def test_audit_command_agreeing_start(capsys):
@@ -569,3 +592,23 @@ def test_audit_command_agreeing_start(capsys):
     assert float(report["max_population_deviation"]) < 1e-10
     assert float(report["max_rho_deviation"]) < 1e-10
     assert float(report["max_concurrence_deviation"]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # site .pth files may import packages of their own at start-up, so the
+    # baseline is what a bare `import numpy` loads, not a fixed list
+    probe = "import sys, {}; print(*{{m.partition('.')[0] for m in sys.modules}})"
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+    def loaded(module):
+        run = subprocess.run([sys.executable, "-c", probe.format(module)], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(run.stdout.split())
+
+    extra = loaded("qdimer.cli") - loaded("numpy")
+    assert extra - set(sys.stdlib_module_names) == {"qdimer"}, sorted(extra)

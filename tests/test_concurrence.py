@@ -9,7 +9,7 @@ from oracles import (
     random_pure,
 )
 from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack, spin_flip
-from qdimer.integrate import IntegrationConfig, integrate
+from qdimer.integrate import integrate
 from qdimer.scenarios import catalog
 from qdimer.states import named_state, pure_density
 
@@ -203,7 +203,7 @@ def preset_states(name):
     sc = next(s for s in catalog() if s.name == name)
     times = np.linspace(0.0, sc.horizon, sc.samples)
     rho0 = pure_density(named_state(sc.initial))
-    return times, integrate("derived", rho0, sc.params, IntegrationConfig(times)).states
+    return times, integrate("derived", rho0, sc.params, times)
 
 
 def test_free_eg_states_match_x_state_form():

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dopri5, free_block_solution, random_pure
-from qdimer.integrate import (
-    IntegrationConfig,
-    StepCounts,
-    closed_form_free,
-    integrate,
-)
+from qdimer.integrate import closed_form_free, integrate
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import catalog
 from qdimer.states import named_state, population, pure_density
@@ -26,32 +21,35 @@ def random_density(rng):
 
 
 # ---------------------------------------------------------------------------
-# configuration contract
+# input contract
 
 def test_config_validation():
-    good = np.linspace(0.0, 1e-9, 5)
-    IntegrationConfig(sample_times=good)
-    with pytest.raises(ValueError):
-        IntegrationConfig(sample_times=np.array([0.0, 1e-9, 1e-9]))
-    with pytest.raises(ValueError):
-        IntegrationConfig(sample_times=np.array([-1e-9, 1e-9]))
-    with pytest.raises(ValueError):
-        IntegrationConfig(sample_times=np.array([]))
+    rho0 = pure_density(named_state("e1g2"))
+    assert integrate("derived", rho0, FREE, np.linspace(0.0, 1e-9, 5)).shape == (5, 4, 4)
+    for bad, message in [
+        (np.array([0.0, 1e-9, 1e-9]), "strictly increasing"),
+        (np.array([-1e-9, 1e-9]), "start at >= 0"),
+        (np.array([]), "non-empty"),
+        (np.zeros((2, 2)), "1-d"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            integrate("derived", rho0, FREE, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_config_rejects_non_finite_times(bad):
+    rho0 = pure_density(named_state("e1g2"))
     with pytest.raises(ValueError, match="finite"):
-        IntegrationConfig(sample_times=np.array([0.0, 1e-9, bad]))
+        integrate("derived", rho0, FREE, np.array([0.0, 1e-9, bad]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rho0_must_be_finite(bad):
     rho0 = pure_density(named_state("e1g2"))
     rho0[1, 2] = bad
-    config = IntegrationConfig(sample_times=np.linspace(0.0, 1e-9, 3))
+    times = np.linspace(0.0, 1e-9, 3)
     with pytest.raises(ValueError, match="finite"):
-        integrate("derived", rho0, FREE, config)
+        integrate("derived", rho0, FREE, times)
 
 
 # ---------------------------------------------------------------------------
@@ -60,35 +58,26 @@ def test_rho0_must_be_finite(bad):
 def test_zero_generator_keeps_state_constant():
     params = SystemParams(omega0=0.0, J=0.0, gamma=0.0)
     rho0 = pure_density(named_state("f"))
-    config = IntegrationConfig(sample_times=np.linspace(0.0, 1e-6, 7))
-    traj = integrate("derived", rho0, params, config)
-    for state in traj.states:
+    times = np.linspace(0.0, 1e-6, 7)
+    states = integrate("derived", rho0, params, times)
+    for state in states:
         assert np.array_equal(state, rho0)
 
 
 def test_population_swap_at_quarter_period():
     # half swap: rho22(pi/2J) = sin^2(J t) = 1
     t_half = np.pi / (2.0 * FREE_NODEPH.J)
-    config = IntegrationConfig(sample_times=np.array([0.0, t_half]))
-    traj = integrate("derived", pure_density(named_state("e1g2")), FREE_NODEPH, config)
-    rho22 = traj.states[-1][1, 1].real
+    times = np.array([0.0, t_half])
+    states = integrate("derived", pure_density(named_state("e1g2")), FREE_NODEPH, times)
+    rho22 = states[-1][1, 1].real
     assert abs(rho22 - 1.0) < 1e-8
 
 
 def test_sample_at_t0_is_initial_state():
-    config = IntegrationConfig(sample_times=np.array([0.0, 1e-10]))
+    times = np.array([0.0, 1e-10])
     rho0 = pure_density(named_state("L1L2"))
-    traj = integrate("derived", rho0, FREE, config)
-    assert np.array_equal(traj.states[0], rho0)
-
-
-def test_step_counts():
-    rho0 = pure_density(named_state("e1g2"))
-    fine = integrate("derived", rho0, FREE, IntegrationConfig(np.linspace(0.0, 1e-10, 11)))
-    assert fine.stats == StepCounts(accepted=10)
-    # a grid that starts after t = 0 takes a step onto its first sample too
-    late = integrate("derived", rho0, FREE, IntegrationConfig(np.linspace(1e-9, 5e-9, 5)))
-    assert late.stats == StepCounts(accepted=5)
+    states = integrate("derived", rho0, FREE, times)
+    assert np.array_equal(states[0], rho0)
 
 
 @pytest.mark.parametrize("initial", ["e1g2", "L1L2", "f"])
@@ -97,7 +86,7 @@ def test_long_step_matches_closed_form(initial, params):
     # one step of 10 us: |L dt|_1 = 3e6, so exp(L dt) takes 21 squarings
     rho0 = pure_density(named_state(initial))
     times = np.array([0.0, 1e-5])
-    states = integrate("derived", rho0, params, IntegrationConfig(times)).states
+    states = integrate("derived", rho0, params, times)
     # phi radians of phase carry a rounding error of about eps * phi
     tol = 1e-12 + 16.0 * EPS * params.fastest_rate() * times[-1]
     assert np.max(np.abs(states - closed_form_free(rho0, params, times))) <= tol
@@ -105,11 +94,11 @@ def test_long_step_matches_closed_form(initial, params):
 
 def test_first_sample_after_t0_works():
     # grid that does not include zero
-    config = IntegrationConfig(sample_times=np.array([2e-10, 4e-10]))
+    times = np.array([2e-10, 4e-10])
     rho0 = pure_density(named_state("e1g2"))
-    traj = integrate("derived", rho0, FREE_NODEPH, config)
+    states = integrate("derived", rho0, FREE_NODEPH, times)
     expected = closed_form_free(rho0, FREE_NODEPH, 2e-10)
-    assert np.max(np.abs(traj.states[0] - expected)) < 1e-9
+    assert np.max(np.abs(states[0] - expected)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +107,10 @@ def test_first_sample_after_t0_works():
 @pytest.mark.parametrize("initial", ["e1g2", "L1L2", "L1R2"])
 def test_oracle_equivalence_free(initial):
     times = np.linspace(0.0, 5e-9, 301)
-    config = IntegrationConfig(sample_times=times)
     rho0 = pure_density(named_state(initial))
-    traj = integrate("derived", rho0, FREE, config)
+    states = integrate("derived", rho0, FREE, times)
     worst = 0.0
-    for t, state in zip(times, traj.states):
+    for t, state in zip(times, states):
         exact = closed_form_free(rho0, FREE, t)
         worst = max(worst, np.max(np.abs(state - exact)))
     assert worst <= 1e-7, worst
@@ -134,8 +122,8 @@ def test_free_presets_match_closed_form():
     for sc in free:
         rho0 = pure_density(named_state(sc.initial))
         times = np.linspace(0.0, sc.horizon, sc.samples)
-        traj = integrate("derived", rho0, sc.params, IntegrationConfig(times))
-        worst = np.max(np.abs(traj.states - closed_form_free(rho0, sc.params, times)))
+        states = integrate("derived", rho0, sc.params, times)
+        worst = np.max(np.abs(states - closed_form_free(rho0, sc.params, times)))
         assert worst <= 1e-12, (sc.name, worst)
 
 
@@ -152,9 +140,9 @@ def test_driven_presets_match_oracle(name):
     rho0 = pure_density(named_state(sc.initial))
     times = np.linspace(0.0, sc.horizon, sc.samples)
     times = times[times <= 5e-7]
-    traj = integrate("derived", rho0, sc.params, IntegrationConfig(times))
+    states = integrate("derived", rho0, sc.params, times)
     reference, _ = dopri5("derived", rho0, sc.params, times)
-    assert np.max(np.abs(traj.states - reference)) <= 1e-7
+    assert np.max(np.abs(states - reference)) <= 1e-7
 
 
 def test_rho_pp_oscillates_at_twice_the_splitting():
@@ -162,12 +150,11 @@ def test_rho_pp_oscillates_at_twice_the_splitting():
     params = FREE_NODEPH
     horizon = 3.0 * np.pi / params.omega0
     times = np.linspace(0.0, horizon, 121)
-    config = IntegrationConfig(sample_times=times)
     rho0 = pure_density(named_state("L1L2"))
-    traj = integrate("derived", rho0, params, config)
+    states = integrate("derived", rho0, params, times)
     p_state = named_state("p")
     q_state = named_state("q")
-    for t, state in zip(times, traj.states):
+    for t, state in zip(times, states):
         assert abs(population(state, p_state) - 0.5 * np.cos(params.omega0 * t) ** 2) < 1e-7
         assert abs(population(state, q_state) - 0.5 * np.sin(params.omega0 * t) ** 2) < 1e-7
 
@@ -180,9 +167,8 @@ def test_trace_and_hermiticity_drift_over_microsecond():
         omega0=1.5e11, J=4.0e9, gamma=1.0e6, Omega=7.0e7, delta_l=0.0, driven=True
     )
     times = np.linspace(0.0, 1e-6, 11)
-    config = IntegrationConfig(sample_times=times)
-    traj = integrate("derived", pure_density(named_state("e1e2")), params, config)
-    for state in traj.states:
+    states = integrate("derived", pure_density(named_state("e1e2")), params, times)
+    for state in states:
         assert abs(np.trace(state).real - 1.0) < 1e-8
         assert abs(np.trace(state).imag) < 1e-12
         assert np.max(np.abs(state - state.conj().T)) < 1e-10
@@ -193,8 +179,8 @@ def test_no_drift_over_1e5_samples():
     # linearly in the number of samples
     rho0 = pure_density(named_state("e1g2"))
     times = np.linspace(0.0, 5e-8, 100001)
-    traj = integrate("derived", rho0, FREE, IntegrationConfig(times))
-    worst = np.max(np.abs(traj.states - closed_form_free(rho0, FREE, times)))
+    states = integrate("derived", rho0, FREE, times)
+    worst = np.max(np.abs(states - closed_form_free(rho0, FREE, times)))
     assert worst <= times.size * EPS, worst
 
 
@@ -224,7 +210,7 @@ def test_propagator_properties(run):
     params, horizon, samples, seed = run
     rho0 = pure_density(random_pure(np.random.default_rng(seed)))
     times = np.linspace(0.0, horizon, samples)
-    states = integrate("derived", rho0, params, IntegrationConfig(times)).states
+    states = integrate("derived", rho0, params, times)
     # phi radians of phase carry a rounding error of about eps * phi, in the
     # closed form as much as in the propagator
     tol = 1e-12 + 16.0 * EPS * params.fastest_rate() * horizon
@@ -237,11 +223,10 @@ def test_propagator_properties(run):
 
 def test_determinism_bitwise():
     times = np.linspace(0.0, 2e-9, 17)
-    config = IntegrationConfig(sample_times=times)
     rho0 = pure_density(named_state("L1L2"))
-    one = integrate("derived", rho0, FREE, config)
-    two = integrate("derived", rho0, FREE, config)
-    assert np.array_equal(one.states, two.states)
+    one = integrate("derived", rho0, FREE, times)
+    two = integrate("derived", rho0, FREE, times)
+    assert np.array_equal(one, two)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +309,15 @@ def test_closed_form_overdamped_long_time():
     times = np.linspace(0.0, 2e-7, 5)
     exact = closed_form_free(rho0, params, times)
     assert np.all(np.isfinite(exact))
-    traj = integrate("derived", rho0, params, IntegrationConfig(times))
-    assert np.max(np.abs(traj.states - exact)) < 1e-12
+    states = integrate("derived", rho0, params, times)
+    assert np.max(np.abs(states - exact)) < 1e-12
 
 
 def test_closed_form_matches_integrator_with_dephasing():
     rho0 = pure_density(named_state("f"))
     times = np.linspace(0.0, 5e-9, 101)
-    config = IntegrationConfig(sample_times=times)
-    traj = integrate("derived", rho0, FREE, config)
-    for t, state in zip(times, traj.states):
+    states = integrate("derived", rho0, FREE, times)
+    for t, state in zip(times, states):
         assert np.max(np.abs(state - closed_form_free(rho0, FREE, t))) < 1e-9
 
 
@@ -343,20 +327,18 @@ def test_closed_form_matches_integrator_with_dephasing():
 def test_trace_guard_trips_on_raw_published_rows():
     rho0 = pure_density(named_state("e1g2"))
     times = np.linspace(0.0, 5e-10, 11)
-    config = IntegrationConfig(sample_times=times)
     with pytest.raises(ValueError):
-        integrate("published", rho0, FREE_NODEPH, config, closure=False)
+        integrate("published", rho0, FREE_NODEPH, times, closure=False)
 
 
 def test_raw_published_trace_grows_quadratically():
     rho0 = pure_density(named_state("e1g2"))
     times = np.linspace(0.0, 5e-10, 11)
-    config = IntegrationConfig(sample_times=times)
-    traj = integrate(
-        "published", rho0, FREE_NODEPH, config, closure=False, trace_guard=False
+    states = integrate(
+        "published", rho0, FREE_NODEPH, times, closure=False, trace_guard=False
     )
     j = FREE_NODEPH.J
-    for t, state in zip(times, traj.states):
+    for t, state in zip(times, states):
         expected = 1.0 + 2.0 * (j * t) ** 2
         assert abs(np.trace(state).real - expected) < 1e-6 * expected
 
@@ -365,10 +347,9 @@ def test_published_with_closure_from_excited_state():
     # the closed published system freezes rho33 - rho22 at its initial value
     rho0 = pure_density(named_state("e1g2"))
     times = np.linspace(0.0, 2e-9, 21)
-    config = IntegrationConfig(sample_times=times)
-    traj = integrate("published", rho0, FREE_NODEPH, config)
+    states = integrate("published", rho0, FREE_NODEPH, times)
     j = FREE_NODEPH.J
-    for t, state in zip(times, traj.states):
+    for t, state in zip(times, states):
         diff = (state[2, 2] - state[1, 1]).real
         assert abs(diff - 1.0) < 1e-9
         # and the populations grow secularly, rho22 = (J t)^2

@@ -45,6 +45,13 @@ def test_params_reject_non_finite(name, bad):
         SystemParams(**{**rates, name: bad}, driven=True)
 
 
+@pytest.mark.parametrize("bad", ["no", "false", 1, 0, None])
+def test_params_driven_must_be_bool(bad):
+    # a non-empty string once selected the rotating frame
+    with pytest.raises(ValueError, match="driven"):
+        SystemParams(omega0=1.0, J=1.0, gamma=0.0, driven=bad)
+
+
 def test_splitting_selects_frame():
     free = SystemParams(omega0=2.0, J=1.0, gamma=0.0)
     driven = SystemParams(omega0=2.0, J=1.0, gamma=0.0, Omega=0.1, delta_l=0.5, driven=True)

@@ -83,6 +83,20 @@ def test_molecular_constants_validation():
         MolecularConstants(d0=1e-30, r=1e-8, E_l=-5.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["d0", "r", "mu_eg", "E_l"])
+def test_molecular_constants_reject_non_finite(name, bad):
+    inputs = dict(d0=1e-30, r=1e-8, mu_eg=1e-30, E_l=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        MolecularConstants(**{**inputs, name: bad})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-30])
+def test_mu_eg_must_be_positive(bad):
+    with pytest.raises(ValueError, match="mu_eg must be > 0"):
+        MolecularConstants(d0=1e-30, r=1e-8, mu_eg=bad)
+
+
 def test_mu_eg_defaults_to_d0():
     assert REF.mu_eg == REF.d0
     other = MolecularConstants(d0=1e-30, r=1e-8, mu_eg=2e-30)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdimer.integrate import IntegrationConfig, integrate
+from qdimer.integrate import integrate
 from qdimer import scenarios as scenarios_mod
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import (
@@ -189,11 +189,10 @@ def test_run_matches_direct_integration():
         if sc.zeno_taus:
             continue
         times = np.linspace(0.0, sc.horizon, 201)
-        config = IntegrationConfig(sample_times=times)
-        table = run_scenario(sc, config)
+        table = run_scenario(replace(sc, samples=201))
         rho0 = pure_density(named_state(sc.initial))
         if sc.field_off_time is None:
-            states = integrate("derived", rho0, sc.params, config).states
+            states = integrate("derived", rho0, sc.params, times)
         else:
             t_off = scenarios_mod._switch_trigger(sc, "derived")
             states = scenarios_mod._integrate_with_switch_off(
@@ -209,8 +208,7 @@ def test_run_matches_direct_integration():
 
 def test_free_LL_closed_forms():
     sc = preset("free_LL")
-    config = IntegrationConfig(np.linspace(0.0, sc.horizon, 301))
-    table = run_scenario(sc, config)
+    table = run_scenario(replace(sc, samples=301))
     t = table.times
     gamma = sc.params.gamma
     decay = 0.25 * np.exp(-2.0 * gamma * t)
@@ -227,10 +225,9 @@ def test_free_LL_closed_forms():
 def test_published_variant_identical_from_localized_start():
     # from L1L2 the (2,3) coherence stays real, and the two generator
     # variants produce the same trajectory
-    sc = preset("free_LL")
-    config = IntegrationConfig(np.linspace(0.0, sc.horizon, 301))
-    a = run_scenario(sc, config, variant="derived")
-    b = run_scenario(sc, config, variant="published")
+    sc = replace(preset("free_LL"), samples=301)
+    a = run_scenario(sc, variant="derived")
+    b = run_scenario(sc, variant="published")
     assert np.max(np.abs(a.data - b.data)) < 1e-12
 
 
@@ -242,9 +239,10 @@ def test_variants_agree_on_free_preset_grids(name, samples):
     # reach, but exp(L dt) is built from all of L, so the tables agree only
     # to rounding: 6.6e-13 at 301 samples, 7.4e-14 at 5001
     sc = preset(name)
-    config = IntegrationConfig(np.linspace(0.0, sc.horizon, samples or sc.samples))
-    a = run_scenario(sc, config, variant="derived")
-    b = run_scenario(sc, config, variant="published")
+    if samples is not None:
+        sc = replace(sc, samples=samples)
+    a = run_scenario(sc, variant="derived")
+    b = run_scenario(sc, variant="published")
     assert np.max(np.abs(a.data - b.data)) < 1e-12
 
 

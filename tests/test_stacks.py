@@ -4,6 +4,8 @@ Bit for bit: the stacked forms run the same BLAS and LAPACK calls one 4x4
 matrix at a time, so batching may not move a single digit of the CSVs.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from oracles import random_density, random_pure
 from qdimer import scenarios as scenarios_mod
 from qdimer.audit import consistency_report
 from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack
-from qdimer.integrate import IntegrationConfig, integrate
+from qdimer.integrate import integrate
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import OBSERVABLES, catalog, run_scenario
 from qdimer.states import BLOCK, NAMED_STATES, named_state, population, pure_density
@@ -182,10 +184,10 @@ def test_unphysical_population_k_raises_its_single_state_error(k):
 
 def per_sample_audit(params, rho0, horizon, samples):
     # the per-sample loops of consistency_report before it took stacks
-    config = IntegrationConfig(np.linspace(0.0, horizon, samples))
-    derived = integrate("derived", rho0, params, config).states
-    published = integrate("published", rho0, params, config).states
-    raw = integrate("published", rho0, params, config, closure=False, trace_guard=False)
+    times = np.linspace(0.0, horizon, samples)
+    derived = integrate("derived", rho0, params, times)
+    published = integrate("published", rho0, params, times)
+    raw = integrate("published", rho0, params, times, closure=False, trace_guard=False)
     pops_d = np.array([np.diag(rho).real for rho in derived])
     pops_p = np.array([np.diag(rho).real for rho in published])
     max_conc, skipped = 0.0, 0
@@ -197,18 +199,27 @@ def per_sample_audit(params, rho0, horizon, samples):
             skipped += 1
             continue
         max_conc = max(max_conc, abs(c_d - c_p))
-    traces = np.array([np.trace(rho).real for rho in raw.states])
+    traces = np.array([np.trace(rho).real for rho in raw])
     diff_p = pops_p[:, 2] - pops_p[:, 1]
     diff_d = pops_d[:, 2] - pops_d[:, 1]
     return {
         "max_population_deviation": float(np.max(np.abs(pops_d - pops_p))),
         "max_rho_deviation": float(np.max(np.abs(derived - published))),
-        "max_concurrence_deviation": max_conc,
+        # with a skipped sample the largest deviation is unknown
+        "max_concurrence_deviation": math.nan if skipped else max_conc,
         "concurrence_skipped": skipped,
         "published_trace_drift_no_closure": float(np.max(np.abs(traces - 1.0))),
         "published_pop23_diff_drift": float(np.max(np.abs(diff_p - diff_p[0]))),
         "derived_pop23_diff_range": float(np.max(diff_d) - np.min(diff_d)),
     }
+
+
+@pytest.mark.parametrize("bad", [2.5, 501.0, np.nan, True])
+def test_audit_samples_must_be_integer(bad):
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    rho0 = pure_density(named_state("L1L2"))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        consistency_report(params, rho0, 5e-9, samples=bad)
 
 
 @pytest.mark.parametrize("initial, samples", [
@@ -227,6 +238,6 @@ def test_audit_matches_per_sample_loops(initial, samples):
         # the published run leaves the physical set at once: every state after
         # t = 0 has an eigenvalue below -NEG_TOL (down to -418 by 5 ns)
         assert report.concurrence_skipped == samples - 1
-        published = concurrence_stack(report.published.states)
+        published = concurrence_stack(report.published)
         assert published.valid.tolist() == [True] + [False] * (samples - 1)
         assert np.min(published.low) < -400.0

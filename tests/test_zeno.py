@@ -36,6 +36,12 @@ def test_protocol_rejects_non_finite_tau(bad):
         ZenoProtocol(tau=bad, n_measurements=5, params=params)
 
 
+@pytest.mark.parametrize("bad", [2.5, 5.0, np.nan, True])
+def test_protocol_n_measurements_must_be_integer(bad):
+    with pytest.raises(ValueError, match="n_measurements must be an integer"):
+        ZenoProtocol(tau=1e-11, n_measurements=bad, params=FREE)
+
+
 def test_protocol_records_total_time():
     proto = ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE)
     assert proto.total_time == pytest.approx(1e-9)
