@@ -66,6 +66,10 @@ def consistency_report(
 ) -> ConsistencyReport:
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     times = np.linspace(0.0, horizon, samples)
     derived = integrate("derived", rho0, params, times)
     published = integrate("published", rho0, params, times)

@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,6 +90,10 @@ def rate_quantity(text: str) -> float:
     return parse_quantity(text, _RATE_UNITS, "rate")
 
 
+def _name_list(text: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -142,8 +146,19 @@ class RunConfig:
                 f"unsupported schema_version {self.schema_version!r} "
                 f"(this build reads version {_SCHEMA_VERSION})"
             )
-        if not self.out:
-            raise ValueError("config needs an output path")
+        if not isinstance(self.out, str) or not self.out:
+            raise ValueError(f"out must name an output path, got {self.out!r}")
+        for name in ("scenario", "initial", "sweep_param"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null, got {value!r}")
+        if self.observables is not None and not (
+            isinstance(self.observables, tuple)
+            and all(isinstance(n, str) for n in self.observables)
+        ):
+            raise ValueError(f"observables must be a list of names, got {self.observables!r}")
+        if not isinstance(self.sweep_values, tuple):
+            raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
         if self.rhs not in ("derived", "published"):
             raise ValueError(f"rhs must be 'derived' or 'published', got {self.rhs!r}")
         if self.scenario is None and self.initial is None:
@@ -169,11 +184,8 @@ class RunConfig:
                 raise ValueError("sweep needs at least one value")
 
     def to_json(self) -> str:
-        doc = dataclasses.asdict(self)
-        if doc["observables"] is not None:
-            doc["observables"] = list(doc["observables"])
-        doc["sweep_values"] = list(doc["sweep_values"])
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # json writes the tuple fields as arrays
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -188,18 +200,20 @@ class RunConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        if doc.get("observables") is not None:
-            if not isinstance(doc["observables"], list):
-                raise ValueError(
-                    f"observables must be a list of names, got {doc['observables']!r}"
-                )
-            doc["observables"] = tuple(doc["observables"])
-        if doc.get("sweep_values") is not None:
-            doc["sweep_values"] = tuple(doc["sweep_values"])
+        # JSON arrays become the tuples the fields hold; anything else is refused
+        for name in ("observables", "sweep_values"):
+            if isinstance(doc.get(name), list):
+                doc[name] = tuple(doc[name])
         return cls(**doc)
 
 
+def _set_fields(source: object, names: Iterable[str]) -> dict[str, object]:
+    """The attributes of `source` among `names` that are present and not None."""
+    return {n: getattr(source, n) for n in names if getattr(source, n, None) is not None}
+
+
 def _scenario_from_config(cfg: RunConfig) -> Scenario:
+    """The named preset, or the custom template, with every set field applied."""
     if cfg.scenario is not None:
         presets = {s.name: s for s in catalog()}
         if cfg.scenario not in presets:
@@ -207,42 +221,23 @@ def _scenario_from_config(cfg: RunConfig) -> Scenario:
                 f"unknown scenario {cfg.scenario!r}; the catalog command lists presets"
             )
         sc = presets[cfg.scenario]
-        param_over = {
-            name: getattr(cfg, name)
-            for name in _PARAM_FIELDS
-            if getattr(cfg, name) is not None
-        }
-        if cfg.driven is not None:
-            param_over["driven"] = cfg.driven
-        if param_over:
-            sc = replace(sc, params=replace(sc.params, **param_over))
-        scalar_over = {
-            name: getattr(cfg, name)
-            for name in ("initial", "horizon", "samples", "observables")
-            if getattr(cfg, name) is not None
-        }
-        if scalar_over:
-            sc = replace(sc, **scalar_over)
-        return sc
-    if cfg.initial is None or cfg.J is None or cfg.horizon is None:
+    elif cfg.initial is None or cfg.J is None or cfg.horizon is None:
         raise ValueError("custom runs need --initial, --J and --horizon (or --scenario)")
-    params = SystemParams(
-        omega0=cfg.omega0 if cfg.omega0 is not None else 1.5e11,
-        J=cfg.J,
-        gamma=cfg.gamma if cfg.gamma is not None else 0.0,
-        Omega=cfg.Omega if cfg.Omega is not None else 0.0,
-        delta_l=cfg.delta_l if cfg.delta_l is not None else 0.0,
-        driven=bool(cfg.driven),
-    )
-    return Scenario(
-        name="custom",
-        initial=cfg.initial,
-        params=params,
-        horizon=cfg.horizon,
-        observables=cfg.observables
-        if cfg.observables is not None
-        else ("rho11", "rho22", "rho33", "rho44", "C"),
-        samples=cfg.samples if cfg.samples is not None else 2001,
+    else:
+        sc = Scenario(
+            name="custom",
+            initial=cfg.initial,
+            params=SystemParams(omega0=1.5e11, J=cfg.J, gamma=0.0),
+            horizon=cfg.horizon,
+            observables=("rho11", "rho22", "rho33", "rho44", "C"),
+        )
+    # the sweep table has its own start, grid and columns
+    ignored = _set_fields(cfg, ("initial", "samples", "observables")) if sc.zeno_taus else {}
+    if ignored:
+        raise ValueError(f"the {sc.name} preset takes no " + ", ".join(f"--{n}" for n in ignored))
+    params = replace(sc.params, **_set_fields(cfg, _PARAM_FIELDS + ("driven",)))
+    return replace(
+        sc, params=params, **_set_fields(cfg, ("initial", "horizon", "samples", "observables"))
     )
 
 
@@ -352,12 +347,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             cfg = RunConfig.from_json(fh.read())
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.rhs is not None:
-            overrides["rhs"] = args.rhs
-        return replace(cfg, **overrides) if overrides else cfg
+        return replace(cfg, **_set_fields(args, ("out", "rhs")))
     if args.out is None:
         raise ValueError("--out is required unless a --config provides it")
     sweep_param, sweep_values = None, ()
@@ -373,25 +363,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             sweep_values = tuple(parse(v) for v in tail.split(",") if v.strip())
         except argparse.ArgumentTypeError as err:
             raise ValueError(f"bad sweep values in {args.sweep!r}: {err}") from err
-    observables = None
-    if args.observables is not None:
-        observables = tuple(n.strip() for n in args.observables.split(",") if n.strip())
+    # the run flags' dests are the config's field names; an unset flag is None
+    fields = (f.name for f in dataclasses.fields(RunConfig))
     return RunConfig(
-        out=args.out,
-        scenario=args.scenario,
-        initial=args.initial,
-        omega0=args.omega0,
-        J=args.J,
-        Omega=args.Omega,
-        gamma=args.gamma,
-        delta_l=args.delta_l,
-        driven=args.driven,
-        horizon=args.horizon,
-        samples=args.samples,
-        observables=observables,
-        rhs=args.rhs if args.rhs is not None else "derived",
-        sweep_param=sweep_param,
-        sweep_values=sweep_values,
+        **_set_fields(args, fields), sweep_param=sweep_param, sweep_values=sweep_values
     )
 
 
@@ -572,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--initial", help="initial state name for custom runs")
     run_p.add_argument("--horizon", type=time_quantity, help="run length (s, ns, us...)")
     run_p.add_argument("--samples", type=int, help="number of sample times")
-    run_p.add_argument("--observables", help="comma-separated column list")
+    run_p.add_argument("--observables", type=_name_list, help="comma-separated column list")
     run_p.add_argument("--omega0", type=rate_quantity, help="doublet splitting (s^-1)")
     run_p.add_argument("--J", type=rate_quantity, help="exchange coupling (s^-1)")
     run_p.add_argument("--Omega", type=rate_quantity, help="drive strength (s^-1)")

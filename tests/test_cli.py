@@ -139,6 +139,65 @@ def test_config_json_round_trip():
     assert doc["observables"] == ["rho11", "C"]
 
 
+# to_json's text for a preset with overrides and a sweep, and for a custom run
+PRESET_SWEEP_JSON = """{
+  "J": null,
+  "Omega": null,
+  "delta_l": null,
+  "driven": null,
+  "gamma": 2000000.0,
+  "horizon": 1e-09,
+  "initial": null,
+  "observables": [
+    "rho11",
+    "C"
+  ],
+  "omega0": null,
+  "out": "eg.csv",
+  "rhs": "published",
+  "samples": 21,
+  "scenario": "free_eg",
+  "schema_version": 1,
+  "sweep_param": "J",
+  "sweep_values": [
+    1000000000.0,
+    2500000000.0
+  ]
+}
+"""
+CUSTOM_JSON = """{
+  "J": 4000000000.0,
+  "Omega": 30000000.0,
+  "delta_l": -40000000.0,
+  "driven": true,
+  "gamma": null,
+  "horizon": 2e-07,
+  "initial": "e1g2",
+  "observables": null,
+  "omega0": 100000000000.0,
+  "out": "custom.csv",
+  "rhs": "derived",
+  "samples": 11,
+  "scenario": null,
+  "schema_version": 1,
+  "sweep_param": null,
+  "sweep_values": []
+}
+"""
+
+
+def test_config_json_text_is_pinned():
+    preset = RunConfig(out="eg.csv", scenario="free_eg", gamma=2e6, horizon=1e-9, samples=21,
+                       observables=("rho11", "C"), rhs="published", sweep_param="J",
+                       sweep_values=(1e9, 2.5e9))
+    custom = RunConfig(out="custom.csv", initial="e1g2", J=4e9, omega0=1e11, delta_l=-4e7,
+                       Omega=3e7, driven=True, horizon=2e-7, samples=11)
+    assert preset.to_json() == PRESET_SWEEP_JSON
+    assert custom.to_json() == CUSTOM_JSON
+    assert RunConfig.from_json(PRESET_SWEEP_JSON) == preset
+    assert RunConfig.from_json(CUSTOM_JSON) == custom
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="output path"):
         RunConfig(out="", scenario="free_eg")
@@ -173,16 +232,24 @@ def test_config_json_rejects_non_finite(text):
 
 @pytest.mark.parametrize("field, text", [
     ("driven", '"false"'), ("driven", "0"), ("observables", '"C"'),
+    ("out", "7"), ("out", '""'),
+    pytest.param("out", 'true, "sweep_param": "gamma", "sweep_values": [1e6]',
+                 id="out-true-in-a-sweep"),
+    ("scenario", '["free_eg"]'), ("initial", '["e1g2"]'), ("sweep_param", '["gamma"]'),
+    ("observables", '[["C"]]'), ("observables", '["C", 1]'),
+    ("sweep_values", "5"), ("sweep_values", "null"),
 ])
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, text):
     # "false" once ran free_eg in the rotating frame, and a string of
-    # observables was split into one column name per character
+    # observables was split into one column name per character; a number for
+    # out was opened as a file descriptor, and lists for the string fields
+    # ended in tracebacks
     path = tmp_path / "bad.json"
     path.write_text('{"out": "%s", "scenario": "free_eg", "%s": %s}'
                     % (tmp_path / "x.csv", field, text))
     assert main(["run", "--config", str(path)]) == 2
     assert field in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # a config saved by --save-config while the propagator was adaptive
@@ -354,6 +421,40 @@ def test_runs_are_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_custom_run_with_a_presets_inputs_matches_the_preset(tmp_path, capsys):
+    preset, custom = tmp_path / "preset.csv", tmp_path / "custom.csv"
+    assert main(["run", "--scenario", "free_eg", "--horizon", "1ns", "--samples", "21",
+                 "--out", str(preset)]) == 0
+    assert main(["run", "--initial", "e1g2", "--J", "4e9", "--gamma", "1e6",
+                 "--omega0", "1.5e11",
+                 "--observables", "rho11,rho22,rho33,rho44,rho_ff,rho_kk,C",
+                 "--horizon", "1ns", "--samples", "21", "--out", str(custom)]) == 0
+    capsys.readouterr()
+    assert preset.read_bytes() == custom.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--initial", "s"], ["--samples", "5"], ["--observables", "C"],
+    ["--initial", "s", "--samples", "5", "--observables", "C"],
+])
+def test_zeno_sweep_preset_rejects_the_fields_it_ignores(tmp_path, capsys, flags):
+    # the sweep table keeps its own start, grid and columns, so these flags
+    # once ran the plain preset unchanged
+    assert main(["run", "--scenario", "zeno_sweep", *flags, "--out", str(tmp_path / "z.csv"),
+                 "--save-config", str(tmp_path / "z.json")]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags[::2])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zeno_sweep_config_rejects_samples(tmp_path, capsys):
+    path = tmp_path / "zeno.json"
+    path.write_text('{"out": "%s", "scenario": "zeno_sweep", "samples": 5}' % (tmp_path / "z.csv"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_preset_run_with_overrides(tmp_path, capsys):
     out = tmp_path / "eg.csv"
     code = main(["run", "--scenario", "free_eg", "--out", str(out),
@@ -452,11 +553,15 @@ def test_bad_sweep_value_exits_2(tmp_path, capsys, sweep, message):
     ("switch_off", "horizon=5e-7,1e-8"),  # the drive never peaks in 10 ns
 ])
 def test_sweep_with_a_bad_point_writes_nothing(tmp_path, capsys, scenario, sweep):
-    # the first point's CSV was once written before the second point failed
-    assert main(["run", "--scenario", scenario, "--samples", "11",
+    # the first point's CSV was once written before the second point failed;
+    # the Zeno-sweep preset takes no --samples
+    samples = [] if scenario == "zeno_sweep" else ["--samples", "11"]
+    assert main(["run", "--scenario", scenario, *samples,
                  "--out", str(tmp_path / "s.csv"), "--sweep", sweep,
                  "--save-config", str(tmp_path / "s.json")]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if scenario == "zeno_sweep":
+        assert "Zeno window" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -592,6 +697,21 @@ def test_audit_command_agreeing_start(capsys):
     assert float(report["max_population_deviation"]) < 1e-10
     assert float(report["max_rho_deviation"]) < 1e-10
     assert float(report["max_concurrence_deviation"]) < 1e-10
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--horizon", "0"], "horizon must be > 0"),
+    (["--horizon", "-1ns"], "horizon must be > 0"),
+    (["--samples", "1"], "at least 2 samples"),
+    (["--samples", "0"], "at least 2 samples"),
+])
+def test_audit_command_rejects_bad_ranges(capsys, flags, message):
+    # a zero or negative horizon was blamed on sample_times, and one sample
+    # printed all-zero deviations
+    assert main(["audit", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

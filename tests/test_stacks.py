@@ -222,6 +222,18 @@ def test_audit_samples_must_be_integer(bad):
         consistency_report(params, rho0, 5e-9, samples=bad)
 
 
+@pytest.mark.parametrize("horizon, samples, message", [
+    (0.0, 501, "horizon must be > 0"), (-1e-9, 501, "horizon must be > 0"),
+    (math.nan, 501, "horizon must be > 0"), (math.inf, 501, "horizon must be > 0"),
+    (5e-9, 1, "at least 2 samples"), (5e-9, 0, "at least 2 samples"),
+])
+def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    rho0 = pure_density(named_state("L1L2"))
+    with pytest.raises(ValueError, match=message):
+        consistency_report(params, rho0, horizon, samples=samples)
+
+
 @pytest.mark.parametrize("initial, samples", [
     ("e1g2", 501), ("g1e2", 501), ("f", 501), ("k", 501), ("L1L2", 501),
     ("g1e2", 3 * BLOCK + 1),
