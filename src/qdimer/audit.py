@@ -19,7 +19,7 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import integrate
-from .liouville import SystemParams
+from .liouville import SystemParams, _is_finite_number, _is_integer
 from .states import blocks
 
 __all__ = ["ConsistencyReport", "consistency_report"]
@@ -64,12 +64,12 @@ def consistency_report(
     *,
     samples: int = 501,
 ) -> ConsistencyReport:
-    if isinstance(samples, bool) or not isinstance(samples, int):
+    if not _is_integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not (_is_finite_number(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be > 0, got {horizon!r}")
     times = np.linspace(0.0, horizon, samples)
     derived = integrate("derived", rho0, params, times)
     published = integrate("published", rho0, params, times)

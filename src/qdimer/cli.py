@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -97,22 +98,12 @@ def _name_list(text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # run configuration
 
-_PARAM_FIELDS = ("omega0", "J", "Omega", "gamma", "delta_l")
 # each sweepable field with the unit parser of its own flag
 _SWEEP_FIELDS = {
-    "omega0": rate_quantity,
-    "J": rate_quantity,
-    "Omega": rate_quantity,
-    "gamma": rate_quantity,
-    "delta_l": rate_quantity,
+    **dict.fromkeys(("omega0", "J", "Omega", "gamma", "delta_l"), rate_quantity),
     "horizon": time_quantity,
 }
 _SCHEMA_VERSION = 1
-
-
-def _require_finite(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +112,7 @@ class RunConfig:
 
     Either names a preset (optional fields then act as overrides) or is
     fully custom (initial + J + horizon required).  None means "not set".
+    The run values are checked by the SystemParams and Scenario they set.
     """
 
     out: str
@@ -148,40 +140,26 @@ class RunConfig:
             )
         if not isinstance(self.out, str) or not self.out:
             raise ValueError(f"out must name an output path, got {self.out!r}")
-        for name in ("scenario", "initial", "sweep_param"):
+        for name in ("scenario", "sweep_param"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string or null, got {value!r}")
-        if self.observables is not None and not (
-            isinstance(self.observables, tuple)
-            and all(isinstance(n, str) for n in self.observables)
-        ):
-            raise ValueError(f"observables must be a list of names, got {self.observables!r}")
         if not isinstance(self.sweep_values, tuple):
             raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
         if self.rhs not in ("derived", "published"):
             raise ValueError(f"rhs must be 'derived' or 'published', got {self.rhs!r}")
         if self.scenario is None and self.initial is None:
             raise ValueError("config needs a scenario name or an initial state")
-        for name in _PARAM_FIELDS + ("horizon",):
-            value = getattr(self, name)
-            if value is not None:
-                _require_finite(name, value)
-        for value in self.sweep_values:
-            _require_finite("sweep value", value)
-        if self.driven is not None and not isinstance(self.driven, bool):
-            raise ValueError(f"driven must be true, false or null, got {self.driven!r}")
-        if self.samples is not None and (
-            isinstance(self.samples, bool) or not isinstance(self.samples, int)
-        ):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.sweep_param is not None:
-            if self.sweep_param not in _SWEEP_FIELDS:
-                raise ValueError(
-                    f"sweep parameter must be one of {', '.join(_SWEEP_FIELDS)}"
-                )
-            if not self.sweep_values:
-                raise ValueError("sweep needs at least one value")
+        if self.sweep_param is None:
+            if self.sweep_values:
+                raise ValueError("sweep_values given without a sweep_param")
+            _scenario_from_config(self)  # checks every run value
+            return
+        if self.sweep_param not in _SWEEP_FIELDS:
+            raise ValueError(f"sweep parameter must be one of {', '.join(_SWEEP_FIELDS)}")
+        if not self.sweep_values:
+            raise ValueError("sweep needs at least one value")
+        _sweep_points(self)  # builds, and so checks, every point and its path
 
     def to_json(self) -> str:
         # json writes the tuple fields as arrays
@@ -189,22 +167,30 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        # schema-1 files written while the propagator was adaptive carry its
-        # tolerances; exact propagation meets any tolerance, so they are dropped
-        doc.pop("rel_tol", None)
-        doc.pop("abs_tol", None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        # JSON arrays become the tuples the fields hold; anything else is refused
-        for name in ("observables", "sweep_values"):
-            if isinstance(doc.get(name), list):
-                doc[name] = tuple(doc[name])
-        return cls(**doc)
+        return cls(**_config_fields(text))
+
+
+def _config_fields(text: str) -> dict[str, object]:
+    """The RunConfig fields a JSON config sets, as the types the fields hold."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    # schema-1 files written while the propagator was adaptive carry its
+    # tolerances; exact propagation meets any tolerance, so they are dropped
+    doc.pop("rel_tol", None)
+    doc.pop("abs_tol", None)
+    unknown = sorted(set(doc) - set(_field_names(RunConfig)))
+    if unknown:
+        raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+    # JSON arrays become the tuples the fields hold; anything else is refused
+    for name in ("observables", "sweep_values"):
+        if isinstance(doc.get(name), list):
+            doc[name] = tuple(doc[name])
+    return doc
+
+
+def _field_names(cls: type) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def _set_fields(source: object, names: Iterable[str]) -> dict[str, object]:
@@ -212,15 +198,36 @@ def _set_fields(source: object, names: Iterable[str]) -> dict[str, object]:
     return {n: getattr(source, n) for n in names if getattr(source, n, None) is not None}
 
 
+def _sweep_points(cfg: RunConfig) -> tuple[str, list[tuple[RunConfig, str]]]:
+    """A sweep's index path, and each value as a plain config with its CSV path."""
+    base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
+    points: list[tuple[RunConfig, str]] = []
+    first: dict[str, float] = {}
+    for value in cfg.sweep_values:
+        point = replace(cfg, sweep_param=None, sweep_values=(), **{cfg.sweep_param: value})
+        path = f"{base}.{cfg.sweep_param}{value:g}.csv"
+        if path in first:
+            # {value:g} keeps 6 significant digits, so close values share a name
+            raise ValueError(f"sweep values {first[path]!r} and {value!r} would both write {path}")
+        first[path] = value
+        points.append((point, path))
+    return base + ".index.csv", points
+
+
+@functools.cache
+def _presets() -> dict[str, Scenario]:
+    """The catalog by name, built once: a config resolves each point more than once."""
+    return {s.name: s for s in catalog()}
+
+
 def _scenario_from_config(cfg: RunConfig) -> Scenario:
     """The named preset, or the custom template, with every set field applied."""
     if cfg.scenario is not None:
-        presets = {s.name: s for s in catalog()}
-        if cfg.scenario not in presets:
+        sc = _presets().get(cfg.scenario)
+        if sc is None:
             raise ValueError(
                 f"unknown scenario {cfg.scenario!r}; the catalog command lists presets"
             )
-        sc = presets[cfg.scenario]
     elif cfg.initial is None or cfg.J is None or cfg.horizon is None:
         raise ValueError("custom runs need --initial, --J and --horizon (or --scenario)")
     else:
@@ -231,14 +238,15 @@ def _scenario_from_config(cfg: RunConfig) -> Scenario:
             horizon=cfg.horizon,
             observables=("rho11", "rho22", "rho33", "rho44", "C"),
         )
-    # the sweep table has its own start, grid and columns
-    ignored = _set_fields(cfg, ("initial", "samples", "observables")) if sc.zeno_taus else {}
-    if ignored:
+    # the sweep table has its own start, grid and columns, and runs the derived generator
+    ignored = [*_set_fields(cfg, ("initial", "samples", "observables"))]
+    if cfg.rhs != "derived":
+        ignored.append("rhs")
+    if sc.zeno_taus and ignored:
         raise ValueError(f"the {sc.name} preset takes no " + ", ".join(f"--{n}" for n in ignored))
-    params = replace(sc.params, **_set_fields(cfg, _PARAM_FIELDS + ("driven",)))
-    return replace(
-        sc, params=params, **_set_fields(cfg, ("initial", "horizon", "samples", "observables"))
-    )
+    # each set field goes to the SystemParams or Scenario field of the same name
+    params = replace(sc.params, **_set_fields(cfg, _field_names(SystemParams)))
+    return replace(sc, params=params, **_set_fields(cfg, _field_names(Scenario)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,59 +354,36 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = RunConfig.from_json(fh.read())
-        return replace(cfg, **_set_fields(args, ("out", "rhs")))
-    if args.out is None:
+            fields = _config_fields(fh.read())
+        # of the run flags, only --out and --rhs apply over a config file
+        fields.update(_set_fields(args, ("out", "rhs")))
+    else:
+        # the run flags' dests are the config's field names; an unset flag is None
+        fields = _set_fields(args, _field_names(RunConfig))
+    if "out" not in fields:
         raise ValueError("--out is required unless a --config provides it")
-    sweep_param, sweep_values = None, ()
-    if args.sweep is not None:
-        if "=" not in args.sweep:
+    if args.config is None and args.sweep is not None:
+        param, eq, tail = map(str.strip, args.sweep.partition("="))
+        if not eq:
             raise ValueError("--sweep expects <param>=<v1,v2,...>")
-        sweep_param, _, tail = args.sweep.partition("=")
-        sweep_param = sweep_param.strip()
-        if sweep_param not in _SWEEP_FIELDS:
-            raise ValueError(f"sweep parameter must be one of {', '.join(_SWEEP_FIELDS)}")
-        parse = _SWEEP_FIELDS[sweep_param]
+        # values of an unknown parameter stay text; RunConfig refuses the parameter
+        parse = _SWEEP_FIELDS.get(param, str)
         try:
-            sweep_values = tuple(parse(v) for v in tail.split(",") if v.strip())
+            values = tuple(parse(v) for v in tail.split(",") if v.strip())
         except argparse.ArgumentTypeError as err:
             raise ValueError(f"bad sweep values in {args.sweep!r}: {err}") from err
-    # the run flags' dests are the config's field names; an unset flag is None
-    fields = (f.name for f in dataclasses.fields(RunConfig))
-    return RunConfig(
-        **_set_fields(args, fields), sweep_param=sweep_param, sweep_values=sweep_values
-    )
-
-
-def _sweep_paths(cfg: RunConfig) -> tuple[str, list[str]]:
-    base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    points: list[str] = []
-    for value in cfg.sweep_values:
-        path = f"{base}.{cfg.sweep_param}{value:g}.csv"
-        if path in points:
-            # {value:g} keeps 6 significant digits, so close values share a name
-            first = cfg.sweep_values[points.index(path)]
-            raise ValueError(
-                f"sweep values {first!r} and {value!r} would both write {path}"
-            )
-        points.append(path)
-    return base + ".index.csv", points
+        fields.update(sweep_param=param, sweep_values=values)
+    return RunConfig(**fields)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     index_path, points = None, [(cfg, cfg.out)]
     if cfg.sweep_param is not None:
-        index_path, paths = _sweep_paths(cfg)
-        points = [
-            (replace(cfg, sweep_param=None, sweep_values=(), **{cfg.sweep_param: value}), path)
-            for value, path in zip(cfg.sweep_values, paths)
-        ]
-    # every point is resolved (and so validated) before the first one runs, and
+        index_path, points = _sweep_points(cfg)
     # every point runs before the first file is written, so a point that fails,
     # even in its switch-off trigger search, leaves no file behind
-    scenarios = [(_scenario_from_config(point), path) for point, path in points]
-    tables = [(run_scenario(sc, variant=cfg.rhs), path) for sc, path in scenarios]
+    tables = [(run_scenario(_scenario_from_config(p), variant=cfg.rhs), path) for p, path in points]
     if args.save_config is not None:
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(cfg.to_json())

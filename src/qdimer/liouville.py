@@ -41,6 +41,15 @@ RhsVariant = Literal["derived", "published"]
 _VARIANTS = ("derived", "published")
 
 
+# the type rules of every run value, shared by the types that hold them
+def _is_finite_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Rates defining one run, all in rad/s (gamma in 1/s).
@@ -66,8 +75,8 @@ class SystemParams:
             raise ValueError(f"driven must be True or False, got {self.driven!r}")
         for name in ("omega0", "J", "gamma", "Omega", "delta_l"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not _is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
             if name != "delta_l" and value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if not self.driven and self.Omega != 0.0:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .liouville import _is_finite_number
+
 __all__ = [
     "HBAR",
     "EPSILON_0",
@@ -55,8 +57,8 @@ class MolecularConstants:
             object.__setattr__(self, "mu_eg", self.d0)
         for name in ("d0", "r", "mu_eg", "E_l"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not _is_finite_number(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             if name != "E_l" and value <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
         if self.E_l < 0.0:

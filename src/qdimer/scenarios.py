@@ -22,7 +22,7 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import integrate
-from .liouville import RhsVariant, SystemParams
+from .liouville import RhsVariant, SystemParams, _is_finite_number, _is_integer
 from .states import blocks, named_state, population, pure_density
 from .zeno import ZenoProtocol, analytic_survival, run_zeno
 
@@ -95,13 +95,17 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int):
+        if not isinstance(self.initial, str):
+            raise ValueError(f"initial must be a state name, got {self.initial!r}")
+        if not (_is_finite_number(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        if not _is_integer(self.samples):
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
-        unknown = [n for n in self.observables if n not in OBSERVABLES]
+        if not isinstance(self.observables, tuple):
+            raise ValueError(f"observables must be a tuple of names, got {self.observables!r}")
+        unknown = [n for n in self.observables if not (isinstance(n, str) and n in OBSERVABLES)]
         if unknown:
             raise ValueError(
                 f"unknown observables {unknown}; valid: {sorted(OBSERVABLES)}"
@@ -115,13 +119,13 @@ class Scenario:
                     raise ValueError(f"field_off_time must be a time or 'auto', got {off!r}")
                 if self.params.Omega <= 0.0:
                     raise ValueError("automatic switch-off needs a nonzero drive")
-            elif not 0.0 < off < self.horizon:
-                raise ValueError(f"field_off_time {off} not inside (0, horizon)")
+            elif not (_is_finite_number(off) and 0.0 < off < self.horizon):
+                raise ValueError(f"field_off_time {off!r} not inside (0, horizon)")
         if self.zeno_taus:
+            if not all(_is_finite_number(tau) and tau > 0.0 for tau in self.zeno_taus):
+                raise ValueError(f"zeno_taus must all be > 0, got {self.zeno_taus!r}")
             grid = max(self.zeno_taus)
             for tau in self.zeno_taus:
-                if tau <= 0.0:
-                    raise ValueError(f"zeno tau must be > 0, got {tau}")
                 for label, total in (("grid interval", grid), ("horizon", self.horizon)):
                     ratio = total / tau
                     if abs(ratio - round(ratio)) > 1e-9 * ratio:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import closed_form_free
-from .liouville import SystemParams
+from .liouville import SystemParams, _is_finite_number, _is_integer
 from .states import named_state, population, pure_density
 
 __all__ = ["ZenoProtocol", "ZenoResult", "run_zeno", "analytic_survival"]
@@ -42,9 +42,9 @@ class ZenoProtocol:
     target: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if isinstance(self.n_measurements, bool) or not isinstance(self.n_measurements, int):
+        if not (_is_finite_number(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be > 0, got {self.tau!r}")
+        if not _is_integer(self.n_measurements):
             raise ValueError(f"n_measurements must be an integer, got {self.n_measurements!r}")
         if self.n_measurements < 1:
             raise ValueError(f"need at least one measurement, got {self.n_measurements}")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 import qdimer
 from qdimer.cli import (
     RunConfig,
+    build_parser,
     dipole_quantity,
     emit_csv,
     emit_plot_script,
@@ -210,6 +212,8 @@ def test_config_validation():
                   sweep_values=(1.0,))
     with pytest.raises(ValueError, match="at least one value"):
         RunConfig(out="a.csv", scenario="free_eg", sweep_param="gamma")
+    with pytest.raises(ValueError, match="sweep_param"):  # once ran a plain run
+        RunConfig(out="a.csv", scenario="free_eg", sweep_values=(1e6,))
     with pytest.raises(ValueError, match="schema_version"):
         RunConfig(out="a.csv", scenario="free_eg", schema_version=2)
     with pytest.raises(ValueError, match="unknown config fields"):
@@ -238,6 +242,7 @@ def test_config_json_rejects_non_finite(text):
     ("scenario", '["free_eg"]'), ("initial", '["e1g2"]'), ("sweep_param", '["gamma"]'),
     ("observables", '[["C"]]'), ("observables", '["C", 1]'),
     ("sweep_values", "5"), ("sweep_values", "null"),
+    pytest.param("sweep_values", "[1e6]", id="sweep_values-without-sweep_param"),
 ])
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, text):
     # "false" once ran free_eg in the rotating frame, and a string of
@@ -436,6 +441,7 @@ def test_custom_run_with_a_presets_inputs_matches_the_preset(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--initial", "s"], ["--samples", "5"], ["--observables", "C"],
     ["--initial", "s", "--samples", "5", "--observables", "C"],
+    ["--rhs", "published"],
 ])
 def test_zeno_sweep_preset_rejects_the_fields_it_ignores(tmp_path, capsys, flags):
     # the sweep table keeps its own start, grid and columns, so these flags
@@ -449,10 +455,39 @@ def test_zeno_sweep_preset_rejects_the_fields_it_ignores(tmp_path, capsys, flags
 
 def test_zeno_sweep_config_rejects_samples(tmp_path, capsys):
     path = tmp_path / "zeno.json"
-    path.write_text('{"out": "%s", "scenario": "zeno_sweep", "samples": 5}' % (tmp_path / "z.csv"))
-    assert main(["run", "--config", str(path)]) == 2
-    assert "samples" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [path]
+    # the sweep table runs the derived generator whatever rhs says
+    for field, value in [("samples", "5"), ("rhs", '"published"')]:
+        path.write_text('{"out": "%s", "scenario": "zeno_sweep", "%s": %s}'
+                        % (tmp_path / "z.csv", field, value))
+        assert main(["run", "--config", str(path)]) == 2
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def test_config_without_out_takes_the_out_flag(tmp_path, capsys):
+    # a config without "out" once ended in a TypeError even with --out given
+    bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+    bare.write_text('{"scenario": "free_eg", "samples": 5}')
+    full.write_text('{"scenario": "free_eg", "samples": 5, "out": "%s"}' % (tmp_path / "b.csv"))
+    assert main(["run", "--config", str(bare), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["run", "--config", str(full)]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["run", "--config", str(bare)]) == 2
+    assert "--out is required unless a --config provides it" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.csv", "b.csv", "bare.json", "full.json"]
+
+
+def test_run_flags_are_the_config_fields():
+    # flags reach RunConfig, and through it SystemParams and Scenario, by
+    # name; a flag whose dest is not a field would be dropped unchecked
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices["run"]._actions} - {"help"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests - {"config", "save_config", "sweep"} == (
+        fields - {"sweep_param", "sweep_values", "schema_version"})
 
 
 def test_preset_run_with_overrides(tmp_path, capsys):

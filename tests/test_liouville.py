@@ -38,7 +38,7 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("name", ["omega0", "J", "gamma", "Omega", "delta_l"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "4e9", None])
 def test_params_reject_non_finite(name, bad):
     rates = dict(omega0=1.0, J=1.0, gamma=0.0, Omega=0.5, delta_l=-1.0)
     with pytest.raises(ValueError, match="finite"):

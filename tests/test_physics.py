@@ -83,7 +83,7 @@ def test_molecular_constants_validation():
         MolecularConstants(d0=1e-30, r=1e-8, E_l=-5.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True])
 @pytest.mark.parametrize("name", ["d0", "r", "mu_eg", "E_l"])
 def test_molecular_constants_reject_non_finite(name, bad):
     inputs = dict(d0=1e-30, r=1e-8, mu_eg=1e-30, E_l=1.0)

@@ -83,6 +83,14 @@ def test_scenario_validation():
         Scenario(**{**ok, "zeno_taus": (1e-10, 3e-11)})  # 3e-11 vs grid 1e-10
     with pytest.raises(ValueError, match="does not divide"):
         Scenario(**{**ok, "horizon": 2.5e-10, "zeno_taus": (1e-10,)})
+    # a bool or a string once passed for a number, and a list for a name
+    for field, bad, message in [
+        ("horizon", True, "horizon"), ("horizon", "1e-9", "horizon"),
+        ("initial", ["e1g2"], "initial"), ("observables", "C", "observables"),
+        ("observables", (["C"],), "observables"), ("zeno_taus", ("a",), "zeno_taus"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Scenario(**{**ok, field: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -226,6 +226,7 @@ def test_audit_samples_must_be_integer(bad):
     (0.0, 501, "horizon must be > 0"), (-1e-9, 501, "horizon must be > 0"),
     (math.nan, 501, "horizon must be > 0"), (math.inf, 501, "horizon must be > 0"),
     (5e-9, 1, "at least 2 samples"), (5e-9, 0, "at least 2 samples"),
+    (True, 501, "horizon must be > 0"),
 ])
 def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)

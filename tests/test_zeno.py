@@ -29,7 +29,7 @@ def test_protocol_validation():
                      target=np.array([1.0, 1.0, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, True])
 def test_protocol_rejects_non_finite_tau(bad):
     params = SystemParams(omega0=1.5e11, J=0.0, gamma=0.0)  # no Zeno window
     with pytest.raises(ValueError, match="tau"):
