@@ -353,9 +353,14 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
+        # of the run flags, only --out and --rhs apply over a config file
+        dropped = set(_set_fields(args, [*_field_names(RunConfig), "sweep"])) - {"out", "rhs"}
+        if dropped:
+            flags = ", ".join(f"--{n.replace('_', '-')}" for n in sorted(dropped))
+            raise ValueError(f"--config sets the run, so it takes no {flags} "
+                             "(only --out, --rhs and --save-config)")
         with open(args.config, encoding="utf-8") as fh:
             fields = _config_fields(fh.read())
-        # of the run flags, only --out and --rhs apply over a config file
         fields.update(_set_fields(args, ("out", "rhs")))
     else:
         # the run flags' dests are the config's field names; an unset flag is None
@@ -441,6 +446,8 @@ def cmd_zeno(args: argparse.Namespace) -> int:
     else:
         if not args.tau > 0.0:
             raise ValueError(f"--tau must be > 0, got {args.tau:g} s")
+        if not args.T > 0.0:
+            raise ValueError(f"--T must be > 0, got {args.T:g} s")
         ratio = args.T / args.tau
         n = round(ratio)
         if n < 1 or abs(ratio - n) > 1e-9 * ratio:
@@ -525,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="integrate a scenario and write a CSV")
     run_p.add_argument("--scenario", help="preset name (see the catalog command)")
-    run_p.add_argument("--config", help="JSON run-config file (overrides other flags)")
+    run_p.add_argument("--config", help="JSON run-config file; only --out, --rhs and "
+                       "--save-config may be given with it")
     run_p.add_argument("--out", help="output CSV path")
     run_p.add_argument("--save-config", help="also write the resolved config as JSON")
     run_p.add_argument("--rhs", choices=("derived", "published"), default=None)

@@ -72,7 +72,7 @@ def integrate(
     first, with dt = times[0]); a sample at t = 0 is rho0 itself.  Returns
     the (len(times), 4, 4) stack.  Raises ValueError for a bad grid, a
     non-finite rho0, and if the sampled trace drifts from 1 by more than
-    1e-6 -- that much drift means the run cannot be trusted.
+    1e-6 or the state overflows -- either means the run cannot be trusted.
 
     From symmetric starts such as L1L2 the two generator variants act alike
     on every state the run reaches, but exp(L dt) is built from all of L, so
@@ -103,17 +103,22 @@ def integrate(
     steps: dict[float, np.ndarray] = {}
     out = np.empty((times.size, 16), dtype=complex)
     y = rho0.reshape(16)
-    for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
-        if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
-            if dt not in steps:
-                steps[dt] = _exponential(lv * dt)
-            y = steps[dt] @ y
-        out[k] = y
+    # a growing mode (the published generator has one) can overflow the state;
+    # the trace guard reports that, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
+            if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
+                if dt not in steps:
+                    steps[dt] = _exponential(lv * dt)
+                y = steps[dt] @ y
+            out[k] = y
 
     states = out.reshape(times.size, 4, 4)
     if trace_guard:
         drift = np.max(np.abs(np.einsum("kii->k", states).real - 1.0))
-        if not drift <= 1e-6:  # NaN drift fails too
+        if not math.isfinite(drift):
+            raise ValueError(f"the state overflowed during integration (trace drift {drift})")
+        if not drift <= 1e-6:
             raise ValueError(f"trace drifted by {drift:.3e} during integration")
     return states
 

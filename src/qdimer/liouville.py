@@ -5,14 +5,18 @@ Two interchangeable right-hand sides are provided:
 * ``derived``   -- commutator with the Hamiltonian plus the dephasing
                   dissipator, assembled from operators.  This is the default
                   and the one the analytic free-evolution solution matches.
-* ``published`` -- a verbatim transcription of a tabulated component form of
-                  the same equations that is kept for auditing.  Its rho33 row
-                  carries the opposite sign from the operator derivation (all
-                  three terms of that line), which breaks trace conservation;
-                  the tabulated system papers over this with the closure
-                  drho44 = -(drho11 + drho22 + drho33).  The transcription is
-                  intentionally left uncorrected so the discrepancy can be
-                  demonstrated; see audit.consistency_report.
+* ``published`` -- a tabulated component form of the same equations, kept
+                  for auditing.  Its rho33 row carries the opposite sign from
+                  the operator derivation (all three terms of that line),
+                  which breaks trace conservation; the tabulated system papers
+                  over this with the closure drho44 = -(drho11 + drho22 +
+                  drho33).  Those are its only differences from ``derived``,
+                  so it is built as the derived matrix with row 10 (rho33)
+                  negated and, under closure, row 15 (rho44) rebuilt from the
+                  other population rows (without closure row 15 stays the
+                  derived row, and the flip shows as raw trace drift).  The
+                  error is kept for audit.consistency_report; the verbatim
+                  term table it is checked against is in tests/oracles.py.
 
 Both variants are linear and time independent for fixed parameters, so they
 are materialized as 16x16 superoperator matrices acting on the row-major
@@ -142,73 +146,11 @@ def _derived_superoperator(params: SystemParams) -> np.ndarray:
     return lv
 
 
-# Verbatim term tables for the tabulated ("published") component form.  Each
-# row of rho's derivative is a list of (coefficient, source element) pairs;
-# coefficients are multiples of i*Omega, i*J, i*Delta and gamma.  Only the
-# upper triangle plus (1,1), (2,2), (3,3) are transcribed; (4,4) is the
-# closure row and the lower triangle is the conjugate mirror.
-def _published_upper_terms(params: SystemParams) -> dict[tuple[int, int], list[tuple[complex, tuple[int, int]]]]:
-    iw = 1j * params.Omega
-    ij = 1j * params.J
-    idl = 1j * params.splitting()
-    g = params.gamma
-    return {
-        # drho11 = -iW(r31 - r13 + r21 - r12)
-        (0, 0): [(-iw, (2, 0)), (iw, (0, 2)), (-iw, (1, 0)), (iw, (0, 1))],
-        # drho22 = -iW(r12 - r21 + r42 - r24) - iJ(r32 - r23)
-        (1, 1): [(-iw, (0, 1)), (iw, (1, 0)), (-iw, (3, 1)), (iw, (1, 3)),
-                 (-ij, (2, 1)), (ij, (1, 2))],
-        # drho33 = -iW(r31 - r13 + r34 - r43) - iJ(r32 - r23)
-        (2, 2): [(-iw, (2, 0)), (iw, (0, 2)), (-iw, (2, 3)), (iw, (3, 2)),
-                 (-ij, (2, 1)), (ij, (1, 2))],
-        # drho12 = iD r12 - iW(r22 - r11 + r32 - r14) + iJ r13 - g r12
-        (0, 1): [(idl - g, (0, 1)), (-iw, (1, 1)), (iw, (0, 0)), (-iw, (2, 1)),
-                 (iw, (0, 3)), (ij, (0, 2))],
-        # drho13 = iD r13 - iW(r33 - r11 + r23 - r14) + iJ r12 - g r13
-        (0, 2): [(idl - g, (0, 2)), (-iw, (2, 2)), (iw, (0, 0)), (-iw, (1, 2)),
-                 (iw, (0, 3)), (ij, (0, 1))],
-        # drho14 = 2iD r14 - iW(r34 + r24 - r12 - r13) - 2g r14
-        (0, 3): [(2.0 * idl - 2.0 * g, (0, 3)), (-iw, (2, 3)), (-iw, (1, 3)),
-                 (iw, (0, 1)), (iw, (0, 2))],
-        # drho23 = -iW(r13 + r43 - r24 - r21) - iJ(r33 - r22) - 2g r23
-        (1, 2): [(-iw, (0, 2)), (-iw, (3, 2)), (iw, (1, 3)), (iw, (1, 0)),
-                 (-ij, (2, 2)), (ij, (1, 1)), (-2.0 * g, (1, 2))],
-        # drho24 = iD r24 + iW(r22 + r23 - r44 - r14) - iJ r34 - g r24
-        (1, 3): [(idl - g, (1, 3)), (iw, (1, 1)), (iw, (1, 2)), (-iw, (3, 3)),
-                 (-iw, (0, 3)), (-ij, (2, 3))],
-        # drho34 = iD r34 + iW(r33 + r32 - r44 - r14) - iJ r24 - g r34
-        (2, 3): [(idl - g, (2, 3)), (iw, (2, 2)), (iw, (2, 1)), (-iw, (3, 3)),
-                 (-iw, (0, 3)), (-ij, (1, 3))],
-    }
-
-
 def _published_superoperator(params: SystemParams, closure: bool = True) -> np.ndarray:
-    lv = np.zeros((16, 16), dtype=complex)
-
-    def row_index(i: int, j: int) -> int:
-        return 4 * i + j
-
-    terms = _published_upper_terms(params)
-    for (i, j), pairs in terms.items():
-        r = row_index(i, j)
-        for coeff, (a, b) in pairs:
-            lv[r, row_index(a, b)] += coeff
-    # Lower triangle: d(rho_ji) = conj(d(rho_ij)) term by term, so each
-    # coefficient conjugates and each source element transposes.
-    for (i, j), pairs in terms.items():
-        if i == j:
-            continue
-        r = row_index(j, i)
-        for coeff, (a, b) in pairs:
-            lv[r, row_index(b, a)] += np.conj(coeff)
-    r44 = row_index(3, 3)
-    if closure:
-        lv[r44] = -(lv[row_index(0, 0)] + lv[row_index(1, 1)] + lv[row_index(2, 2)])
-    else:
-        # The tabulated form has no drho44 line of its own; complete it with
-        # the operator-derived row so the rho33 transcription error shows up
-        # as raw trace drift instead of being hidden by the closure.
-        lv[r44] = _derived_superoperator(params)[r44]
+    lv = _derived_superoperator(params)
+    lv[10] = -lv[10]  # the tabulated rho33 line, every term sign-flipped
+    if closure:  # drho44 = -(drho11 + drho22 + drho33)
+        lv[15] = -(lv[0] + lv[5] + lv[10])
     return lv
 
 

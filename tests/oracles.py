@@ -10,6 +10,10 @@ states, whose spin-flip spectrum has repeated zeros, concurrence has two
 other references here: the closed form for X states and a 40-digit mpmath
 evaluation of the eigenvalue definition.
 
+The published generator's verbatim term table is transcribed here too, as
+the reference that liouville's one-row construction of that generator is
+compared against.
+
 Driven runs have no closed form; they are checked against the adaptive
 Dormand-Prince stepper at the end of this file, which shares only the
 generator with the library's exact propagator.
@@ -167,6 +171,80 @@ def free_block_solution(
     y = e * ((ch - g * sh_over) * y0 + 2.0 * j * sh_over * z0)
     z = e * (-2.0 * j * sh_over * y0 + (ch + g * sh_over) * z0)
     return (complex(y).real, complex(z).real)
+
+
+# ---------------------------------------------------------------------------
+# the published generator, transcribed from its tabulated component form
+
+# Verbatim term tables for the tabulated ("published") component form.  Each
+# row of rho's derivative is a list of (coefficient, source element) pairs;
+# coefficients are multiples of i*Omega, i*J, i*Delta and gamma.  Only the
+# upper triangle plus (1,1), (2,2), (3,3) are transcribed; (4,4) is the
+# closure row and the lower triangle is the conjugate mirror.
+def published_upper_terms(params: SystemParams) -> dict[tuple[int, int], list[tuple[complex, tuple[int, int]]]]:
+    iw = 1j * params.Omega
+    ij = 1j * params.J
+    idl = 1j * params.splitting()
+    g = params.gamma
+    return {
+        # drho11 = -iW(r31 - r13 + r21 - r12)
+        (0, 0): [(-iw, (2, 0)), (iw, (0, 2)), (-iw, (1, 0)), (iw, (0, 1))],
+        # drho22 = -iW(r12 - r21 + r42 - r24) - iJ(r32 - r23)
+        (1, 1): [(-iw, (0, 1)), (iw, (1, 0)), (-iw, (3, 1)), (iw, (1, 3)),
+                 (-ij, (2, 1)), (ij, (1, 2))],
+        # drho33 = -iW(r31 - r13 + r34 - r43) - iJ(r32 - r23)
+        (2, 2): [(-iw, (2, 0)), (iw, (0, 2)), (-iw, (2, 3)), (iw, (3, 2)),
+                 (-ij, (2, 1)), (ij, (1, 2))],
+        # drho12 = iD r12 - iW(r22 - r11 + r32 - r14) + iJ r13 - g r12
+        (0, 1): [(idl - g, (0, 1)), (-iw, (1, 1)), (iw, (0, 0)), (-iw, (2, 1)),
+                 (iw, (0, 3)), (ij, (0, 2))],
+        # drho13 = iD r13 - iW(r33 - r11 + r23 - r14) + iJ r12 - g r13
+        (0, 2): [(idl - g, (0, 2)), (-iw, (2, 2)), (iw, (0, 0)), (-iw, (1, 2)),
+                 (iw, (0, 3)), (ij, (0, 1))],
+        # drho14 = 2iD r14 - iW(r34 + r24 - r12 - r13) - 2g r14
+        (0, 3): [(2.0 * idl - 2.0 * g, (0, 3)), (-iw, (2, 3)), (-iw, (1, 3)),
+                 (iw, (0, 1)), (iw, (0, 2))],
+        # drho23 = -iW(r13 + r43 - r24 - r21) - iJ(r33 - r22) - 2g r23
+        (1, 2): [(-iw, (0, 2)), (-iw, (3, 2)), (iw, (1, 3)), (iw, (1, 0)),
+                 (-ij, (2, 2)), (ij, (1, 1)), (-2.0 * g, (1, 2))],
+        # drho24 = iD r24 + iW(r22 + r23 - r44 - r14) - iJ r34 - g r24
+        (1, 3): [(idl - g, (1, 3)), (iw, (1, 1)), (iw, (1, 2)), (-iw, (3, 3)),
+                 (-iw, (0, 3)), (-ij, (2, 3))],
+        # drho34 = iD r34 + iW(r33 + r32 - r44 - r14) - iJ r24 - g r34
+        (2, 3): [(idl - g, (2, 3)), (iw, (2, 2)), (iw, (2, 1)), (-iw, (3, 3)),
+                 (-iw, (0, 3)), (-ij, (1, 3))],
+    }
+
+
+def published_superoperator_table(params: SystemParams, closure: bool = True) -> np.ndarray:
+    """The published generator walked term by term from the verbatim table."""
+    lv = np.zeros((16, 16), dtype=complex)
+
+    def row_index(i: int, j: int) -> int:
+        return 4 * i + j
+
+    terms = published_upper_terms(params)
+    for (i, j), pairs in terms.items():
+        r = row_index(i, j)
+        for coeff, (a, b) in pairs:
+            lv[r, row_index(a, b)] += coeff
+    # Lower triangle: d(rho_ji) = conj(d(rho_ij)) term by term, so each
+    # coefficient conjugates and each source element transposes.
+    for (i, j), pairs in terms.items():
+        if i == j:
+            continue
+        r = row_index(j, i)
+        for coeff, (a, b) in pairs:
+            lv[r, row_index(b, a)] += np.conj(coeff)
+    r44 = row_index(3, 3)
+    if closure:
+        lv[r44] = -(lv[row_index(0, 0)] + lv[row_index(1, 1)] + lv[row_index(2, 2)])
+    else:
+        # The tabulated form has no drho44 line of its own; complete it with
+        # the operator-derived row so the rho33 transcription error shows up
+        # as raw trace drift instead of being hidden by the closure.
+        lv[r44] = superoperator("derived", params)[r44]
+    return lv
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,29 @@ def test_config_without_out_takes_the_out_flag(tmp_path, capsys):
         "a.csv", "b.csv", "bare.json", "full.json"]
 
 
+def test_config_refuses_the_run_flags_it_would_drop(tmp_path, capsys):
+    # every run flag but --out and --rhs was once dropped without a word
+    # under --config: this call exited 0 and wrote one 5-row CSV, no sweep
+    path = tmp_path / "c.json"
+    path.write_text('{"scenario": "free_LL", "samples": 5, "out": "%s"}' % (tmp_path / "c.csv"))
+    assert main(["run", "--config", str(path), "--sweep", "gamma=1e6,2e6", "--samples", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "--sweep" in err and "--samples" in err
+    for flag in (["--scenario", "free_eg"], ["--initial", "s"], ["--horizon", "1ns"],
+                 ["--observables", "C"], ["--omega0", "1e11"], ["--J", "1e9"],
+                 ["--Omega", "1e7"], ["--gamma", "0"], ["--delta-l", "-4e7"], ["--driven"]):
+        assert main(["run", "--config", str(path), *flag]) == 2
+        assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+    # --out, --rhs and --save-config still apply over the file
+    out, saved = tmp_path / "o.csv", tmp_path / "saved.json"
+    assert main(["run", "--config", str(path), "--out", str(out), "--rhs", "published",
+                 "--save-config", str(saved)]) == 0
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 6
+    assert RunConfig.from_json(saved.read_text()).rhs == "published"
+
+
 def test_run_flags_are_the_config_fields():
     # flags reach RunConfig, and through it SystemParams and Scenario, by
     # name; a flag whose dest is not a field would be dropped unchecked
@@ -528,6 +551,21 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 4
     capsys.readouterr()
+
+
+def test_overflowing_run_exits_2_without_numpy_warnings(tmp_path):
+    # the published generator's growing mode overflows this run's state;
+    # two RuntimeWarnings from the step product once preceded the error
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "r.csv"
+    run = subprocess.run([sys.executable, "-m", "qdimer.cli", "run", "--scenario",
+                          "driven_resonant", "--rhs", "published", "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr == "error: the state overflowed during integration (trace drift nan)\n"
+    assert not out.exists()
 
 
 def test_unwritable_out_is_io_error(tmp_path, capsys):
@@ -692,6 +730,10 @@ def test_zeno_zero_tau_exits_2(capsys):
     # T / tau once divided by zero before anything checked tau
     assert main(["zeno", "--tau", "0", "--T", "1ns"]) == 2
     assert "tau must be > 0" in capsys.readouterr().err
+    # a duration that is not positive once read as "not a whole number of tau"
+    for duration in ("0", "-1ns"):
+        assert main(["zeno", "--tau", "1ns", "--T", duration]) == 2
+        assert "--T must be > 0" in capsys.readouterr().err
 
 
 def test_constants_command(capsys):
