@@ -18,12 +18,14 @@ trajectories.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from .liouville import RhsVariant, SystemParams, superoperator
+from .states import blocks
 
-__all__ = ["integrate", "closed_form_free"]
+__all__ = ["integrate", "integrate_blocks", "closed_form_free"]
 
 
 # exp(L dt) is the Taylor series of L dt / 2**s, summed as a matrix by
@@ -56,7 +58,7 @@ def _exponential(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def integrate(
+def integrate_blocks(
     variant: RhsVariant,
     rho0: np.ndarray,
     params: SystemParams,
@@ -64,15 +66,20 @@ def integrate(
     *,
     closure: bool = True,
     trace_guard: bool = True,
-) -> np.ndarray:
-    """Propagate rho0 under the chosen generator; states[k] is rho at times[k].
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Propagate rho0 under the chosen generator, one block of samples at a time.
 
-    times must be finite, strictly increasing and start at >= 0 (seconds).
-    Each sample is exp(L dt) applied to the previous one (to rho0 for the
-    first, with dt = times[0]); a sample at t = 0 is rho0 itself.  Returns
-    the (len(times), 4, 4) stack.  Raises ValueError for a bad grid, a
-    non-finite rho0, and if the sampled trace drifts from 1 by more than
-    1e-6 or the state overflows -- either means the run cannot be trusted.
+    Yields (rows, states) for consecutive blocks of at most `states.BLOCK`
+    samples, where states[k] is rho at times[rows][k].  times must be finite,
+    strictly increasing and start at >= 0 (seconds).  Each sample is
+    exp(L dt) applied to the previous one (to rho0 for the first, with
+    dt = times[0]); a sample at t = 0 is rho0 itself.  Raises ValueError for
+    a bad grid, a non-finite rho0, and, once the whole grid is walked, if the
+    sampled trace drifted from 1 by more than 1e-6 or the state overflowed --
+    either means the run cannot be trusted.  No block is yielded from the
+    first one that fails the guard on, so the caller never sees such a state;
+    the walk still steps to the end, so the error reports the worst drift
+    over the whole grid.
 
     From symmetric starts such as L1L2 the two generator variants act alike
     on every state the run reaches, but exp(L dt) is built from all of L, so
@@ -101,26 +108,49 @@ def integrate(
     lv = superoperator(variant, params, closure=closure)
     # exact float keys: a uniform grid has only a handful of distinct spacings
     steps: dict[float, np.ndarray] = {}
-    out = np.empty((times.size, 16), dtype=complex)
+    dts = np.diff(times, prepend=0.0)
     y = rho0.reshape(16)
-    # a growing mode (the published generator has one) can overflow the state;
-    # the trace guard reports that, so numpy need not warn about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
-            if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
-                if dt not in steps:
-                    steps[dt] = _exponential(lv * dt)
-                y = steps[dt] @ y
-            out[k] = y
+    drift = 0.0
+    for rows in blocks(times.size):
+        out = np.empty((rows.stop - rows.start, 16), dtype=complex)
+        # a growing mode (the published generator has one) can overflow the
+        # state; the trace guard reports that, so numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, dt in enumerate(dts[rows].tolist()):
+                if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
+                    if dt not in steps:
+                        steps[dt] = _exponential(lv * dt)
+                    y = steps[dt] @ y
+                out[k] = y
+            states = out.reshape(-1, 4, 4)
+            if trace_guard:
+                # np.maximum keeps a NaN, as the maximum over the whole grid would
+                drift = np.maximum(drift, np.max(np.abs(np.einsum("kii->k", states).real - 1.0)))
+        if drift <= 1e-6:
+            yield rows, states
 
-    states = out.reshape(times.size, 4, 4)
     if trace_guard:
-        drift = np.max(np.abs(np.einsum("kii->k", states).real - 1.0))
         if not math.isfinite(drift):
             raise ValueError(f"the state overflowed during integration (trace drift {drift})")
         if not drift <= 1e-6:
             raise ValueError(f"trace drifted by {drift:.3e} during integration")
-    return states
+
+
+def integrate(
+    variant: RhsVariant,
+    rho0: np.ndarray,
+    params: SystemParams,
+    times: np.ndarray,
+    *,
+    closure: bool = True,
+    trace_guard: bool = True,
+) -> np.ndarray:
+    """The whole (len(times), 4, 4) stack of `integrate_blocks`, which documents
+    the arguments and the errors; states[k] is rho at times[k]."""
+    walk = integrate_blocks(
+        variant, rho0, params, times, closure=closure, trace_guard=trace_guard
+    )
+    return np.concatenate([states for _, states in walk])
 
 
 def _block23_propagator(j: float, gamma: float, t: np.ndarray) -> np.ndarray:

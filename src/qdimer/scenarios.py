@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import integrate
+from .integrate import integrate_blocks
 from .liouville import RhsVariant, SystemParams, _is_finite_number, _is_integer
-from .states import blocks, named_state, population, pure_density
+from .states import named_state, population, pure_density
 from .zeno import ZenoProtocol, analytic_survival, run_zeno
 
 __all__ = [
@@ -64,13 +64,28 @@ OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _evaluate(names: Sequence[str], states: np.ndarray) -> np.ndarray:
-    """data[k, m] = OBSERVABLES[names[m]](states[k]), computed block by block."""
-    data = np.empty((len(states), len(names)))
-    for block in blocks(len(states)):
-        for m, name in enumerate(names):
-            data[block, m] = OBSERVABLES[name](states[block])
-    return data
+def _evaluate(
+    names: Sequence[str], walk: Iterator[tuple[slice, np.ndarray]], out: np.ndarray
+) -> tuple[np.ndarray, ValueError | None]:
+    """Fill out[k, m] = OBSERVABLES[names[m]](state k) from a block walk.
+
+    States past len(out) are stepped through but not evaluated.  The walk is
+    always drained, so an error it raises at its end (the trace guard) takes
+    precedence; the first observable error -- first block, then first column
+    -- is returned rather than raised, along with the walk's last state.
+    """
+    error = None
+    for rows, states in walk:
+        last = states[-1]
+        n = min(rows.stop, len(out)) - rows.start
+        if error is not None or n <= 0:
+            continue
+        try:
+            for m, name in enumerate(names):
+                out[rows.start : rows.start + n, m] = OBSERVABLES[name](states[:n])
+        except ValueError as exc:
+            error = exc
+    return last, error
 
 
 @dataclass(frozen=True)
@@ -292,36 +307,45 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * params.Omega))
     probe_times = np.linspace(0.0, probe_horizon, 3001)
     rho0 = pure_density(named_state(scenario.initial))
-    states = integrate(variant, rho0, params, probe_times)
-    series = _evaluate(("rho_ss",), states)[:, 0]
-    t_off, _ = find_first_maximum(probe_times, series)
+    series = np.empty((probe_times.size, 1))
+    _, error = _evaluate(("rho_ss",), integrate_blocks(variant, rho0, params, probe_times), series)
+    if error is not None:
+        raise error
+    t_off, _ = find_first_maximum(probe_times, series[:, 0])
     if not 0.0 < t_off < scenario.horizon:
         raise ValueError(f"switch-off trigger {t_off:.3e} s outside (0, horizon)")
     return t_off
 
 
-def _integrate_with_switch_off(
+def _evaluate_with_switch_off(
+    names: Sequence[str],
     variant: RhsVariant,
     rho0: np.ndarray,
     params: SystemParams,
     t_off: float,
     times: np.ndarray,
-) -> np.ndarray:
-    """Driven segment to t_off, then free evolution with the drive removed.
+    out: np.ndarray,
+) -> ValueError | None:
+    """`_evaluate` over a driven segment to t_off, then free evolution with
+    the drive removed.
 
-    The state is carried across continuously; the rotating-frame diagonal is
-    kept for the free segment, so only frame-invariant observables should be
-    read off afterwards.
+    The state is carried across continuously: the driven walk ends on a
+    sample at t_off (appended to the grid if it is not on it, and not
+    evaluated), whose state starts the free walk.  The rotating-frame
+    diagonal is kept for the free segment, so only frame-invariant
+    observables should be read off afterwards.
     """
-    head = times[times <= t_off]
-    tail = times[times > t_off]
-    seg1_times = head if head.size and head[-1] == t_off else np.append(head, t_off)
-    driven = integrate(variant, rho0, params, seg1_times)
-    states = [driven[: head.size]]
-    if tail.size:
-        params_free = replace(params, Omega=0.0)
-        states.append(integrate(variant, driven[-1], params_free, tail - t_off))
-    return np.concatenate(states, axis=0)
+    n_head = int(np.searchsorted(times, t_off, side="right"))  # times <= t_off
+    head = times[:n_head]
+    if not (n_head and head[-1] == t_off):
+        head = np.append(head, t_off)
+    last, error = _evaluate(names, integrate_blocks(variant, rho0, params, head), out[:n_head])
+    if n_head < times.size:
+        free = replace(params, Omega=0.0)
+        walk = integrate_blocks(variant, last, free, times[n_head:] - t_off)
+        _, tail_error = _evaluate(names, walk, out[n_head:])
+        error = error or tail_error
+    return error
 
 
 def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
@@ -358,21 +382,27 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
 
 def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> ObservableTable:
     """Run one preset and evaluate its observables at its `samples` evenly
-    spaced times over [0, horizon]."""
+    spaced times over [0, horizon].
+
+    The states are evaluated block by block as the propagator yields them,
+    and only the table is kept.  Errors are raised as if the whole run were
+    propagated first: a trace-guard error wins over any observable error.
+    """
     if scenario.zeno_taus:
         return _zeno_sweep_table(scenario)
     rho0 = pure_density(named_state(scenario.initial))
     times = np.linspace(0.0, scenario.horizon, scenario.samples)
+    names = scenario.observables
+    data = np.empty((times.size, len(names)))
     if scenario.field_off_time is None:
-        states = integrate(variant, rho0, scenario.params, times)
+        _, error = _evaluate(names, integrate_blocks(variant, rho0, scenario.params, times), data)
     else:
         t_off = scenario.field_off_time
         if isinstance(t_off, str):
             t_off = _switch_trigger(scenario, variant)
-        states = _integrate_with_switch_off(variant, rho0, scenario.params, t_off, times)
-    return ObservableTable(
-        scenario=scenario.name,
-        times=times,
-        names=scenario.observables,
-        data=_evaluate(scenario.observables, states),
-    )
+        error = _evaluate_with_switch_off(
+            names, variant, rho0, scenario.params, t_off, times, data
+        )
+    if error is not None:
+        raise error
+    return ObservableTable(scenario=scenario.name, times=times, names=names, data=data)

@@ -23,7 +23,12 @@ from .integrate import closed_form_free
 from .liouville import SystemParams, _is_finite_number, _is_integer
 from .states import named_state, population, pure_density
 
-__all__ = ["ZenoProtocol", "ZenoResult", "run_zeno", "analytic_survival"]
+__all__ = ["MAX_MEASUREMENTS", "ZenoProtocol", "ZenoResult", "run_zeno", "analytic_survival"]
+
+# run_zeno holds the whole survival curve, its times and step probabilities,
+# 24 bytes per measurement (traced peak at 10**6), so ZenoProtocol refuses
+# more than this many before anything is allocated: at most 240 MB
+MAX_MEASUREMENTS = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +53,14 @@ class ZenoProtocol:
             raise ValueError(f"n_measurements must be an integer, got {self.n_measurements!r}")
         if self.n_measurements < 1:
             raise ValueError(f"need at least one measurement, got {self.n_measurements}")
+        if self.n_measurements > MAX_MEASUREMENTS:
+            count = str(self.n_measurements)
+            if len(count) > 15:  # the int may be too large for a float
+                count = f"{count[0]}.{count[1:4]}e+{len(count) - 1}"
+            raise ValueError(
+                f"tau = {self.tau:.3e} s asks for {count} measurements, above the cap "
+                f"of {MAX_MEASUREMENTS}"
+            )
         if self.params.Omega != 0.0:
             raise ValueError("zeno protocol requires free evolution (Omega = 0)")
         if self.params.J > 0.0 and self.tau >= 1.0 / self.params.J:

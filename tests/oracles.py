@@ -14,9 +14,12 @@ The published generator's verbatim term table is transcribed here too, as
 the reference that liouville's one-row construction of that generator is
 compared against.
 
-Driven runs have no closed form; they are checked against the adaptive
-Dormand-Prince stepper at the end of this file, which shares only the
-generator with the library's exact propagator.
+Driven runs have no closed form; they are checked against
+`expm_samples`, which takes each sample from rho0 with its own
+scipy.linalg.expm(L t) and so carries no state from one sample to the next,
+and against the adaptive Dormand-Prince stepper at the end of this file,
+which uses no matrix exponential at all.  Both share only the generator
+with the library's exact propagator.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+import scipy.linalg
 
 from qdimer.liouville import SystemParams, superoperator
 
@@ -308,6 +312,16 @@ def _initial_step(lv, y0, f0, rel: float, abs_: float, h_max: float) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, h_max)
+
+
+def expm_samples(
+    variant: str, rho0: np.ndarray, params: SystemParams, times: np.ndarray
+) -> np.ndarray:
+    """rho at each of `times` as scipy.linalg.expm(L t) applied to rho0 itself,
+    one exponential per sample; shape (len(times), 4, 4)."""
+    lv = superoperator(variant, params)
+    y0 = np.asarray(rho0, dtype=complex).reshape(16)
+    return np.stack([scipy.linalg.expm(lv * t) @ y0 for t in times]).reshape(-1, 4, 4)
 
 
 def dopri5(

@@ -568,6 +568,19 @@ def test_overflowing_run_exits_2_without_numpy_warnings(tmp_path):
     assert not out.exists()
 
 
+def test_guard_error_wins_over_observable_error(tmp_path, capsys):
+    # the switch-off trigger probe's rho_ss leaves [0, 1] at sample 20, but its
+    # trace guard, which trips later in the probe, decides the message
+    out = tmp_path / "s.csv"
+    assert main(["run", "--scenario", "switch_off", "--rhs", "published", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: trace drifted by")
+    assert not out.exists()
+    # a run whose trace holds fails on its first observable error
+    assert main(["run", "--scenario", "free_eg", "--rhs", "published", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: population")
+    assert not out.exists()
+
+
 def test_unwritable_out_is_io_error(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(run_args(out)) == 4
@@ -734,6 +747,14 @@ def test_zeno_zero_tau_exits_2(capsys):
     for duration in ("0", "-1ns"):
         assert main(["zeno", "--tau", "1ns", "--T", duration]) == 2
         assert "--T must be > 0" in capsys.readouterr().err
+
+
+def test_zeno_count_above_the_cap_exits_2(capsys):
+    # T / tau = 1e291 measurements once reached numpy's bare "Maximum allowed size"
+    assert main(["zeno", "--tau", "1e-300", "--T", "1ns"]) == 2
+    assert capsys.readouterr().err == (
+        "error: tau = 1.000e-300 s asks for 1.000e+291 measurements, above the cap of 10000000\n"
+    )
 
 
 def test_constants_command(capsys):

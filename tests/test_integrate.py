@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dopri5, free_block_solution, random_pure
-from qdimer.integrate import closed_form_free, integrate
+from oracles import dopri5, expm_samples, free_block_solution, random_pure
+from qdimer.integrate import closed_form_free, integrate, integrate_blocks
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import catalog
-from qdimer.states import named_state, population, pure_density
+from qdimer.states import BLOCK, named_state, population, pure_density
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
 FREE_NODEPH = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
@@ -131,15 +131,22 @@ def test_free_presets_match_closed_form():
     "name", [sc.name for sc in catalog() if sc.params.driven]
 )
 def test_driven_presets_match_oracle(name):
-    # each driven preset's parameters on its own sample grid, without the
-    # switch-off, up to 0.5 us: at least four periods of the sqrt(2)*Omega
-    # exchange.  The stepper's cost grows with the horizon (40-60k steps per
-    # us); at its default tolerance its own error on the full horizons is
-    # 1e-9 to 1.5e-8
+    # each driven preset's parameters on its own sample grid and full
+    # horizon, without the switch-off, against one exponential per sample
     sc = next(s for s in catalog() if s.name == name)
     rho0 = pure_density(named_state(sc.initial))
     times = np.linspace(0.0, sc.horizon, sc.samples)
-    times = times[times <= 5e-7]
+    states = integrate("derived", rho0, sc.params, times)
+    assert np.max(np.abs(states - expm_samples("derived", rho0, sc.params, times))) <= 1e-7
+
+
+def test_driven_detuned_matches_dormand_prince():
+    # a reference that uses no exponential: driven_detuned_s's full 0.2 us
+    # grid, about three periods of the sqrt(2)*Omega exchange (the stepper
+    # takes 40-60k steps per us; its own error is 1e-9 to 1.5e-8)
+    sc = next(s for s in catalog() if s.name == "driven_detuned_s")
+    rho0 = pure_density(named_state(sc.initial))
+    times = np.linspace(0.0, sc.horizon, sc.samples)
     states = integrate("derived", rho0, sc.params, times)
     reference, _ = dopri5("derived", rho0, sc.params, times)
     assert np.max(np.abs(states - reference)) <= 1e-7
@@ -227,6 +234,42 @@ def test_determinism_bitwise():
     one = integrate("derived", rho0, FREE, times)
     two = integrate("derived", rho0, FREE, times)
     assert np.array_equal(one, two)
+
+
+# ---------------------------------------------------------------------------
+# the block walk
+
+def test_blocks_concatenate_to_the_stack():
+    rho0 = pure_density(named_state("e1g2"))
+    times = np.linspace(0.0, 5e-9, 2 * BLOCK + 7)
+    walk = list(integrate_blocks("derived", rho0, FREE, times))
+    assert [rows for rows, _ in walk] == [
+        slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, 2 * BLOCK + 7)
+    ]
+    stack = np.concatenate([states for _, states in walk])
+    assert np.array_equal(stack, integrate("derived", rho0, FREE, times))
+
+
+def test_walk_stops_at_the_first_failing_block_and_reports_the_whole_grid():
+    # the switch_off trigger probe under the published generator: its trace
+    # leaves 1e-6 at sample 1071, in the third block, and grows to 1.9e10
+    sc = next(s for s in catalog() if s.name == "switch_off")
+    rho0 = pure_density(named_state(sc.initial))
+    times = np.linspace(0.0, 1.2 * np.pi / (np.sqrt(2.0) * sc.params.Omega), 3001)
+    raw = integrate("published", rho0, sc.params, times, trace_guard=False)
+    drift = np.abs(np.einsum("kii->k", raw).real - 1.0)
+    first_bad = int(np.flatnonzero(drift > 1e-6)[0])
+    assert first_bad // BLOCK == 2
+    yielded = []
+    with pytest.raises(ValueError) as streamed:
+        for rows, states in integrate_blocks("published", rho0, sc.params, times):
+            yielded.append(rows)
+            assert np.array_equal(states, raw[rows])
+    assert yielded == [slice(0, BLOCK), slice(BLOCK, 2 * BLOCK)]
+    assert str(streamed.value) == f"trace drifted by {np.max(drift):.3e} during integration"
+    with pytest.raises(ValueError) as whole:
+        integrate("published", rho0, sc.params, times)
+    assert str(whole.value) == str(streamed.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from qdimer.scenarios import (
     find_first_maximum,
     run_scenario,
 )
-from qdimer.states import named_state, pure_density
+from qdimer.states import BLOCK, named_state, pure_density
 from qdimer.zeno import analytic_survival
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
@@ -191,6 +192,22 @@ def test_first_maximum_boundary_and_errors():
 # ---------------------------------------------------------------------------
 # running presets
 
+def direct_states(sc, times):
+    """The states run_scenario evaluates, from whole-stack integrate runs:
+    the switch-off joins a driven run to t_off and a free run from its state."""
+    rho0 = pure_density(named_state(sc.initial))
+    if sc.field_off_time is None:
+        return integrate("derived", rho0, sc.params, times)
+    t_off = sc.field_off_time
+    if isinstance(t_off, str):
+        t_off = scenarios_mod._switch_trigger(sc, "derived")
+    head = times[times <= t_off]
+    driven = integrate("derived", rho0, sc.params, np.append(head[head < t_off], t_off))
+    free = replace(sc.params, Omega=0.0)
+    tail = integrate("derived", driven[-1], free, times[times > t_off] - t_off)
+    return np.concatenate([driven[: head.size], tail])
+
+
 def test_run_matches_direct_integration():
     # every preset the integrator runs, each state evaluated on its own
     for sc in catalog():
@@ -198,20 +215,48 @@ def test_run_matches_direct_integration():
             continue
         times = np.linspace(0.0, sc.horizon, 201)
         table = run_scenario(replace(sc, samples=201))
-        rho0 = pure_density(named_state(sc.initial))
-        if sc.field_off_time is None:
-            states = integrate("derived", rho0, sc.params, times)
-        else:
-            t_off = scenarios_mod._switch_trigger(sc, "derived")
-            states = scenarios_mod._integrate_with_switch_off(
-                "derived", rho0, sc.params, t_off, times
-            )
+        states = direct_states(sc, times)
         for name in sc.observables:
             fn = OBSERVABLES[name]
             direct = np.array([fn(rho) for rho in states])
             assert np.array_equal(table.column(name), direct), (sc.name, name)
         assert table.scenario == sc.name
         assert np.array_equal(table.times, times)
+
+
+@pytest.mark.parametrize(
+    "t_off", [2.95001e-8, 3.0e-8, "auto"], ids=["off_grid", "on_grid", "auto"]
+)
+def test_switch_off_walk_matches_direct_integration(t_off):
+    # the driven segment spans blocks and ends inside one, on or off the grid
+    sc = Scenario(
+        name="switch_blocks",
+        initial="e1e2",
+        params=DRIVE_S,
+        horizon=6e-8,
+        observables=("rho44", "rho_ss", "C"),
+        samples=1601,
+        field_off_time=t_off,
+    )
+    table = run_scenario(sc)
+    states = direct_states(sc, table.times)
+    assert np.count_nonzero(table.times <= 2.7e-8) > BLOCK  # every t_off here is later
+    for name in sc.observables:
+        assert np.array_equal(table.column(name), OBSERVABLES[name](states)), name
+
+
+def test_run_scenario_peak_memory_per_sample():
+    # the table is 48 B per sample (6 columns) and the times 8 B; the states
+    # are evaluated and dropped a block at a time, never held whole (a
+    # whole (N, 4, 4) stack alone is 256 B per sample)
+    sc = replace(preset("free_LR"), samples=50_001)
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / sc.samples <= 128, peak / sc.samples
 
 
 def test_free_LL_closed_forms():

@@ -18,7 +18,14 @@ from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack
 from qdimer.integrate import integrate
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import OBSERVABLES, catalog, run_scenario
-from qdimer.states import BLOCK, NAMED_STATES, named_state, population, pure_density
+from qdimer.states import (
+    BLOCK,
+    NAMED_STATES,
+    blocks,
+    named_state,
+    population,
+    pure_density,
+)
 
 
 def bits(x):
@@ -97,13 +104,22 @@ def preset_states():
         for sc in catalog():
             if sc.zeno_taus:
                 continue
+            seen = []
 
-            def record(names, states, name=sc.name):
-                captured[name] = states  # the last call: the trigger probe runs first
-                return evaluate(names, states)
+            def record(names, walk, out, sc=sc, seen=seen):
+                def tap():
+                    for rows, states in walk:
+                        # the switch-off trigger probe evaluates rho_ss alone
+                        if names == sc.observables:
+                            seen.append(states[: len(out) - rows.start])
+                        yield rows, states
+
+                return evaluate(names, tap(), out)
 
             mp.setattr(scenarios_mod, "_evaluate", record)
             run_scenario(sc)
+            captured[sc.name] = np.concatenate(seen)
+            assert len(captured[sc.name]) == sc.samples
     return captured
 
 
@@ -119,7 +135,11 @@ def test_observables_stack_matches_single_states_on_presets(preset_states, name)
         single = [fn(rho) for rho in states]
         assert bits(fn(states)) == bits(single), preset
         # and the block-wise table of run_scenario
-        assert bits(scenarios_mod._evaluate((name,), states)[:, 0]) == bits(single), preset
+        walk = ((rows, states[rows]) for rows in blocks(len(states)))
+        table = np.empty((len(states), 1))
+        _, error = scenarios_mod._evaluate((name,), walk, table)
+        assert error is None
+        assert bits(table[:, 0]) == bits(single), preset
 
 
 NEGATIVE = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)

@@ -3,7 +3,7 @@ import pytest
 
 from qdimer.liouville import SystemParams
 from qdimer.states import named_state
-from qdimer.zeno import ZenoProtocol, analytic_survival, run_zeno
+from qdimer.zeno import MAX_MEASUREMENTS, ZenoProtocol, analytic_survival, run_zeno
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
 FREE_DEPH = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
@@ -40,6 +40,18 @@ def test_protocol_rejects_non_finite_tau(bad):
 def test_protocol_n_measurements_must_be_integer(bad):
     with pytest.raises(ValueError, match="n_measurements must be an integer"):
         ZenoProtocol(tau=1e-11, n_measurements=bad, params=FREE)
+
+
+def test_protocol_caps_the_measurement_count():
+    # run_zeno allocates the whole survival curve, so the count is refused
+    # before anything is allocated; constructing the protocol allocates nothing
+    assert ZenoProtocol(tau=1e-11, n_measurements=MAX_MEASUREMENTS, params=FREE)
+    for n, count in [(MAX_MEASUREMENTS + 1, "10000001"), (10**291, "1.000e+291")]:
+        with pytest.raises(ValueError) as err:
+            ZenoProtocol(tau=1e-11, n_measurements=n, params=FREE)
+        assert str(err.value) == (
+            f"tau = 1.000e-11 s asks for {count} measurements, above the cap of 10000000"
+        )
 
 
 def test_protocol_records_total_time():
