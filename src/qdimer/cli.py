@@ -388,7 +388,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         index_path, points = _sweep_points(cfg)
     # every point runs before the first file is written, so a point that fails,
     # even in its switch-off trigger search, leaves no file behind
-    tables = [(run_scenario(_scenario_from_config(p), variant=cfg.rhs), path) for p, path in points]
+    tables = []
+    for point, path in points:
+        try:
+            tables.append((run_scenario(_scenario_from_config(point), variant=cfg.rhs), path))
+        except ValueError as err:
+            if cfg.sweep_param is None:
+                raise
+            value = getattr(point, cfg.sweep_param)
+            raise ValueError(f"{cfg.sweep_param}={value:g}: {err}") from err
     if args.save_config is not None:
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(cfg.to_json())

@@ -125,6 +125,9 @@ class Scenario:
             raise ValueError(
                 f"unknown observables {unknown}; valid: {sorted(OBSERVABLES)}"
             )
+        repeated = sorted({n for n in self.observables if self.observables.count(n) > 1})
+        if repeated:
+            raise ValueError(f"observables {repeated} are listed more than once")
         off = self.field_off_time
         if off is not None:
             if not self.params.driven:
@@ -311,7 +314,15 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     _, error = _evaluate(("rho_ss",), integrate_blocks(variant, rho0, params, probe_times), series)
     if error is not None:
         raise error
-    t_off, _ = find_first_maximum(probe_times, series[:, 0])
+    try:
+        t_off, _ = find_first_maximum(probe_times, series[:, 0])
+    except ValueError as exc:
+        cut = probe_horizon == scenario.horizon
+        hint = "; a longer horizon (--horizon) widens it" if cut else ""
+        raise ValueError(
+            f"switch-off trigger found no rho_ss maximum in the probe window "
+            f"[0, {probe_horizon:.3e}] s ({exc}){hint}"
+        ) from exc
     if not 0.0 < t_off < scenario.horizon:
         raise ValueError(f"switch-off trigger {t_off:.3e} s outside (0, horizon)")
     return t_off

@@ -109,14 +109,20 @@ _M = entangled_transform()
 
 _POP_TOL = 1e-9
 
-# Trajectories are propagated, evaluated and dropped this many states at a
+# Trajectories are propagated, evaluated and written this many states at a
 # time: one batched call per block keeps the per-call overhead low, and a
-# block (32 KB of states) is all of the trajectory a run holds.  A
-# 50,001-sample free_LR run traces a peak of 79 B per sample, against 323 B
-# when the whole (N, 4, 4) stack was kept; `qdimer run` peaks at 33.0 MB of
-# RSS on free_LR (34.2 MB whole) and at 45.8 MB with 200,001 samples (94.9 MB
-# whole).
-BLOCK = 512
+# block (64 KiB of states) is all of the trajectory a run holds.  Measured on
+# a 2-vCPU x86-64 host: the traced peak of run_scenario(free_LL) above its
+# table is 447 KiB (778 at 512 states, 282 at 128, 197 at 64) and that of
+# emit_csv is 126 KiB (247 at 512); `qdimer run` peaks at 32.09 MB of RSS on
+# free_LL and free_LR (32.47 at 512) and 31.94 MB on free_eg (32.37).  256 is
+# the largest block at that floor: 128 gives the same peak RSS, and 64 raises
+# both the peak RSS and the run time of free_LL (run times from 128 to 512 lie
+# within the host's spread).
+# A 50,001-sample free_LR run traces 73 B per sample (323 B when the whole
+# (N, 4, 4) stack was kept), and 200,001 samples peak at 45.7 MB of RSS
+# (94.9 MB whole).
+BLOCK = 256
 
 
 def blocks(n: int) -> Iterator[slice]:

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qdimer
+from qdimer import states
 from qdimer.cli import (
     RunConfig,
     build_parser,
@@ -24,7 +26,7 @@ from qdimer.cli import (
     time_quantity,
 )
 from qdimer.physics import DEBYE
-from qdimer.scenarios import ObservableTable, catalog
+from qdimer.scenarios import ObservableTable, catalog, run_scenario
 from qdimer.states import BLOCK
 
 
@@ -329,7 +331,11 @@ def per_cell_csv(table):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+# row counts at the current block's edges, and at the edges of 512-state
+# blocks (511..513, 1031), which also lie on block edges of 256 states
+@pytest.mark.parametrize("rows", sorted(
+    {1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 511, 512, 513, 1031}
+))
 def test_csv_matches_per_cell_formatting(tmp_path, rows):
     rng = np.random.default_rng(rows)
     data = rng.normal(size=(rows, 4)) * 10.0 ** rng.integers(-300, 300, size=(rows, 4))
@@ -345,6 +351,19 @@ def test_csv_matches_per_cell_formatting(tmp_path, rows):
     path = tmp_path / "t.csv"
     emit_csv(table, str(path))
     assert path.read_bytes() == per_cell_csv(table)
+
+
+def test_csv_writer_holds_one_block_of_text(tmp_path):
+    # the formatted text of one block is all the writer holds: about 130 KiB
+    # traced at 256-state blocks on free_LL's 5001 x 6 table, 250 at 512
+    table = run_scenario(next(s for s in catalog() if s.name == "free_LL"))
+    tracemalloc.start()
+    try:
+        emit_csv(table, str(tmp_path / "t.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192 * 1024, peak / 1024
 
 
 def test_csv_round_trips_doubles_exactly(tmp_path):
@@ -648,6 +667,28 @@ def test_sweep_with_a_bad_point_writes_nothing(tmp_path, capsys, scenario, sweep
     err = capsys.readouterr().err
     if scenario == "zeno_sweep":
         assert "Zeno window" in err
+    if scenario == "switch_off":  # fails at run time, so the point is named
+        assert err.startswith("error: horizon=1e-08: switch-off trigger found no rho_ss "
+                              "maximum in the probe window [0, 1.000e-08] s")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_switch_off_without_a_maximum_names_the_probe_window(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["run", "--scenario", "switch_off", "--horizon", "1ns", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: switch-off trigger found no rho_ss maximum in the probe window "
+        "[0, 1.000e-09] s (series is monotone; no local maximum); "
+        "a longer horizon (--horizon) widens it\n"
+    )
+    assert not out.exists()
+
+
+def test_repeated_observables_exit_2(tmp_path, capsys):
+    # the header once read t_s,C,C and plot read the first C
+    out = tmp_path / "r.csv"
+    assert main(["run", "--scenario", "free_eg", "--observables", "C,C", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: observables ['C'] are listed more than once\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -688,6 +729,29 @@ def test_non_finite_sweep_exits_2(tmp_path, capsys, value):
                  "--sweep", f"gamma=1e6,{value}"]) == 2
     assert "finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "free_LL", "--out", "r.csv"],
+    # the free tail starts mid-block
+    ["run", "--scenario", "switch_off", "--samples", "3001", "--horizon", "5e-7",
+     "--out", "r.csv"],
+    ["run", "--scenario", "driven_detuned_s", "--sweep", "Omega=3e7,4e7", "--out", "s.csv"],
+    ["audit", "--initial", "f"],
+], ids=["free_LL", "switch_off", "sweep", "audit"])
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, argv):
+    outputs = []
+    for size in (7, 256, 512):
+        monkeypatch.setattr(states, "BLOCK", size)
+        folder = tmp_path / str(size)
+        folder.mkdir()
+        monkeypatch.chdir(folder)  # the sweep index holds the paths it was given
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        files = {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+        assert files or argv[0] == "audit"
+        outputs.append((stdout, files))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,8 @@ def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
 
 @pytest.mark.parametrize("initial, samples", [
     ("e1g2", 501), ("g1e2", 501), ("f", 501), ("k", 501), ("L1L2", 501),
-    ("g1e2", 3 * BLOCK + 1),
+    # past the current block's edges, and past three 512-state blocks
+    *(("g1e2", n) for n in sorted({3 * BLOCK + 1, 1537})),
 ])
 def test_audit_matches_per_sample_loops(initial, samples):
     # the audit command's defaults, at a 5 ns horizon
