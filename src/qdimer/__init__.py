@@ -10,7 +10,7 @@ from .concurrence import (
     concurrence_stack,
     spin_flip,
 )
-from .integrate import closed_form_free, integrate
+from .integrate import closed_form_free
 from .liouville import (
     SystemParams,
     dephasing,
@@ -78,7 +78,6 @@ __all__ = [
     "einstein_a",
     "find_first_maximum",
     "hamiltonian",
-    "integrate",
     "named_state",
     "population",
     "pure_density",

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import integrate
+from .integrate import integrate_blocks
 from .liouville import SystemParams, _is_finite_number, _is_integer
-from .states import blocks
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -30,10 +29,9 @@ class ConsistencyReport:
     """Deviations between the two variants over one run.
 
     max_population_deviation / max_rho_deviation / max_concurrence_deviation
-    compare the closed published variant against the derived one; their
-    (samples, 4, 4) state stacks are `published` and `derived`.
-    concurrence_skipped counts samples where the published state was too
-    unphysical to score; if any was skipped, max_concurrence_deviation is
+    compare the closed published variant against the derived one, sample by
+    sample.  concurrence_skipped counts samples where the published state was
+    too unphysical to score; if any was skipped, max_concurrence_deviation is
     NaN, since the largest deviation is then unknown.
     published_trace_drift_no_closure is the worst trace error of the raw
     published rows (closure row replaced by the transcribed population
@@ -45,9 +43,6 @@ class ConsistencyReport:
 
     params: SystemParams
     horizon: float
-    times: np.ndarray
-    derived: np.ndarray
-    published: np.ndarray
     max_population_deviation: float
     max_rho_deviation: float
     max_concurrence_deviation: float
@@ -64,6 +59,8 @@ def consistency_report(
     *,
     samples: int = 501,
 ) -> ConsistencyReport:
+    """Walk the derived, published and raw published runs side by side and
+    reduce each block as it arrives, so no trajectory is held."""
     if not _is_integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 2:
@@ -71,48 +68,62 @@ def consistency_report(
     if not (_is_finite_number(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     times = np.linspace(0.0, horizon, samples)
-    derived = integrate("derived", rho0, params, times)
-    published = integrate("published", rho0, params, times)
+    # in this order, so that a derived error comes before a published one
+    walks = zip(
+        integrate_blocks("derived", rho0, params, times),
+        integrate_blocks("published", rho0, params, times),
+        # raw published rows: trace is no longer conserved, so run unguarded
+        integrate_blocks("published", rho0, params, times, closure=False, trace_guard=False),
+    )
 
-    pops_d = np.diagonal(derived, axis1=1, axis2=2).real
-    pops_p = np.diagonal(published, axis1=1, axis2=2).real
-    max_pop = float(np.max(np.abs(pops_d - pops_p)))
-    max_rho = float(np.max(np.abs(derived - published)))
-
-    # a published state too unphysical to score is skipped, a derived one raises
-    max_conc = 0.0
+    # np.maximum and np.minimum keep a NaN (the raw run can overflow), as the
+    # maximum over the whole run would
+    max_pop = max_rho = max_conc = trace_drift = pop23_drift = 0.0
+    pop23_start = None
+    low, high = math.inf, -math.inf
     skipped = 0
-    for block in blocks(samples):
-        c_d = concurrence_stack(derived[block])
-        c_d.check()
-        c_p = concurrence_stack(published[block])
+    error = None
+    for (_, derived), (_, published), (_, raw) in walks:
+        # an unscorable published state is skipped; a derived one is an error,
+        # raised once the walks are drained so that a trace-guard error wins
+        if error is not None:
+            continue
+        c_d = concurrence_stack(derived)
+        bad = np.flatnonzero(~c_d.valid)
+        if bad.size:
+            error = c_d.error(int(bad[0]))
+            continue
+        c_p = concurrence_stack(published)
         skipped += int(np.count_nonzero(~c_p.valid))
         deviation = np.abs(c_d.values - c_p.values)[c_p.valid]
-        max_conc = max(max_conc, float(np.max(deviation, initial=0.0)))
-    if skipped:
-        max_conc = math.nan
+        max_conc = np.maximum(max_conc, np.max(deviation, initial=0.0))
 
-    # raw published rows: trace is no longer conserved, so run unguarded
-    raw = integrate("published", rho0, params, times, closure=False, trace_guard=False)
-    traces = np.trace(raw, axis1=1, axis2=2).real
-    trace_drift = float(np.max(np.abs(traces - 1.0)))
+        pops_d = np.diagonal(derived, axis1=1, axis2=2).real
+        pops_p = np.diagonal(published, axis1=1, axis2=2).real
+        max_pop = np.maximum(max_pop, np.max(np.abs(pops_d - pops_p)))
+        max_rho = np.maximum(max_rho, np.max(np.abs(derived - published)))
 
-    diff_p = pops_p[:, 2] - pops_p[:, 1]
-    diff_d = pops_d[:, 2] - pops_d[:, 1]
-    pop23_drift = float(np.max(np.abs(diff_p - diff_p[0])))
-    pop23_range = float(np.max(diff_d) - np.min(diff_d))
+        traces = np.trace(raw, axis1=1, axis2=2).real
+        trace_drift = np.maximum(trace_drift, np.max(np.abs(traces - 1.0)))
+
+        diff_p = pops_p[:, 2] - pops_p[:, 1]
+        diff_d = pops_d[:, 2] - pops_d[:, 1]
+        if pop23_start is None:
+            pop23_start = diff_p[0]
+        pop23_drift = np.maximum(pop23_drift, np.max(np.abs(diff_p - pop23_start)))
+        low = np.minimum(low, np.min(diff_d))
+        high = np.maximum(high, np.max(diff_d))
+    if error is not None:
+        raise error
 
     return ConsistencyReport(
         params=params,
         horizon=horizon,
-        times=times,
-        derived=derived,
-        published=published,
-        max_population_deviation=max_pop,
-        max_rho_deviation=max_rho,
-        max_concurrence_deviation=max_conc,
+        max_population_deviation=float(max_pop),
+        max_rho_deviation=float(max_rho),
+        max_concurrence_deviation=math.nan if skipped else float(max_conc),
         concurrence_skipped=skipped,
-        published_trace_drift_no_closure=trace_drift,
-        published_pop23_diff_drift=pop23_drift,
-        derived_pop23_diff_range=pop23_range,
+        published_trace_drift_no_closure=float(trace_drift),
+        published_pop23_diff_drift=float(pop23_drift),
+        derived_pop23_diff_range=float(high - low),
     )

@@ -1,7 +1,7 @@
 """Exact propagation of the master equation and its analytic free limit.
 
 For fixed parameters the generator L is a constant 16x16 matrix, so
-rho(t + dt) = exp(L dt) rho(t) holds exactly.  `integrate` builds
+rho(t + dt) = exp(L dt) rho(t) holds exactly.  `integrate_blocks` builds
 S = exp(L dt) as a 16x16 matrix once per distinct spacing dt of the grid --
 the Taylor series of L dt / 2**s by matrix Horner, then s squarings
 (Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33:488) -- and walks the
@@ -25,7 +25,7 @@ import numpy as np
 from .liouville import RhsVariant, SystemParams, superoperator
 from .states import blocks
 
-__all__ = ["integrate", "integrate_blocks", "closed_form_free"]
+__all__ = ["integrate_blocks", "closed_form_free"]
 
 
 # exp(L dt) is the Taylor series of L dt / 2**s, summed as a matrix by
@@ -108,15 +108,17 @@ def integrate_blocks(
     lv = superoperator(variant, params, closure=closure)
     # exact float keys: a uniform grid has only a handful of distinct spacings
     steps: dict[float, np.ndarray] = {}
-    dts = np.diff(times, prepend=0.0)
     y = rho0.reshape(16)
     drift = 0.0
+    last = 0.0  # the time of the state y; rho0 sits at t = 0
     for rows in blocks(times.size):
+        dts = np.diff(times[rows], prepend=last)
+        last = times[rows.stop - 1]
         out = np.empty((rows.stop - rows.start, 16), dtype=complex)
         # a growing mode (the published generator has one) can overflow the
         # state; the trace guard reports that, so numpy need not warn about it
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, dt in enumerate(dts[rows].tolist()):
+            for k, dt in enumerate(dts.tolist()):
                 if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
                     if dt not in steps:
                         steps[dt] = _exponential(lv * dt)
@@ -134,23 +136,6 @@ def integrate_blocks(
             raise ValueError(f"the state overflowed during integration (trace drift {drift})")
         if not drift <= 1e-6:
             raise ValueError(f"trace drifted by {drift:.3e} during integration")
-
-
-def integrate(
-    variant: RhsVariant,
-    rho0: np.ndarray,
-    params: SystemParams,
-    times: np.ndarray,
-    *,
-    closure: bool = True,
-    trace_guard: bool = True,
-) -> np.ndarray:
-    """The whole (len(times), 4, 4) stack of `integrate_blocks`, which documents
-    the arguments and the errors; states[k] is rho at times[k]."""
-    walk = integrate_blocks(
-        variant, rho0, params, times, closure=closure, trace_guard=trace_guard
-    )
-    return np.concatenate([states for _, states in walk])
 
 
 def _block23_propagator(j: float, gamma: float, t: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
-Nothing here imports from the integrator or the entanglement module.  The
+Nothing here imports from the integrator or the entanglement module, apart
+from `integrate`, which is no reference: it only concatenates the library's
+block walk for the tests that want a whole trajectory.  The
 quartic eigensolver below goes through the characteristic polynomial
 (Faddeev-LeVerrier coefficients, Durand-Kerner root finding in extended
 precision, Newton polish), so agreement with the library is a genuine
@@ -30,11 +32,29 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
+from qdimer.integrate import integrate_blocks
 from qdimer.liouville import SystemParams, superoperator
 
 # sigma_y (x) sigma_y, written out here rather than imported
 _FLIP = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0],
                   [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+
+
+def integrate(
+    variant: str,
+    rho0: np.ndarray,
+    params: SystemParams,
+    times: np.ndarray,
+    *,
+    closure: bool = True,
+    trace_guard: bool = True,
+) -> np.ndarray:
+    """The whole (len(times), 4, 4) stack of `integrate_blocks`, which documents
+    the arguments and the errors; states[k] is rho at times[k]."""
+    walk = integrate_blocks(
+        variant, rho0, params, times, closure=closure, trace_guard=trace_guard
+    )
+    return np.concatenate([states for _, states in walk])
 
 
 def char_poly_coefficients(m: np.ndarray) -> np.ndarray:

@@ -11,11 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from oracles import concurrence_reference, random_density
+from oracles import concurrence_reference, integrate, random_density
 from qdimer.audit import consistency_report
 from qdimer.cli import emit_csv
 from qdimer.concurrence import concurrence
-from qdimer.integrate import closed_form_free, integrate
+from qdimer.integrate import closed_form_free
 from qdimer.liouville import SystemParams
 from qdimer.physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a
 from qdimer.scenarios import (

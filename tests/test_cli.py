@@ -738,7 +738,9 @@ def test_non_finite_sweep_exits_2(tmp_path, capsys, value):
      "--out", "r.csv"],
     ["run", "--scenario", "driven_detuned_s", "--sweep", "Omega=3e7,4e7", "--out", "s.csv"],
     ["audit", "--initial", "f"],
-], ids=["free_LL", "switch_off", "sweep", "audit"])
+    # the published run is skipped for concurrence at every sample after t = 0
+    ["audit", "--initial", "g1e2", "--samples", "1537"],
+], ids=["free_LL", "switch_off", "sweep", "audit", "audit_g1e2"])
 def test_outputs_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, argv):
     outputs = []
     for size in (7, 256, 512):

@@ -5,11 +5,11 @@ from oracles import (
     concurrence_mpmath,
     concurrence_reference,
     concurrence_x_state,
+    integrate,
     random_density,
     random_pure,
 )
 from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack, spin_flip
-from qdimer.integrate import integrate
 from qdimer.scenarios import catalog
 from qdimer.states import named_state, pure_density
 

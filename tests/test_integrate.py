@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dopri5, expm_samples, free_block_solution, random_pure
-from qdimer.integrate import closed_form_free, integrate, integrate_blocks
+from oracles import dopri5, expm_samples, free_block_solution, integrate, random_pure
+from qdimer import states as states_mod
+from qdimer.integrate import closed_form_free, integrate_blocks
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import catalog
 from qdimer.states import BLOCK, blocks, named_state, population, pure_density
@@ -239,7 +240,7 @@ def test_determinism_bitwise():
 # ---------------------------------------------------------------------------
 # the block walk
 
-def test_blocks_concatenate_to_the_stack():
+def test_blocks_concatenate_to_the_stack(monkeypatch):
     rho0 = pure_density(named_state("e1g2"))
     times = np.linspace(0.0, 5e-9, 2 * BLOCK + 7)
     walk = list(integrate_blocks("derived", rho0, FREE, times))
@@ -247,7 +248,11 @@ def test_blocks_concatenate_to_the_stack():
         slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, 2 * BLOCK + 7)
     ]
     stack = np.concatenate([states for _, states in walk])
-    assert np.array_equal(stack, integrate("derived", rho0, FREE, times))
+    # the same states as a walk that takes the whole grid as one block
+    monkeypatch.setattr(states_mod, "BLOCK", times.size)
+    [(rows, whole)] = integrate_blocks("derived", rho0, FREE, times)
+    assert rows == slice(0, times.size)
+    assert np.array_equal(stack, whole)
 
 
 def test_walk_stops_at_the_first_failing_block_and_reports_the_whole_grid():

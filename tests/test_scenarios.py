@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdimer.integrate import integrate
+from oracles import integrate
 from qdimer import scenarios as scenarios_mod
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import (

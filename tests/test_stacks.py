@@ -5,17 +5,19 @@ matrix at a time, so batching may not move a single digit of the CSVs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_density, random_pure
+from oracles import integrate, random_density, random_pure
 from qdimer import scenarios as scenarios_mod
+from qdimer import states as states_mod
 from qdimer.audit import consistency_report
 from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack
-from qdimer.integrate import integrate
+from qdimer.integrate import integrate_blocks
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import OBSERVABLES, catalog, run_scenario
 from qdimer.states import (
@@ -255,23 +257,67 @@ def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
         consistency_report(params, rho0, horizon, samples=samples)
 
 
-@pytest.mark.parametrize("initial, samples", [
+AUDIT_CASES = [
     ("e1g2", 501), ("g1e2", 501), ("f", 501), ("k", 501), ("L1L2", 501),
     # past the current block's edges, and past three 512-state blocks
     *(("g1e2", n) for n in sorted({3 * BLOCK + 1, 1537})),
+]
+
+
+@pytest.mark.parametrize("initial, samples, block", [
+    *(pytest.param(initial, n, BLOCK, id=f"{initial}-{n}") for initial, n in AUDIT_CASES),
+    # seven-state blocks put a block edge inside every reduction
+    *(pytest.param(initial, n, 7, id=f"{initial}-{n}-block7") for initial, n in AUDIT_CASES),
 ])
-def test_audit_matches_per_sample_loops(initial, samples):
+def test_audit_matches_per_sample_loops(monkeypatch, initial, samples, block):
     # the audit command's defaults, at a 5 ns horizon
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state(initial))
-    report = consistency_report(params, rho0, 5e-9, samples=samples)
     expected = per_sample_audit(params, rho0, 5e-9, samples)
+    monkeypatch.setattr(states_mod, "BLOCK", block)
+    report = consistency_report(params, rho0, 5e-9, samples=samples)
     got = {field: getattr(report, field) for field in expected}
     assert bits(list(got.values())) == bits(list(expected.values())), got
     if initial == "g1e2":
         # the published run leaves the physical set at once: every state after
         # t = 0 has an eigenvalue below -NEG_TOL (down to -418 by 5 ns)
         assert report.concurrence_skipped == samples - 1
-        published = concurrence_stack(report.published)
+        times = np.linspace(0.0, 5e-9, samples)
+        published = concurrence_stack(integrate("published", rho0, params, times))
         assert published.valid.tolist() == [True] + [False] * (samples - 1)
         assert np.min(published.low) < -400.0
+
+
+def test_audit_trace_guard_error_comes_before_a_concurrence_error():
+    # the derived run's first state cannot be scored; the published run's
+    # trace leaves 1e-6 blocks later, yet its error is the one raised, as
+    # when both runs were integrated whole before anything was scored
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    rho0 = pure_density(named_state("g1e2"))
+    rho0[0, 1] = 0.3
+    times = np.linspace(0.0, 1e-6, 2001)
+    with pytest.raises(ValueError) as guard:
+        integrate("published", rho0, params, times)
+    assert str(guard.value).startswith("trace drifted by")
+    rows, _ = next(integrate_blocks("published", rho0, params, times))
+    assert rows == slice(0, BLOCK)  # the trace leaves 1e-6 after the first block
+    with pytest.raises(ConcurrenceError):
+        concurrence(rho0)
+    with pytest.raises(ValueError) as audit:
+        consistency_report(params, rho0, 1e-6, samples=2001)
+    assert str(audit.value) == str(guard.value)
+
+
+def test_audit_memory_does_not_grow_with_the_sample_count():
+    # the report holds no trajectory: ten times the samples, about the same peak
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    rho0 = pure_density(named_state("f"))
+    peaks = []
+    for samples in (2_001, 20_001):
+        tracemalloc.start()
+        try:
+            consistency_report(params, rho0, 5e-9, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

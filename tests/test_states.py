@@ -82,6 +82,13 @@ def test_pure_density_rejects_unnormalized():
         pure_density(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pure_density_rejects_non_finite(value):
+    # a NaN norm error is not above the tolerance either
+    with pytest.raises(ValueError, match="state is not normalized"):
+        pure_density(np.array([value, 0.0, 0.0, 0.0]))
+
+
 def test_entangled_transform_is_unitary():
     m = entangled_transform()
     assert np.allclose(m @ m.conj().T, np.eye(4))
@@ -125,6 +132,19 @@ def test_population_clamps_rounding_noise_only():
     bad[1, 1] += 1e-3
     with pytest.raises(ValueError):
         population(bad, named_state("s"))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_population_rejects_non_finite(value):
+    rho = pure_density(named_state("s"))
+    rho[1, 1] = value
+    with pytest.raises(ValueError, match="is not finite"):
+        population(rho, named_state("s"))
+    stack = np.stack([pure_density(named_state("s"))] * 3)
+    stack[1, 1, 1] = value
+    with pytest.raises(ValueError, match="is not finite"):
+        population(stack, named_state("s"))
 
 
 def test_validate_density_matrix_accepts_good_rejects_bad():

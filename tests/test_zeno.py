@@ -29,6 +29,14 @@ def test_protocol_validation():
                      target=np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_protocol_rejects_non_finite_target(value):
+    # a NaN norm once passed, and run_zeno gave survival [1, nan, nan, ...]
+    with pytest.raises(ValueError, match="target state norm"):
+        ZenoProtocol(tau=1e-11, n_measurements=3, params=FREE,
+                     target=np.array([value, 0.0, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, True])
 def test_protocol_rejects_non_finite_tau(bad):
     params = SystemParams(omega0=1.5e11, J=0.0, gamma=0.0)  # no Zeno window
@@ -116,7 +124,7 @@ def test_run_matches_exact_law_at_every_step():
     for k in range(101):
         assert abs(result.survival[k] - p1**k) < 1e-9, k
     # projective reset makes every step identical when gamma = 0
-    assert np.max(np.abs(result.step_probabilities - p1)) < 1e-12
+    assert abs(result.step_probability - p1) < 1e-12
 
 
 def test_times_grid():
