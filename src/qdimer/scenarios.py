@@ -66,26 +66,24 @@ OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 def _evaluate(
     names: Sequence[str], walk: Iterator[tuple[slice, np.ndarray]], out: np.ndarray
-) -> tuple[np.ndarray, ValueError | None]:
+) -> None:
     """Fill out[k, m] = OBSERVABLES[names[m]](state k) from a block walk.
 
-    States past len(out) are stepped through but not evaluated.  The walk is
-    always drained, so an error it raises at its end (the trace guard) takes
-    precedence; the first observable error -- first block, then first column
-    -- is returned rather than raised, along with the walk's last state.
+    The walk is always drained before an observable error is raised, so an
+    error it raises at its end (the trace guard) takes precedence; among
+    observable errors the first block's first column wins.
     """
     error = None
     for rows, states in walk:
-        last = states[-1]
-        n = min(rows.stop, len(out)) - rows.start
-        if error is not None or n <= 0:
+        if error is not None:
             continue
         try:
             for m, name in enumerate(names):
-                out[rows.start : rows.start + n, m] = OBSERVABLES[name](states[:n])
+                out[rows, m] = OBSERVABLES[name](states)
         except ValueError as exc:
             error = exc
-    return last, error
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,8 @@ class Scenario:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
         if not isinstance(self.observables, tuple):
             raise ValueError(f"observables must be a tuple of names, got {self.observables!r}")
+        if not (self.observables or self.zeno_taus):
+            raise ValueError(f"observables must list at least one name, got {self.observables!r}")
         unknown = [n for n in self.observables if not (isinstance(n, str) and n in OBSERVABLES)]
         if unknown:
             raise ValueError(
@@ -311,9 +311,7 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     probe_times = np.linspace(0.0, probe_horizon, 3001)
     rho0 = pure_density(named_state(scenario.initial))
     series = np.empty((probe_times.size, 1))
-    _, error = _evaluate(("rho_ss",), integrate_blocks(variant, rho0, params, probe_times), series)
-    if error is not None:
-        raise error
+    _evaluate(("rho_ss",), integrate_blocks(variant, rho0, params, probe_times), series)
     try:
         t_off, _ = find_first_maximum(probe_times, series[:, 0])
     except ValueError as exc:
@@ -328,21 +326,15 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     return t_off
 
 
-def _evaluate_with_switch_off(
-    names: Sequence[str],
-    variant: RhsVariant,
-    rho0: np.ndarray,
-    params: SystemParams,
-    t_off: float,
-    times: np.ndarray,
-    out: np.ndarray,
-) -> ValueError | None:
-    """`_evaluate` over a driven segment to t_off, then free evolution with
-    the drive removed.
+def _switch_off_walk(
+    variant: RhsVariant, rho0: np.ndarray, params: SystemParams, t_off: float, times: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The block walk of a driven segment to t_off, then of free evolution
+    with the drive removed, with its rows in the full grid.
 
     The state is carried across continuously: the driven walk ends on a
-    sample at t_off (appended to the grid if it is not on it, and not
-    evaluated), whose state starts the free walk.  The rotating-frame
+    sample at t_off (appended to the grid if it is not on it, and never
+    yielded), whose state starts the free walk.  The rotating-frame
     diagonal is kept for the free segment, so only frame-invariant
     observables should be read off afterwards.
     """
@@ -350,13 +342,14 @@ def _evaluate_with_switch_off(
     head = times[:n_head]
     if not (n_head and head[-1] == t_off):
         head = np.append(head, t_off)
-    last, error = _evaluate(names, integrate_blocks(variant, rho0, params, head), out[:n_head])
+    for rows, states in integrate_blocks(variant, rho0, params, head):
+        last = states[-1]
+        if rows.start < n_head:
+            yield slice(rows.start, min(rows.stop, n_head)), states[: n_head - rows.start]
     if n_head < times.size:
         free = replace(params, Omega=0.0)
-        walk = integrate_blocks(variant, last, free, times[n_head:] - t_off)
-        _, tail_error = _evaluate(names, walk, out[n_head:])
-        error = error or tail_error
-    return error
+        for rows, states in integrate_blocks(variant, last, free, times[n_head:] - t_off):
+            yield slice(rows.start + n_head, rows.stop + n_head), states
 
 
 def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
@@ -406,14 +399,11 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
     names = scenario.observables
     data = np.empty((times.size, len(names)))
     if scenario.field_off_time is None:
-        _, error = _evaluate(names, integrate_blocks(variant, rho0, scenario.params, times), data)
+        walk = integrate_blocks(variant, rho0, scenario.params, times)
     else:
         t_off = scenario.field_off_time
         if isinstance(t_off, str):
             t_off = _switch_trigger(scenario, variant)
-        error = _evaluate_with_switch_off(
-            names, variant, rho0, scenario.params, t_off, times, data
-        )
-    if error is not None:
-        raise error
+        walk = _switch_off_walk(variant, rho0, scenario.params, t_off, times)
+    _evaluate(names, walk, data)
     return ObservableTable(scenario=scenario.name, times=times, names=names, data=data)

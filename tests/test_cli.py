@@ -242,7 +242,7 @@ def test_config_json_rejects_non_finite(text):
     pytest.param("out", 'true, "sweep_param": "gamma", "sweep_values": [1e6]',
                  id="out-true-in-a-sweep"),
     ("scenario", '["free_eg"]'), ("initial", '["e1g2"]'), ("sweep_param", '["gamma"]'),
-    ("observables", '[["C"]]'), ("observables", '["C", 1]'),
+    ("observables", '[["C"]]'), ("observables", '["C", 1]'), ("observables", "[]"),
     ("sweep_values", "5"), ("sweep_values", "null"),
     pytest.param("sweep_values", "[1e6]", id="sweep_values-without-sweep_param"),
 ])

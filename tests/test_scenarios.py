@@ -68,6 +68,9 @@ def test_scenario_validation():
         Scenario(**{**ok, "samples": 1})
     with pytest.raises(ValueError, match="unknown observables"):
         Scenario(**{**ok, "observables": ("rho11", "bogus")})
+    # no columns once wrote the header "t_s," and rows of t alone
+    with pytest.raises(ValueError, match="observables must list at least one name"):
+        Scenario(**{**ok, "observables": ()})
     # a repeated name once wrote two identical columns under one header name
     with pytest.raises(ValueError, match=r"\['C', 'rho11'\] are listed more than once"):
         Scenario(**{**ok, "observables": ("C", "rho11", "rho_ss", "rho11", "C")})
@@ -228,24 +231,72 @@ def test_run_matches_direct_integration():
 
 
 @pytest.mark.parametrize(
-    "t_off", [2.95001e-8, 3.0e-8, "auto"], ids=["off_grid", "on_grid", "auto"]
+    "t_off",
+    [2.95001e-8, 3.0e-8, "auto", "two_blocks"],
+    ids=["off_grid", "on_grid", "auto", "two_blocks"],
 )
 def test_switch_off_walk_matches_direct_integration(t_off):
-    # the driven segment spans blocks and ends inside one, on or off the grid
+    # the driven segment spans blocks and ends inside one, on or off the grid;
+    # at "two_blocks" exactly 2 * BLOCK samples lie at or before the switch, so
+    # the appended t_off state sits alone in the driven walk's last block
+    horizon, samples = 6e-8, 1601
+    if t_off == "two_blocks":
+        t_off = (2 * BLOCK - 0.5) * horizon / (samples - 1)
     sc = Scenario(
         name="switch_blocks",
         initial="e1e2",
         params=DRIVE_S,
-        horizon=6e-8,
+        horizon=horizon,
         observables=("rho44", "rho_ss", "C"),
-        samples=1601,
+        samples=samples,
         field_off_time=t_off,
     )
     table = run_scenario(sc)
     states = direct_states(sc, table.times)
-    assert np.count_nonzero(table.times <= 2.7e-8) > BLOCK  # every t_off here is later
+    if t_off == "auto":
+        t_off = scenarios_mod._switch_trigger(sc, "derived")
+    assert np.count_nonzero(table.times <= t_off) > BLOCK
     for name in sc.observables:
         assert np.array_equal(table.column(name), OBSERVABLES[name](states)), name
+
+
+def test_switch_off_free_walk_error_beats_a_driven_observable_error(monkeypatch):
+    # the free walk is drained before an observable error is raised, as if the
+    # whole switch-off were propagated first
+    calls = []
+
+    def fails_first(rho):
+        calls.append(len(rho))
+        if len(calls) == 1:
+            raise ValueError("driven observable")
+        return rho[..., 0, 0].real
+
+    monkeypatch.setitem(OBSERVABLES, "fails_first", fails_first)
+    sc = Scenario(
+        name="switch_errors",
+        initial="e1e2",
+        params=DRIVE_S,
+        horizon=6e-8,
+        observables=("fails_first", "rho44"),
+        samples=1601,
+        field_off_time=3.0e-8,
+    )
+    with pytest.raises(ValueError, match="driven observable"):
+        run_scenario(sc)
+    assert calls[0] == BLOCK  # it failed on the first driven block
+
+    walk = scenarios_mod.integrate_blocks
+
+    def free_walk_fails(variant, rho0, params, times, **kwargs):
+        yield from walk(variant, rho0, params, times, **kwargs)
+        if params.Omega == 0.0:
+            raise ValueError("free walk")
+
+    monkeypatch.setattr(scenarios_mod, "integrate_blocks", free_walk_fails)
+    calls.clear()
+    with pytest.raises(ValueError, match="free walk"):
+        run_scenario(sc)
+    assert calls[0] == BLOCK
 
 
 def test_run_scenario_peak_memory_per_sample():
