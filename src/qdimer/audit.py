@@ -19,7 +19,8 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import integrate_blocks
-from .liouville import SystemParams, _is_finite_number, _is_integer
+from .liouville import SystemParams, _is_finite_number
+from .zeno import _check_samples
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -61,10 +62,7 @@ def consistency_report(
 ) -> ConsistencyReport:
     """Walk the derived, published and raw published runs side by side and
     reduce each block as it arrives, so no trajectory is held."""
-    if not _is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    _check_samples(samples)
     if not (_is_finite_number(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     times = np.linspace(0.0, horizon, samples)

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .audit import consistency_report
-from .liouville import SystemParams
+from .liouville import SystemParams, _is_integer
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import ObservableTable, Scenario, catalog, run_scenario
 from .states import blocks, named_state, pure_density
@@ -111,8 +111,10 @@ class RunConfig:
     """Flat, JSON-serializable description of one `run` invocation.
 
     Either names a preset (optional fields then act as overrides) or is
-    fully custom (initial + J + horizon required).  None means "not set".
-    The run values are checked by the SystemParams and Scenario they set.
+    fully custom (initial + J + horizon required, a swept field counting as
+    set).  None means "not set".  Building a config resolves each of its
+    points once, so a bad value raises here; the run values are checked by
+    the SystemParams and Scenario they set.
     """
 
     out: str
@@ -133,7 +135,7 @@ class RunConfig:
     schema_version: int = _SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if self.schema_version != _SCHEMA_VERSION:
+        if not _is_integer(self.schema_version) or self.schema_version != _SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema_version {self.schema_version!r} "
                 f"(this build reads version {_SCHEMA_VERSION})"
@@ -153,13 +155,29 @@ class RunConfig:
         if self.sweep_param is None:
             if self.sweep_values:
                 raise ValueError("sweep_values given without a sweep_param")
-            _scenario_from_config(self)  # checks every run value
-            return
-        if self.sweep_param not in _SWEEP_FIELDS:
+        elif self.sweep_param not in _SWEEP_FIELDS:
             raise ValueError(f"sweep parameter must be one of {', '.join(_SWEEP_FIELDS)}")
-        if not self.sweep_values:
+        elif not self.sweep_values:
             raise ValueError("sweep needs at least one value")
-        _sweep_points(self)  # builds, and so checks, every point and its path
+        self.points  # resolves, and so checks, every point and its path
+
+    @functools.cached_property
+    def points(self) -> list[tuple[float | None, Scenario, str]]:
+        """Each point's swept value (None without a sweep), Scenario and CSV path."""
+        if self.sweep_param is None:
+            return [(None, _scenario_from_config(self), self.out)]
+        points = []
+        first: dict[str, float] = {}
+        for value in self.sweep_values:
+            scenario = _scenario_from_config(self, value)
+            path = f"{self.out.removesuffix('.csv')}.{self.sweep_param}{value:g}.csv"
+            if path in first:
+                # {value:g} keeps 6 significant digits, so close values share a name
+                raise ValueError(
+                    f"sweep values {first[path]!r} and {value!r} would both write {path}")
+            first[path] = value
+            points.append((value, scenario, path))
+        return points
 
     def to_json(self) -> str:
         # json writes the tuple fields as arrays
@@ -198,44 +216,25 @@ def _set_fields(source: object, names: Iterable[str]) -> dict[str, object]:
     return {n: getattr(source, n) for n in names if getattr(source, n, None) is not None}
 
 
-def _sweep_points(cfg: RunConfig) -> tuple[str, list[tuple[RunConfig, str]]]:
-    """A sweep's index path, and each value as a plain config with its CSV path."""
-    base = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
-    points: list[tuple[RunConfig, str]] = []
-    first: dict[str, float] = {}
-    for value in cfg.sweep_values:
-        point = replace(cfg, sweep_param=None, sweep_values=(), **{cfg.sweep_param: value})
-        path = f"{base}.{cfg.sweep_param}{value:g}.csv"
-        if path in first:
-            # {value:g} keeps 6 significant digits, so close values share a name
-            raise ValueError(f"sweep values {first[path]!r} and {value!r} would both write {path}")
-        first[path] = value
-        points.append((point, path))
-    return base + ".index.csv", points
-
-
-@functools.cache
-def _presets() -> dict[str, Scenario]:
-    """The catalog by name, built once: a config resolves each point more than once."""
-    return {s.name: s for s in catalog()}
-
-
-def _scenario_from_config(cfg: RunConfig) -> Scenario:
-    """The named preset, or the custom template, with every set field applied."""
+def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenario:
+    """The named preset, or the custom template, with the set fields and `value` applied."""
+    point = _set_fields(cfg, _field_names(RunConfig))
+    if cfg.sweep_param is not None:
+        point[cfg.sweep_param] = value  # even a null, which its field then refuses
     if cfg.scenario is not None:
-        sc = _presets().get(cfg.scenario)
+        sc = next((s for s in catalog() if s.name == cfg.scenario), None)
         if sc is None:
             raise ValueError(
                 f"unknown scenario {cfg.scenario!r}; the catalog command lists presets"
             )
-    elif cfg.initial is None or cfg.J is None or cfg.horizon is None:
+    elif not point.keys() >= {"initial", "J", "horizon"}:
         raise ValueError("custom runs need --initial, --J and --horizon (or --scenario)")
     else:
         sc = Scenario(
             name="custom",
-            initial=cfg.initial,
-            params=SystemParams(omega0=1.5e11, J=cfg.J, gamma=0.0),
-            horizon=cfg.horizon,
+            initial=point["initial"],
+            params=SystemParams(omega0=1.5e11, J=point["J"], gamma=0.0),
+            horizon=point["horizon"],
             observables=("rho11", "rho22", "rho33", "rho44", "C"),
         )
     # the sweep table has its own start, grid and columns, and runs the derived generator
@@ -245,8 +244,9 @@ def _scenario_from_config(cfg: RunConfig) -> Scenario:
     if sc.zeno_taus and ignored:
         raise ValueError(f"the {sc.name} preset takes no " + ", ".join(f"--{n}" for n in ignored))
     # each set field goes to the SystemParams or Scenario field of the same name
-    params = replace(sc.params, **_set_fields(cfg, _field_names(SystemParams)))
-    return replace(sc, params=params, **_set_fields(cfg, _field_names(Scenario)))
+    params = {n: point[n] for n in _field_names(SystemParams) if n in point}
+    fields = {n: point[n] for n in _field_names(Scenario) if n in point}
+    return replace(sc, params=replace(sc.params, **params), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +383,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    index_path, points = None, [(cfg, cfg.out)]
-    if cfg.sweep_param is not None:
-        index_path, points = _sweep_points(cfg)
     # every point runs before the first file is written, so a point that fails,
     # even in its switch-off trigger search, leaves no file behind
     tables = []
-    for point, path in points:
+    for value, scenario, path in cfg.points:
         try:
-            tables.append((run_scenario(_scenario_from_config(point), variant=cfg.rhs), path))
+            tables.append((run_scenario(scenario, variant=cfg.rhs), path))
         except ValueError as err:
             if cfg.sweep_param is None:
                 raise
-            value = getattr(point, cfg.sweep_param)
             raise ValueError(f"{cfg.sweep_param}={value:g}: {err}") from err
     if args.save_config is not None:
         with open(args.save_config, "w", encoding="utf-8") as fh:
@@ -403,16 +399,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {args.save_config}")
     for table, path in tables:
         emit_csv(table, path)
-        if index_path is None:
+        if cfg.sweep_param is None:
             print(f"wrote {path} ({table.times.size} rows, {len(table.names)} columns)")
         else:
             print(f"wrote {path}")
-    if index_path is not None:
+    if cfg.sweep_param is not None:
+        index_path = cfg.out.removesuffix(".csv") + ".index.csv"
         lines = ["param,value,path"]
-        lines += [
-            f"{cfg.sweep_param},{value:.16e},{path}"
-            for value, (_, path) in zip(cfg.sweep_values, points)
-        ]
+        lines += [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
         with open(index_path, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         print(f"wrote {index_path}")

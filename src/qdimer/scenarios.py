@@ -22,9 +22,9 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import integrate_blocks
-from .liouville import RhsVariant, SystemParams, _is_finite_number, _is_integer
+from .liouville import RhsVariant, SystemParams, _is_finite_number
 from .states import named_state, population, pure_density
-from .zeno import ZenoProtocol, analytic_survival, run_zeno
+from .zeno import ZenoProtocol, _check_samples, analytic_survival, run_zeno
 
 __all__ = [
     "OBSERVABLES",
@@ -112,10 +112,7 @@ class Scenario:
             raise ValueError(f"initial must be a state name, got {self.initial!r}")
         if not (_is_finite_number(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
-        if not _is_integer(self.samples):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 2:
-            raise ValueError(f"need at least 2 samples, got {self.samples}")
+        _check_samples(self.samples)
         if not isinstance(self.observables, tuple):
             raise ValueError(f"observables must be a tuple of names, got {self.observables!r}")
         if not (self.observables or self.zeno_taus):

@@ -23,12 +23,29 @@ from .integrate import closed_form_free
 from .liouville import SystemParams, _is_finite_number, _is_integer
 from .states import named_state, population, pure_density
 
-__all__ = ["MAX_MEASUREMENTS", "ZenoProtocol", "ZenoResult", "run_zeno", "analytic_survival"]
+__all__ = ["MAX_MEASUREMENTS", "MAX_SAMPLES", "ZenoProtocol", "ZenoResult", "run_zeno",
+           "analytic_survival"]
 
 # run_zeno holds the whole survival curve and its times, 16 bytes per
 # measurement (traced peak at 10**6), so ZenoProtocol refuses more than this
 # many before anything is allocated: at most 160 MB
 MAX_MEASUREMENTS = 10**7
+
+# run_scenario holds its times and its table, 8 bytes per sample for the times
+# and for each column, and consistency_report its times, so Scenario and
+# consistency_report refuse more samples than this before anything is
+# allocated: at most 80 MB for the times and 80 MB per column
+MAX_SAMPLES = 10**7
+
+
+def _check_samples(samples: object) -> None:
+    """Refuse a sample count that is not an integer from 2 to MAX_SAMPLES."""
+    if not _is_integer(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True, eq=False)

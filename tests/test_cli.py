@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qdimer
-from qdimer import states
+from qdimer import cli, states
 from qdimer.cli import (
     RunConfig,
     build_parser,
@@ -28,6 +28,7 @@ from qdimer.cli import (
 from qdimer.physics import DEBYE
 from qdimer.scenarios import ObservableTable, catalog, run_scenario
 from qdimer.states import BLOCK
+from qdimer.zeno import MAX_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,9 @@ def test_config_json_rejects_non_finite(text):
     ("observables", '[["C"]]'), ("observables", '["C", 1]'), ("observables", "[]"),
     ("sweep_values", "5"), ("sweep_values", "null"),
     pytest.param("sweep_values", "[1e6]", id="sweep_values-without-sweep_param"),
+    ("samples", str(MAX_SAMPLES + 1)),
+    # True == 1, so these once ran and were saved back as written
+    ("schema_version", "true"), ("schema_version", "1.0"),
 ])
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, text):
     # "false" once ran free_eg in the rotating frame, and a string of
@@ -665,12 +669,71 @@ def test_sweep_with_a_bad_point_writes_nothing(tmp_path, capsys, scenario, sweep
                  "--out", str(tmp_path / "s.csv"), "--sweep", sweep,
                  "--save-config", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
+    if scenario == "free_eg" and sweep == "gamma=1e6,-1":
+        # a point that fails its check while the config is built is not named
+        assert err == "error: gamma must be >= 0, got -1.0\n"
     if scenario == "zeno_sweep":
         assert "Zeno window" in err
     if scenario == "switch_off":  # fails at run time, so the point is named
         assert err.startswith("error: horizon=1e-08: switch-off trigger found no rho_ss "
                               "maximum in the probe window [0, 1.000e-08] s")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_value_of_null_exits_2(tmp_path, capsys):
+    # a null value once resolved as "not set" and then failed to name its
+    # CSV with a TypeError traceback
+    path = tmp_path / "bad.json"
+    path.write_text('{"out": "%s", "scenario": "free_eg", "sweep_param": "gamma", '
+                    '"sweep_values": [1e6, null]}' % (tmp_path / "x.csv"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: gamma must be a finite number, got None\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_custom_sweep_sets_a_required_field(tmp_path, capsys):
+    # the swept J stands in for --J, which a custom run needs
+    assert main(["run", "--initial", "e1g2", "--horizon", "1ns", "--samples", "11",
+                 "--out", str(tmp_path / "s.csv"), "--sweep", "J=1e9,2e9"]) == 0
+    for j in ("1e9", "2e9"):
+        plain = tmp_path / f"plain{j}.csv"
+        assert main(["run", "--initial", "e1g2", "--horizon", "1ns", "--samples", "11",
+                     "--J", j, "--out", str(plain)]) == 0
+        assert (tmp_path / f"s.J{float(j):g}.csv").read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+
+
+def test_each_run_point_is_resolved_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    resolve = cli._scenario_from_config
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(cli, "_scenario_from_config", counting)
+    saved = tmp_path / "run.json"
+    assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out",
+                 str(tmp_path / "a.csv"), "--save-config", str(saved)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["run", "--scenario", "driven_detuned_s", "--samples", "11", "--out",
+                 str(tmp_path / "s.csv"), "--sweep", "Omega=3e7,4e7,5e7"]) == 0
+    assert [args[1:] for args in calls] == [(3e7,), (4e7,), (5e7,)]
+    calls.clear()
+    assert main(["run", "--config", str(saved), "--out", str(tmp_path / "b.csv")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_sample_count_above_the_cap_exits_2(tmp_path, capsys):
+    # 10**13 samples once ended in numpy's "Unable to allocate 72.8 TiB"
+    out = tmp_path / "r.csv"
+    assert main(["run", "--scenario", "free_eg", "--samples", str(MAX_SAMPLES + 1),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: 10000001 samples are above the cap of 10000000\n"
+    assert not out.exists()
 
 
 def test_switch_off_without_a_maximum_names_the_probe_window(tmp_path, capsys):
@@ -868,6 +931,7 @@ def test_audit_command_agreeing_start(capsys):
     (["--horizon", "-1ns"], "horizon must be > 0"),
     (["--samples", "1"], "at least 2 samples"),
     (["--samples", "0"], "at least 2 samples"),
+    (["--samples", str(MAX_SAMPLES + 1)], "above the cap of 10000000"),
 ])
 def test_audit_command_rejects_bad_ranges(capsys, flags, message):
     # a zero or negative horizon was blamed on sample_times, and one sample
