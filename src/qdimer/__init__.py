@@ -2,30 +2,15 @@
 measurement-conditioned dynamics with entanglement readout."""
 
 from .audit import ConsistencyReport, consistency_report
-from .concurrence import (
-    ConcurrenceError,
-    ConcurrenceResult,
-    ConcurrenceStack,
-    concurrence,
-    concurrence_stack,
-    spin_flip,
-)
+from .concurrence import ConcurrenceError, ConcurrenceStack, concurrence_stack
 from .integrate import closed_form_free
-from .liouville import (
-    SystemParams,
-    dephasing,
-    dephasing_rates,
-    hamiltonian,
-    rhs,
-    superoperator,
-)
+from .liouville import SystemParams, dephasing_rates, hamiltonian, superoperator
 from .physics import (
     DEBYE,
     EPSILON_0,
     HBAR,
     SPEED_OF_LIGHT,
     MolecularConstants,
-    debye_to_cm,
     dipole_coupling,
     einstein_a,
     rabi_frequency,
@@ -38,20 +23,13 @@ from .scenarios import (
     find_first_maximum,
     run_scenario,
 )
-from .states import (
-    named_state,
-    population,
-    pure_density,
-    to_entangled_basis,
-    validate_density_matrix,
-)
+from .states import named_state, population, pure_density
 from .zeno import ZenoProtocol, ZenoResult, analytic_survival, run_zeno
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConcurrenceError",
-    "ConcurrenceResult",
     "ConcurrenceStack",
     "ConsistencyReport",
     "DEBYE",
@@ -68,11 +46,8 @@ __all__ = [
     "analytic_survival",
     "catalog",
     "closed_form_free",
-    "concurrence",
     "concurrence_stack",
     "consistency_report",
-    "debye_to_cm",
-    "dephasing",
     "dephasing_rates",
     "dipole_coupling",
     "einstein_a",
@@ -82,12 +57,8 @@ __all__ = [
     "population",
     "pure_density",
     "rabi_frequency",
-    "rhs",
     "run_scenario",
     "run_zeno",
-    "spin_flip",
     "superoperator",
-    "to_entangled_basis",
-    "validate_density_matrix",
     "__version__",
 ]

@@ -302,6 +302,14 @@ FIGURES: dict[str, FigureSpec] = {
 }
 
 
+def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) -> None:
+    """Refuse an output `path` that is, after links are resolved, one of `others`."""
+    target = os.path.realpath(path)
+    for other in others:
+        if os.path.realpath(other) == target:
+            raise ValueError(f"{what} {path} would overwrite the {kind} {other}")
+
+
 def _column_index(path: str, name: str) -> int:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -313,7 +321,8 @@ def _column_index(path: str, name: str) -> int:
 def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) -> None:
     """Write a gnuplot-dialect script plotting `figure_id` from the CSVs.
 
-    The script is emitted as data and never executed here.
+    The script is emitted as data and never executed here.  An `out_path`
+    that is one of the CSVs is refused before anything is written.
     """
     if figure_id not in FIGURES:
         raise ValueError(
@@ -324,6 +333,7 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
     for path in csv_paths:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing CSV {path}")
+    _refuse_overwrite("script path", out_path, csv_paths, "input CSV")
     spec = FIGURES[figure_id]
     curves = []
     for path in csv_paths:
@@ -383,6 +393,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    outputs = [path for _, _, path in cfg.points]
+    index_path = None
+    if cfg.sweep_param is not None:
+        index_path = cfg.out.removesuffix(".csv") + ".index.csv"
+        outputs.append(index_path)
+    if args.save_config is not None:
+        _refuse_overwrite("--save-config", args.save_config, outputs, "output")
     # every point runs before the first file is written, so a point that fails,
     # even in its switch-off trigger search, leaves no file behind
     tables = []
@@ -403,8 +420,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"wrote {path} ({table.times.size} rows, {len(table.names)} columns)")
         else:
             print(f"wrote {path}")
-    if cfg.sweep_param is not None:
-        index_path = cfg.out.removesuffix(".csv") + ".index.csv"
+    if index_path is not None:
         lines = ["param,value,path"]
         lines += [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
         with open(index_path, "wb") as fh:

@@ -17,9 +17,9 @@ raised, never silently repaired.  Negative eigenvalues within tolerance are
 clipped to zero and the sample is marked clamped.
 
 concurrence_stack makes one batched eigh and one batched svd for a whole
-stack of states; LAPACK still sees one 4x4 matrix at a time, so each
-sample's result is the single-state one bit for bit, and concurrence() is
-its one-state case.
+stack of states, or for one state; LAPACK still sees one 4x4 matrix at a
+time, so each sample's result is the single-state one bit for bit.  The
+checked form that raises for an unphysical state is scenarios.OBSERVABLES["C"].
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ import numpy as np
 __all__ = [
     "SPIN_FLIP_KERNEL",
     "ConcurrenceError",
-    "ConcurrenceResult",
     "ConcurrenceStack",
-    "spin_flip",
-    "concurrence",
     "concurrence_stack",
 ]
 
@@ -57,44 +54,19 @@ class ConcurrenceError(ValueError):
     """rho is not a density matrix within tolerance."""
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    """Concurrence value plus the square-rooted spectrum of rho*rho_tilde.
-
-    lambdas holds the four sqrt(lambda_i), descending, so that
-    value = max(0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3])
-    holds exactly.  clamped is True when a negative eigenvalue of rho
-    (within tolerance) was clipped to zero.
-    """
-
-    value: float
-    lambdas: tuple[float, float, float, float]
-    clamped: bool
-
-
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """Spin-flipped state (sigma_y x sigma_y) rho* (sigma_y x sigma_y).
-
-    rho may be one (4, 4) state or an (N, 4, 4) stack.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    return SPIN_FLIP_KERNEL @ rho.conj() @ SPIN_FLIP_KERNEL
-
-
 @dataclass(frozen=True, eq=False)
 class ConcurrenceStack:
     """Concurrence of every state in a stack, sample by sample.
 
-    Entries follow ConcurrenceResult: values[n] and lambdas[n] (descending
-    sqrt(lambda_i)) are what concurrence() gives for state n, and clamped[n]
-    its clamp flag.  valid[n] is False where concurrence() would raise; the
-    value there is NaN and error(n) is the exception it would raise.
-    skew[n] is max |rho - rho^H| of state n and low[n] its lowest
-    eigenvalue, which the tolerances are applied to.
+    values[n] is the concurrence of state n, and clamped[n] is True when a
+    negative eigenvalue of it (within tolerance) was clipped to zero.
+    valid[n] is False where state n is unphysical; the value there is NaN
+    and error(n) is the exception check() raises for it.  skew[n] is
+    max |rho - rho^H| of state n and low[n] its lowest eigenvalue, which the
+    tolerances are applied to.
     """
 
     values: np.ndarray
-    lambdas: np.ndarray
     clamped: np.ndarray
     valid: np.ndarray
     skew: np.ndarray
@@ -132,18 +104,4 @@ def concurrence_stack(rhos: np.ndarray) -> ConcurrenceStack:
     roots = np.linalg.svd(tau, compute_uv=False)  # descending
     value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
     values = np.where(valid, np.maximum(0.0, value), np.nan)
-    return ConcurrenceStack(values, roots, clamped, valid, skew, low)
-
-
-def concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit density matrix.
-
-    Raises ConcurrenceError if rho departs from Hermiticity by more than
-    1e-9 or has an eigenvalue below -1e-9.
-    """
-    stack = concurrence_stack(rho)
-    stack.check()
-    r0, r1, r2, r3 = (float(root) for root in stack.lambdas)
-    return ConcurrenceResult(
-        value=float(stack.values), lambdas=(r0, r1, r2, r3), clamped=bool(stack.clamped)
-    )
+    return ConcurrenceStack(values, clamped, valid, skew, low)

@@ -35,10 +35,8 @@ __all__ = [
     "SystemParams",
     "RhsVariant",
     "hamiltonian",
-    "dephasing",
     "dephasing_rates",
     "superoperator",
-    "rhs",
 ]
 
 RhsVariant = Literal["derived", "published"]
@@ -52,6 +50,13 @@ def _is_finite_number(value: object) -> bool:
 
 def _is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_finite(**values: object) -> None:
+    """Refuse, by its name, the first value that is not a finite number."""
+    for name, value in values.items():
+        if not _is_finite_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,6 @@ class SystemParams:
         """Diagonal splitting actually entering the generator."""
         return self.delta_l if self.driven else self.omega0
 
-    def fastest_rate(self) -> float:
-        """Largest rate in the parameter set."""
-        return max(abs(self.splitting()), self.J, self.Omega, self.gamma)
-
 
 def hamiltonian(params: SystemParams) -> np.ndarray:
     """Hamiltonian over hbar in the bare basis (units rad/s).
@@ -121,6 +122,7 @@ def dephasing_rates(gamma: float) -> np.ndarray:
     Diagonal elements are untouched, single-flip coherences decay at gamma,
     double-flip coherences (1,4) and (2,3) at 2*gamma.
     """
+    _check_finite(gamma=gamma)
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     # sigma_z eigenvalues per molecule in the bare ordering
@@ -131,11 +133,6 @@ def dephasing_rates(gamma: float) -> np.ndarray:
         for j in range(4):
             rate[i, j] = 0.5 * gamma * (2.0 - z1[i] * z1[j] - z2[i] * z2[j])
     return rate
-
-
-def dephasing(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Pure-dephasing dissipator applied to rho: -rate_ij * rho_ij."""
-    return -dephasing_rates(gamma) * np.asarray(rho, dtype=complex)
 
 
 def _derived_superoperator(params: SystemParams) -> np.ndarray:
@@ -161,10 +158,3 @@ def superoperator(variant: RhsVariant, params: SystemParams, *, closure: bool = 
     if variant == "published":
         return _published_superoperator(params, closure=closure)
     raise ValueError(f"unknown rhs variant {variant!r}; expected one of {_VARIANTS}")
-
-
-def rhs(variant: RhsVariant, rho: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Time derivative of rho under the chosen generator variant."""
-    lv = superoperator(variant, params)
-    drho = lv @ np.asarray(rho, dtype=complex).reshape(16)
-    return drho.reshape(4, 4)

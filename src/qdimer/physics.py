@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .liouville import _is_finite_number
+from .liouville import _check_finite, _is_finite_number
 
 __all__ = [
     "HBAR",
@@ -18,7 +18,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "DEBYE",
     "MolecularConstants",
-    "debye_to_cm",
     "dipole_coupling",
     "einstein_a",
     "rabi_frequency",
@@ -29,11 +28,6 @@ HBAR = 1.054571817e-34  # J*s
 EPSILON_0 = 8.8541878128e-12  # F/m
 SPEED_OF_LIGHT = 299792458.0  # m/s
 DEBYE = 3.33564e-30  # C*m per Debye
-
-
-def debye_to_cm(value_debye: float) -> float:
-    """Convert a dipole moment from Debye to C*m."""
-    return value_debye * DEBYE
 
 
 @dataclass(frozen=True)
@@ -82,6 +76,7 @@ def einstein_a(mu_eg: float, omega0: float) -> float:
     many orders of magnitude slower than every other rate in the model, which
     is why radiative decay is dropped from the dynamics.
     """
+    _check_finite(mu_eg=mu_eg, omega0=omega0)
     if omega0 < 0.0:
         raise ValueError(f"omega0 must be >= 0, got {omega0}")
     return mu_eg**2 * omega0**3 / (3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3)
@@ -89,6 +84,7 @@ def einstein_a(mu_eg: float, omega0: float) -> float:
 
 def rabi_frequency(mu_eg: float, E_l: float) -> float:
     """Drive Rabi rate Omega = |mu_eg| E_l / (2 hbar), in rad/s."""
+    _check_finite(mu_eg=mu_eg, E_l=E_l)
     if E_l < 0.0:
         raise ValueError(f"E_l must be >= 0, got {E_l}")
     return abs(mu_eg) * E_l / (2.0 * HBAR)

@@ -7,7 +7,7 @@ Bare product basis, in this fixed order:
     index 2: |3> = |e1 g2>
     index 3: |4> = |e1 e2>
 
-On top of it we use a maximally-entangled basis (p, s, a, q):
+Named on top of it are the maximally-entangled states (p, s, a, q):
 
     |s> = (|2> + |3>)/sqrt(2)      symmetric single excitation
     |a> = (|2> - |3>)/sqrt(2)      antisymmetric single excitation
@@ -21,7 +21,9 @@ left/right-localized superpositions of |g>, |e> on each molecule).
 All states are plain complex ndarrays of shape (4,); density matrices are
 complex ndarrays of shape (4, 4), and a trajectory is an (N, 4, 4) stack of
 them, which observables take whole and the propagator yields in blocks of
-BLOCK states. No wrapper classes -- helpers below validate.
+BLOCK states.  rho is never transformed to another basis: a named state's
+share of it is read by `population`.  No wrapper classes -- pure_density and
+population validate what they are given.
 """
 
 from __future__ import annotations
@@ -32,23 +34,15 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
-    "BARE_LABELS",
-    "ENTANGLED_LABELS",
     "NAMED_STATES",
     "named_state",
     "pure_density",
-    "entangled_transform",
-    "to_entangled_basis",
     "population",
-    "validate_density_matrix",
     "BLOCK",
     "blocks",
 ]
 
 _SQ2 = math.sqrt(0.5)
-
-BARE_LABELS = ("g1g2", "g1e2", "e1g2", "e1e2")
-ENTANGLED_LABELS = ("p", "s", "a", "q")
 
 # Amplitude tables in the bare basis.  The localized products follow the
 # literal sign convention of the entangled-basis identities
@@ -96,17 +90,6 @@ def pure_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def entangled_transform() -> np.ndarray:
-    """Unitary M whose rows are <p|, <s|, <a|, <q| in the bare basis.
-
-    rho_entangled = M @ rho @ M.conj().T; row order matches ENTANGLED_LABELS.
-    """
-    rows = [NAMED_STATES[lbl] for lbl in ENTANGLED_LABELS]
-    return np.array(rows, dtype=complex)
-
-
-_M = entangled_transform()
-
 _POP_TOL = 1e-9
 
 # Trajectories are propagated, evaluated and written this many states at a
@@ -131,12 +114,6 @@ def blocks(n: int) -> Iterator[slice]:
         yield slice(start, min(start + BLOCK, n))
 
 
-def to_entangled_basis(rho: np.ndarray) -> np.ndarray:
-    """Express a density matrix in the (p, s, a, q) basis: M rho M^dagger."""
-    rho = np.asarray(rho, dtype=complex)
-    return _M @ rho @ _M.conj().T
-
-
 def population(rho: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
     """Population <psi| rho |psi> of a pure state in a density matrix.
 
@@ -159,29 +136,3 @@ def population(rho: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
             raise ValueError(f"population {value:.3e} below 0 beyond tolerance")
         raise ValueError(f"population {value:.6e} above 1 beyond tolerance")
     return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))[()]
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    trace_tol: float = 1e-9,
-    herm_tol: float = 1e-12,
-    eig_tol: float = 1e-9,
-) -> None:
-    """Assert the defining properties of a density matrix within tolerances.
-
-    Checks unit trace, Hermiticity and spectrum >= -eig_tol; raises ValueError
-    with the offending figure otherwise.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected shape (4, 4), got {rho.shape}")
-    trace_err = abs(float(np.trace(rho).real) - 1.0) + abs(float(np.trace(rho).imag))
-    if trace_err > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {trace_err:.3e}")
-    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_err > herm_tol:
-        raise ValueError(f"Hermiticity violated by {herm_err:.3e}")
-    lo = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if lo < -eig_tol:
-        raise ValueError(f"negative eigenvalue {lo:.3e}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import closed_form_free
-from .liouville import SystemParams, _is_finite_number, _is_integer
+from .liouville import SystemParams, _check_finite, _is_finite_number, _is_integer
 from .states import named_state, population, pure_density
 
 __all__ = ["MAX_MEASUREMENTS", "MAX_SAMPLES", "ZenoProtocol", "ZenoResult", "run_zeno",
@@ -137,8 +137,11 @@ def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:
     J tau ~ 0.4 it overshoots the exact product noticeably, which is part of
     what a sweep report is expected to show.
     """
+    _check_finite(J=j, tau=tau)
     if j < 0.0 or tau < 0.0:
         raise ValueError("J and tau must be >= 0")
+    if not _is_integer(n):
+        raise ValueError(f"measurement count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"measurement count must be >= 0, got {n}")
     if n == 0:

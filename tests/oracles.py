@@ -14,7 +14,8 @@ evaluation of the eigenvalue definition.
 
 The published generator's verbatim term table is transcribed here too, as
 the reference that liouville's one-row construction of that generator is
-compared against.
+compared against, and so is the change to the maximally-entangled basis,
+the reference for the library's populations of named states.
 
 Driven runs have no closed form; they are checked against
 `expm_samples`, which takes each sample from rho0 with its own
@@ -198,6 +199,28 @@ def free_block_solution(
 
 
 # ---------------------------------------------------------------------------
+# the maximally-entangled basis, the reference that `population` is read against
+
+ENTANGLED_LABELS = ("p", "s", "a", "q")
+
+
+def entangled_transform() -> np.ndarray:
+    """Unitary M whose rows are <p|, <s|, <a|, <q| in the bare basis, written
+    out here; rho_entangled = M @ rho @ M.conj().T."""
+    rows = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]]
+    return np.sqrt(0.5) * np.array(rows, dtype=complex)
+
+
+_M = entangled_transform()
+
+
+def to_entangled_basis(rho: np.ndarray) -> np.ndarray:
+    """Express a density matrix in the (p, s, a, q) basis: M rho M^dagger."""
+    return _M @ np.asarray(rho, dtype=complex) @ _M.conj().T
+
+
+# ---------------------------------------------------------------------------
 # the published generator, transcribed from its tabulated component form
 
 # Verbatim term tables for the tabulated ("published") component form.  Each
@@ -314,6 +337,11 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
+def fastest_rate(params: SystemParams) -> float:
+    """Largest rate in the parameter set, the time scale of the stepper."""
+    return max(abs(params.splitting()), params.J, params.Omega, params.gamma)
+
+
 def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
@@ -368,7 +396,7 @@ def dopri5(
     if t_end == 0.0:
         return np.repeat(y.reshape(1, 4, 4), times.size, axis=0), stats
 
-    rate = params.fastest_rate()
+    rate = fastest_rate(params)
     if rate <= 0.0:
         rate = 1.0 / t_end
     lv = superoperator(variant, params, closure=closure) / rate
@@ -377,7 +405,7 @@ def dopri5(
     if max_step is not None:
         h_max = max_step * rate
     else:
-        h_max = min(0.1 * params.fastest_rate() / rate, s_end) if params.fastest_rate() > 0 else s_end
+        h_max = min(0.1 * fastest_rate(params) / rate, s_end) if fastest_rate(params) > 0 else s_end
     h_max = min(h_max, s_end)
 
     rel, abs_ = rel_tol, abs_tol

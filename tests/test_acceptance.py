@@ -14,7 +14,6 @@ import numpy as np
 from oracles import concurrence_reference, integrate, random_density
 from qdimer.audit import consistency_report
 from qdimer.cli import emit_csv
-from qdimer.concurrence import concurrence
 from qdimer.integrate import closed_form_free
 from qdimer.liouville import SystemParams
 from qdimer.physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a
@@ -307,7 +306,7 @@ def test_criterion_09_oracles_and_audit():
 
     rng = np.random.default_rng(20260814)
     worst_c = max(
-        abs(concurrence(rho).value - concurrence_reference(rho))
+        abs(OBSERVABLES["C"](rho) - concurrence_reference(rho))
         for rho in (random_density(rng) for _ in range(1000))
     )
 
@@ -357,14 +356,14 @@ def test_criterion_10_property_suite(tmp_path):
 
     for _ in range(200):
         rho = random_density(rng)
-        c = concurrence(rho).value
+        c = OBSERVABLES["C"](rho)
         c_range_ok = c_range_ok and 0.0 <= c <= 1.0
     for _ in range(50):
         rho = random_density(rng)
         u = np.kron(u2(), u2())
         lu_dev = max(
             lu_dev,
-            abs(concurrence(u @ rho @ u.conj().T).value - concurrence(rho).value),
+            abs(OBSERVABLES["C"](u @ rho @ u.conj().T) - OBSERVABLES["C"](rho)),
         )
 
     table = run_scenario(replace(preset("free_eg"), samples=101))

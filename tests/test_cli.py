@@ -419,6 +419,23 @@ def test_plot_errors(tmp_path):
                  "--out", str(tmp_path / "s.gp")]) == 2
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_plot_out_onto_an_input_csv_exits_2(tmp_path, capsys, link):
+    # the script once replaced the data it plots
+    csv_path = tmp_path / "e.csv"
+    assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out", str(csv_path)]) == 0
+    data = csv_path.read_bytes()
+    out = csv_path
+    if link:
+        out = tmp_path / "link.gp"
+        out.symlink_to(csv_path)
+    capsys.readouterr()
+    assert main(["plot", "--figure", "fig3a", "--csv", str(csv_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: script path {out} would overwrite the input CSV {csv_path}\n")
+    assert csv_path.read_bytes() == data
+
+
 # ---------------------------------------------------------------------------
 # run subcommand
 
@@ -557,6 +574,21 @@ def test_save_config_round_trip(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("sweep, saved", [
+    (None, "a.csv"),
+    ("gamma=0,1e6", "a.gamma1e+06.csv"),
+    ("gamma=0,1e6", "a.index.csv"),
+], ids=["plain-run", "point-csv", "sweep-index"])
+def test_save_config_onto_an_output_exits_2(tmp_path, capsys, monkeypatch, sweep, saved):
+    # the config was once written and then replaced by the run's own output
+    monkeypatch.chdir(tmp_path)
+    sweep_args = [] if sweep is None else ["--sweep", sweep]
+    assert main(run_args("a.csv", *sweep_args, "--save-config", f"./{saved}")) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --save-config ./{saved} would overwrite the output {saved}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_out_rejected(capsys):

@@ -9,8 +9,8 @@ from oracles import (
     random_density,
     random_pure,
 )
-from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack, spin_flip
-from qdimer.scenarios import catalog
+from qdimer.concurrence import SPIN_FLIP_KERNEL, ConcurrenceError, concurrence_stack
+from qdimer.scenarios import OBSERVABLES, catalog
 from qdimer.states import named_state, pure_density
 
 
@@ -35,51 +35,36 @@ def random_local_unitary(rng):
 # ---------------------------------------------------------------------------
 # spin flip
 
-def test_spin_flip_swaps_bare_projectors():
-    rho = pure_density(named_state("g1g2"))
-    assert np.allclose(spin_flip(rho), pure_density(named_state("e1e2")))
-
-
-def test_spin_flip_leaves_bell_state_alone():
-    rho = pure_density(named_state("s"))
-    assert np.allclose(spin_flip(rho), rho)
-
-
-def test_spin_flip_leaves_identity_alone():
-    assert np.allclose(spin_flip(np.eye(4) / 4.0), np.eye(4) / 4.0)
-
-
-def test_spin_flip_is_an_involution():
-    rng = np.random.default_rng(5)
-    rho = random_density(rng)
-    assert np.allclose(spin_flip(spin_flip(rho)), rho)
+def test_spin_flip_kernel_is_sigma_y_kron_sigma_y():
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    assert np.array_equal(SPIN_FLIP_KERNEL, np.kron(sigma_y, sigma_y))
 
 
 # ---------------------------------------------------------------------------
 # fixed values
 
 def test_product_state_concurrence_zero():
-    assert concurrence(pure_density(named_state("g1g2"))).value == 0.0
-    assert concurrence(pure_density(named_state("e1g2"))).value == 0.0
+    assert OBSERVABLES["C"](pure_density(named_state("g1g2"))) == 0.0
+    assert OBSERVABLES["C"](pure_density(named_state("e1g2"))) == 0.0
 
 
 def test_bell_states_maximally_entangled():
     for name in ("s", "a", "p", "q", "f", "k"):
-        assert concurrence(pure_density(named_state(name))).value == pytest.approx(
+        assert OBSERVABLES["C"](pure_density(named_state(name))) == pytest.approx(
             1.0, abs=1e-12
         ), name
 
 
 def test_localized_products_unentangled():
     for name in ("L1L2", "R1R2", "L1R2", "R1L2"):
-        assert concurrence(pure_density(named_state(name))).value < 1e-10, name
+        assert OBSERVABLES["C"](pure_density(named_state(name))) < 1e-10, name
 
 
 @pytest.mark.parametrize(
     "p, expected", [(0.0, 0.0), (1.0 / 3.0, 0.0), (0.6, 0.4), (1.0, 1.0)]
 )
 def test_werner_family(p, expected):
-    assert concurrence(werner(p)).value == pytest.approx(expected, abs=1e-12)
+    assert OBSERVABLES["C"](werner(p)) == pytest.approx(expected, abs=1e-12)
     # Werner states are X states
     assert concurrence_x_state(werner(p)) == pytest.approx(expected, abs=1e-15)
 
@@ -92,15 +77,8 @@ def test_single_excitation_superpositions():
         for phase in phases:
             a, b = np.cos(theta), np.sin(theta) * np.exp(1j * phase)
             psi = np.array([0.0, a, b, 0.0])
-            got = concurrence(np.outer(psi, psi.conj())).value
+            got = OBSERVABLES["C"](np.outer(psi, psi.conj()))
             assert got == pytest.approx(2.0 * abs(a) * abs(b), abs=1e-10)
-
-
-def test_result_invariants():
-    res = concurrence(werner(0.6))
-    l0, l1, l2, l3 = res.lambdas
-    assert l0 >= l1 >= l2 >= l3 >= 0.0
-    assert res.value == max(0.0, l0 - l1 - l2 - l3)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +88,7 @@ def test_random_pure_states_match_algebraic_form():
     rng = np.random.default_rng(101)
     for _ in range(200):
         psi = random_pure(rng)
-        got = concurrence(np.outer(psi, psi.conj())).value
+        got = OBSERVABLES["C"](np.outer(psi, psi.conj()))
         assert got == pytest.approx(pure_concurrence(psi), abs=1e-10)
 
 
@@ -118,9 +96,9 @@ def test_random_densities_bounded_and_match_oracle():
     rng = np.random.default_rng(20260814)
     for _ in range(1000):
         rho = random_density(rng)
-        res = concurrence(rho)
-        assert 0.0 <= res.value <= 1.0
-        assert abs(res.value - concurrence_reference(rho)) <= 1e-9
+        value = OBSERVABLES["C"](rho)
+        assert 0.0 <= value <= 1.0
+        assert abs(value - concurrence_reference(rho)) <= 1e-9
 
 
 def test_local_unitary_invariance():
@@ -128,8 +106,8 @@ def test_local_unitary_invariance():
     for _ in range(100):
         rho = random_density(rng)
         u = random_local_unitary(rng)
-        base = concurrence(rho).value
-        rotated = concurrence(u @ rho @ u.conj().T).value
+        base = OBSERVABLES["C"](rho)
+        rotated = OBSERVABLES["C"](u @ rho @ u.conj().T)
         assert abs(base - rotated) <= 1e-9
 
 
@@ -140,7 +118,7 @@ def test_mixing_never_raises_concurrence_above_pure_component():
         psi = random_pure(rng)
         pure = np.outer(psi, psi.conj())
         mixed = 0.7 * pure + 0.3 * np.eye(4) / 4.0
-        assert concurrence(mixed).value <= concurrence(pure).value + 1e-12
+        assert OBSERVABLES["C"](mixed) <= OBSERVABLES["C"](pure) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +127,7 @@ def test_mixing_never_raises_concurrence_above_pure_component():
 def test_negative_state_rejected():
     rho = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
     with pytest.raises(ConcurrenceError):
-        concurrence(rho)
+        OBSERVABLES["C"](rho)
 
 
 def test_strongly_nonhermitian_state_rejected():
@@ -158,7 +136,7 @@ def test_strongly_nonhermitian_state_rejected():
     rho[0, 1] = 0.3
     rho[1, 0] = -0.3
     with pytest.raises(ConcurrenceError):
-        concurrence(rho)
+        OBSERVABLES["C"](rho)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -166,34 +144,33 @@ def test_non_finite_state_rejected(bad):
     rho = werner(0.6)
     rho[1, 2] = bad
     with pytest.raises(ConcurrenceError, match="not Hermitian"):
-        concurrence(rho)
+        OBSERVABLES["C"](rho)
 
 
 def test_tiny_negativity_is_clamped_not_fatal():
     # lowest eigenvalue -1e-12 of rho lies within NEG_TOL: clipped, not raised
     rho = np.diag([0.5, 0.5, 1e-12, -1e-12]).astype(complex)
-    res = concurrence(rho)
-    assert res.clamped
-    assert res.value == 0.0
+    assert concurrence_stack(rho).clamped
+    assert OBSERVABLES["C"](rho) == 0.0
 
 
 def test_negativity_beyond_tolerance_raises():
     rho = np.diag([0.5, 0.5, 2e-9, -2e-9]).astype(complex)
     with pytest.raises(ConcurrenceError, match="negative eigenvalue -2.000e-09 of rho"):
-        concurrence(rho)
+        OBSERVABLES["C"](rho)
 
 
 def test_positive_state_is_not_clamped():
-    assert not concurrence(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)).clamped
+    assert not concurrence_stack(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)).clamped
 
 
 def test_tiny_skew_is_tolerated():
     rho = werner(0.6)
     rho[0, 1] += 1e-12
-    assert concurrence(rho).value == pytest.approx(0.4, abs=1e-12)
+    assert OBSERVABLES["C"](rho) == pytest.approx(0.4, abs=1e-12)
     rho[0, 1] += 2e-9
     with pytest.raises(ConcurrenceError, match="not Hermitian"):
-        concurrence(rho)
+        OBSERVABLES["C"](rho)
 
 
 # ---------------------------------------------------------------------------
@@ -221,4 +198,4 @@ def test_localized_states_match_mpmath(name, t):
     # 3.6e-12: the last is a true eigenvalue, far below the first
     times, states = preset_states(name)
     k = int(np.argmin(np.abs(times - t)))
-    assert abs(concurrence(states[k]).value - concurrence_mpmath(states[k])) <= 1e-14
+    assert abs(OBSERVABLES["C"](states[k]) - concurrence_mpmath(states[k])) <= 1e-14

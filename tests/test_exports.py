@@ -7,6 +7,21 @@ import qdimer
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(qdimer.__path__))
 
+# the whole public surface: a new name has to be added here on purpose
+PUBLIC = [
+    "ConcurrenceError", "ConcurrenceStack", "ConsistencyReport", "DEBYE", "EPSILON_0", "HBAR",
+    "MolecularConstants", "OBSERVABLES", "ObservableTable", "Scenario", "SPEED_OF_LIGHT",
+    "SystemParams", "ZenoProtocol", "ZenoResult", "analytic_survival", "catalog",
+    "closed_form_free", "concurrence_stack", "consistency_report", "dephasing_rates",
+    "dipole_coupling", "einstein_a", "find_first_maximum", "hamiltonian", "named_state",
+    "population", "pure_density", "rabi_frequency", "run_scenario", "run_zeno",
+    "superoperator", "__version__",
+]
+
+
+def test_public_surface_is_pinned():
+    assert qdimer.__all__ == PUBLIC
+
 
 def test_package_exports_resolve():
     missing = [name for name in qdimer.__all__ if not hasattr(qdimer, name)]

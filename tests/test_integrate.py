@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dopri5, expm_samples, free_block_solution, integrate, random_pure
+from oracles import (
+    dopri5,
+    expm_samples,
+    fastest_rate,
+    free_block_solution,
+    integrate,
+    random_pure,
+)
 from qdimer import states as states_mod
 from qdimer.integrate import closed_form_free, integrate_blocks
 from qdimer.liouville import SystemParams
@@ -89,7 +96,7 @@ def test_long_step_matches_closed_form(initial, params):
     times = np.array([0.0, 1e-5])
     states = integrate("derived", rho0, params, times)
     # phi radians of phase carry a rounding error of about eps * phi
-    tol = 1e-12 + 16.0 * EPS * params.fastest_rate() * times[-1]
+    tol = 1e-12 + 16.0 * EPS * fastest_rate(params) * times[-1]
     assert np.max(np.abs(states - closed_form_free(rho0, params, times))) <= tol
 
 
@@ -221,7 +228,7 @@ def test_propagator_properties(run):
     states = integrate("derived", rho0, params, times)
     # phi radians of phase carry a rounding error of about eps * phi, in the
     # closed form as much as in the propagator
-    tol = 1e-12 + 16.0 * EPS * params.fastest_rate() * horizon
+    tol = 1e-12 + 16.0 * EPS * fastest_rate(params) * horizon
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= tol
     assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= tol
     assert np.min(np.linalg.eigvalsh(states)) >= -tol

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import published_superoperator_table
-from qdimer.liouville import (
-    SystemParams,
-    dephasing,
-    dephasing_rates,
-    hamiltonian,
-    rhs,
-    superoperator,
-)
+from oracles import fastest_rate, published_superoperator_table
+from qdimer.liouville import SystemParams, dephasing_rates, hamiltonian, superoperator
 from qdimer.scenarios import catalog
 from qdimer.states import NAMED_STATES, named_state, pure_density
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
+
+
+def drho_dt(variant, rho, params):
+    # the generator applied to one state
+    return (superoperator(variant, params) @ rho.reshape(16)).reshape(4, 4)
 
 
 def random_hermitian_unit_trace(rng):
@@ -62,8 +60,9 @@ def test_splitting_selects_frame():
 
 
 def test_fastest_rate():
+    # the reference stepper's time scale
     p = SystemParams(omega0=2.0, J=5.0, gamma=1.0, Omega=3.0, delta_l=-7.0, driven=True)
-    assert p.fastest_rate() == 7.0  # |delta_l| wins
+    assert fastest_rate(p) == 7.0  # |delta_l| wins
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +121,15 @@ def test_dephasing_rates_table():
     assert np.allclose(rates, expected)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, True, None])
+def test_dephasing_rates_reject_non_finite(gamma):
+    with pytest.raises(ValueError, match=f"gamma must be a finite number, got {gamma!r}"):
+        dephasing_rates(gamma)
+
+
 def test_dephasing_leaves_diagonal_alone():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert np.allclose(dephasing(rho, 3.0), 0.0)
+    assert np.allclose(-dephasing_rates(3.0) * rho, 0.0)
 
 
 def test_dephasing_single_and_double_flip_rates():
@@ -132,26 +137,26 @@ def test_dephasing_single_and_double_flip_rates():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 3] = 0.3
     rho[3, 0] = 0.3
-    out = dephasing(rho, gamma)
+    out = -dephasing_rates(gamma) * rho
     assert out[0, 3] == pytest.approx(-2 * gamma * 0.3)  # double flip
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 1] = 0.3
     rho[1, 0] = 0.3
-    out = dephasing(rho, gamma)
+    out = -dephasing_rates(gamma) * rho
     assert out[0, 1] == pytest.approx(-gamma * 0.3)  # single flip
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 2] = 0.25
     rho[2, 1] = 0.25
-    out = dephasing(rho, gamma)
+    out = -dephasing_rates(gamma) * rho
     assert out[1, 2] == pytest.approx(-2 * gamma * 0.25)  # double flip
 
 
 # ---------------------------------------------------------------------------
-# rhs examples
+# the generator applied to one state
 
 def test_derived_rhs_from_bare_excited():
     rho = pure_density(named_state("e1g2"))
-    out = rhs("derived", rho, FREE)
+    out = drho_dt("derived", rho, FREE)
     j = FREE.J
     assert out[1, 2] == pytest.approx(-1j * j)  # rho23' = -iJ(rho33 - rho22)
     assert out[1, 1] == pytest.approx(0.0, abs=1e-20)
@@ -161,7 +166,7 @@ def test_derived_rhs_from_bare_excited():
 def test_derived_rhs_diagonal_fixed_point():
     p = SystemParams(omega0=1.5e11, J=0.0, gamma=2.0e6)
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert np.allclose(rhs("derived", rho, p), 0.0)
+    assert np.allclose(drho_dt("derived", rho, p), 0.0)
 
 
 def test_variant_disagreement_on_rho33():
@@ -172,8 +177,8 @@ def test_variant_disagreement_on_rho33():
     rho[2, 2] = 0.5
     rho[1, 2] = 0.5j
     rho[2, 1] = -0.5j
-    out_d = rhs("derived", rho, p)
-    out_p = rhs("published", rho, p)
+    out_d = drho_dt("derived", rho, p)
+    out_p = drho_dt("published", rho, p)
     j = p.J
     # rho22' agrees: -J for both
     assert out_d[1, 1] == pytest.approx(-j)
@@ -188,15 +193,14 @@ def test_published_closure_keeps_trace_zero():
     p = SystemParams(omega0=1.0, J=0.7, gamma=0.3, Omega=0.2, delta_l=-0.4, driven=True)
     for _ in range(20):
         rho = random_hermitian_unit_trace(rng)
-        out = rhs("published", rho, p)
+        out = drho_dt("published", rho, p)
         assert abs(np.trace(out)) < 1e-14
         assert np.allclose(out, out.conj().T, atol=1e-14)
 
 
 def test_unknown_variant_rejected():
-    rho = pure_density(named_state("s"))
     with pytest.raises(ValueError):
-        rhs("verbatim", rho, FREE)
+        superoperator("verbatim", FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ def test_derived_rhs_traceless_and_hermiticity_preserving():
     p = SystemParams(omega0=1.3, J=0.9, gamma=0.2, Omega=0.4, delta_l=0.6, driven=True)
     for _ in range(50):
         rho = random_hermitian_unit_trace(rng)
-        out = rhs("derived", rho, p)
+        out = drho_dt("derived", rho, p)
         assert abs(np.trace(out)) < 1e-14
         assert np.max(np.abs(out - out.conj().T)) < 1e-14
 
@@ -333,17 +337,17 @@ def test_derived_purity_conserved_without_dephasing():
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
-        out = rhs("derived", rho, p)
+        out = drho_dt("derived", rho, p)
         dpurity = 2.0 * np.trace(rho @ out).real
         assert abs(dpurity) < 1e-12
 
 
 def test_superoperator_matches_rhs_elementwise():
+    # the derived generator against its operator form -i[H, rho] - rate * rho
     rng = np.random.default_rng(17)
     p = SystemParams(omega0=0.9, J=0.5, gamma=0.1, Omega=0.2, delta_l=-0.3, driven=True)
-    for variant in ("derived", "published"):
-        lv = superoperator(variant, p)
+    h = hamiltonian(p)
+    for _ in range(20):
         rho = random_hermitian_unit_trace(rng)
-        direct = rhs(variant, rho, p)
-        via_matrix = (lv @ rho.reshape(16)).reshape(4, 4)
-        assert np.allclose(direct, via_matrix, atol=1e-13)
+        direct = -1j * (h @ rho - rho @ h) - dephasing_rates(p.gamma) * rho
+        assert np.allclose(drho_dt("derived", rho, p), direct, atol=1e-13)

@@ -7,7 +7,6 @@ from qdimer.physics import (
     HBAR,
     SPEED_OF_LIGHT,
     MolecularConstants,
-    debye_to_cm,
     dipole_coupling,
     einstein_a,
     rabi_frequency,
@@ -25,8 +24,7 @@ def test_codata_constants():
 
 
 def test_debye_conversion():
-    assert debye_to_cm(1.0) == DEBYE
-    assert debye_to_cm(1.46) == pytest.approx(4.8700344e-30, rel=1e-9)
+    assert 1.46 * DEBYE == pytest.approx(4.8700344e-30, rel=1e-9)
 
 
 def test_reference_coupling_value():
@@ -60,11 +58,29 @@ def test_radiative_decay_negligible_against_coupling():
     assert ratio < 1e-15
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("omega0", np.nan), ("omega0", np.inf), ("omega0", True), ("mu_eg", np.nan), ("mu_eg", -np.inf),
+])
+def test_einstein_a_rejects_non_finite(name, bad):
+    args = {"mu_eg": 5e-30, "omega0": 1.5e11, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be a finite number, got {bad!r}"):
+        einstein_a(**args)
+
+
 def test_rabi_frequency_linear_in_field():
     mu = REF.mu_eg
     assert rabi_frequency(mu, 1.0) == pytest.approx(2.3090103118e4, rel=1e-9)
     assert rabi_frequency(mu, 10.0) == pytest.approx(2.3090103118e5, rel=1e-9)
     assert rabi_frequency(mu, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("E_l", np.inf), ("E_l", np.nan), ("E_l", "100"), ("mu_eg", np.nan),
+])
+def test_rabi_frequency_rejects_non_finite(name, bad):
+    args = {"mu_eg": 5e-30, "E_l": 100.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be a finite number, got {bad!r}"):
+        rabi_frequency(**args)
 
 
 def test_field_for_typical_drive_strength():

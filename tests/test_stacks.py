@@ -16,7 +16,7 @@ from oracles import integrate, random_density, random_pure
 from qdimer import scenarios as scenarios_mod
 from qdimer import states as states_mod
 from qdimer.audit import consistency_report
-from qdimer.concurrence import ConcurrenceError, concurrence, concurrence_stack
+from qdimer.concurrence import ConcurrenceError, concurrence_stack
 from qdimer.integrate import integrate_blocks
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import OBSERVABLES, catalog, run_scenario
@@ -71,10 +71,9 @@ def test_concurrence_stack_matches_single_states(rhos):
     stack = concurrence_stack(rhos)
     assert stack.valid.all()
     for n, rho in enumerate(rhos):
-        single = concurrence(rho)
-        assert bits(stack.values[n]) == bits(single.value)
-        assert bits(stack.lambdas[n]) == bits(single.lambdas)
-        assert bool(stack.clamped[n]) == single.clamped
+        single = concurrence_stack(rho)
+        assert bits(stack.values[n]) == bits(OBSERVABLES["C"](rho))
+        assert bool(stack.clamped[n]) == bool(single.clamped)
     assert bits(OBSERVABLES["C"](rhos)) == bits(stack.values)
 
 
@@ -92,7 +91,7 @@ def test_population_stack_matches_single_states(rhos):
 
 def test_clamped_states_are_drawn_clamped():
     rho = draw_state(np.random.default_rng(3), "clamped")
-    assert concurrence(rho).clamped
+    assert concurrence_stack(rho).clamped
     bare = [population(rho, named_state(n)) for n in ("g1g2", "g1e2", "e1g2", "e1e2")]
     assert 0.0 in bare
 
@@ -164,22 +163,21 @@ def raised(fn, arg):
 def test_unphysical_state_k_raises_its_single_state_error(bad, k):
     rhos = good_stack(10)
     rhos[k] = bad
-    expected = raised(concurrence, bad)
+    expected = raised(OBSERVABLES["C"], bad)
     assert expected[0] is ConcurrenceError
     stack = concurrence_stack(rhos)
     assert np.flatnonzero(~stack.valid).tolist() == [k]
     assert np.isnan(stack.values[k])
     assert raised(lambda _: stack.check(), None) == expected
     assert raised(OBSERVABLES["C"], rhos) == expected
-    assert raised(OBSERVABLES["C"], bad) == expected
 
 
 def test_first_unphysical_state_decides_the_error():
     rhos = good_stack(10)
     rhos[3], rhos[7] = SKEW, NEGATIVE
-    assert raised(OBSERVABLES["C"], rhos) == raised(concurrence, SKEW)
+    assert raised(OBSERVABLES["C"], rhos) == raised(OBSERVABLES["C"], SKEW)
     rhos[3], rhos[7] = NEGATIVE, SKEW
-    assert raised(OBSERVABLES["C"], rhos) == raised(concurrence, NEGATIVE)
+    assert raised(OBSERVABLES["C"], rhos) == raised(OBSERVABLES["C"], NEGATIVE)
 
 
 def excess(name):
@@ -213,9 +211,9 @@ def per_sample_audit(params, rho0, horizon, samples):
     pops_p = np.array([np.diag(rho).real for rho in published])
     max_conc, skipped = 0.0, 0
     for rho_d, rho_p in zip(derived, published):
-        c_d = concurrence(rho_d).value
+        c_d = OBSERVABLES["C"](rho_d)
         try:
-            c_p = concurrence(rho_p).value
+            c_p = OBSERVABLES["C"](rho_p)
         except ConcurrenceError:
             skipped += 1
             continue
@@ -301,7 +299,7 @@ def test_audit_trace_guard_error_comes_before_a_concurrence_error():
     rows, _ = next(integrate_blocks("published", rho0, params, times))
     assert rows == slice(0, BLOCK)  # the trace leaves 1e-6 after the first block
     with pytest.raises(ConcurrenceError):
-        concurrence(rho0)
+        OBSERVABLES["C"](rho0)
     with pytest.raises(ValueError) as audit:
         consistency_report(params, rho0, 1e-6, samples=2001)
     assert str(audit.value) == str(guard.value)

@@ -107,6 +107,18 @@ def test_analytic_degenerate_inputs():
         analytic_survival(4e9, 1e-11, -5)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("j", np.nan), ("j", np.inf), ("tau", np.nan), ("tau", np.inf),
+    ("n", 2.5), ("n", 5.0), ("n", True),
+])
+def test_analytic_survival_rejects_non_finite_and_non_integer(name, bad):
+    args = {"j": 4e9, "tau": 1e-12, "n": 5, name: bad}
+    what = {"j": "J must be a finite number", "tau": "tau must be a finite number",
+            "n": "measurement count must be an integer"}[name]
+    with pytest.raises(ValueError, match=f"{what}, got {bad!r}"):
+        analytic_survival(**args)
+
+
 # ---------------------------------------------------------------------------
 # protocol runs
 
