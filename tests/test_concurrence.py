@@ -35,9 +35,34 @@ def random_local_unitary(rng):
 # ---------------------------------------------------------------------------
 # spin flip
 
+def spin_flip(rho):
+    # Wootters' spin-flipped state (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)
+    return SPIN_FLIP_KERNEL @ rho.conj() @ SPIN_FLIP_KERNEL
+
+
 def test_spin_flip_kernel_is_sigma_y_kron_sigma_y():
     sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
     assert np.array_equal(SPIN_FLIP_KERNEL, np.kron(sigma_y, sigma_y))
+
+
+def test_spin_flip_swaps_bare_projectors():
+    rho = pure_density(named_state("g1g2"))
+    assert np.allclose(spin_flip(rho), pure_density(named_state("e1e2")))
+
+
+def test_spin_flip_leaves_bell_state_alone():
+    rho = pure_density(named_state("s"))
+    assert np.allclose(spin_flip(rho), rho)
+
+
+def test_spin_flip_leaves_identity_alone():
+    assert np.allclose(spin_flip(np.eye(4) / 4.0), np.eye(4) / 4.0)
+
+
+def test_spin_flip_is_an_involution():
+    rng = np.random.default_rng(5)
+    rho = random_density(rng)
+    assert np.allclose(spin_flip(spin_flip(rho)), rho)
 
 
 # ---------------------------------------------------------------------------
