@@ -3,7 +3,6 @@ measurement-conditioned dynamics with entanglement readout."""
 
 from .audit import ConsistencyReport, consistency_report
 from .concurrence import ConcurrenceError, ConcurrenceStack, concurrence_stack
-from .integrate import closed_form_free
 from .liouville import SystemParams, dephasing_rates, hamiltonian, superoperator
 from .physics import (
     DEBYE,
@@ -24,7 +23,7 @@ from .scenarios import (
     run_scenario,
 )
 from .states import named_state, population, pure_density
-from .zeno import ZenoProtocol, ZenoResult, analytic_survival, run_zeno
+from .zeno import ZenoProtocol, analytic_survival, run_zeno
 
 __version__ = "0.1.0"
 
@@ -42,10 +41,8 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "SystemParams",
     "ZenoProtocol",
-    "ZenoResult",
     "analytic_survival",
     "catalog",
-    "closed_form_free",
     "concurrence_stack",
     "consistency_report",
     "dephasing_rates",

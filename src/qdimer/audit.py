@@ -70,8 +70,8 @@ def consistency_report(
     walks = zip(
         integrate_blocks("derived", rho0, params, times),
         integrate_blocks("published", rho0, params, times),
-        # raw published rows: trace is no longer conserved, so run unguarded
-        integrate_blocks("published", rho0, params, times, closure=False, trace_guard=False),
+        # raw published rows: trace is no longer conserved, so the walk is unguarded
+        integrate_blocks("published", rho0, params, times, closure=False),
     )
 
     # np.maximum and np.minimum keep a NaN (the raw run can overflow), as the

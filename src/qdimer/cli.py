@@ -322,7 +322,8 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
     """Write a gnuplot-dialect script plotting `figure_id` from the CSVs.
 
     The script is emitted as data and never executed here.  An `out_path`
-    that is one of the CSVs is refused before anything is written.
+    that is one of the CSVs, and a CSV path that a double-quoted gnuplot
+    string cannot hold, are refused before anything is written.
     """
     if figure_id not in FIGURES:
         raise ValueError(
@@ -331,6 +332,11 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
     if not csv_paths:
         raise ValueError("need at least one CSV path")
     for path in csv_paths:
+        # in a double-quoted gnuplot string a quote ends it, a backslash escapes,
+        # backquotes run a command and a control character breaks the line
+        if re.search(r'["\\`\x00-\x1f\x7f]', path):
+            raise ValueError(f"CSV path {path!r} has a quote, backslash, backquote or "
+                             "control character, which a gnuplot script cannot hold")
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing CSV {path}")
     _refuse_overwrite("script path", out_path, csv_paths, "input CSV")
@@ -400,6 +406,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs.append(index_path)
     if args.save_config is not None:
         _refuse_overwrite("--save-config", args.save_config, outputs, "output")
+    if args.config is not None:
+        for path in outputs:
+            _refuse_overwrite("output", path, [args.config], "--config file")
     # every point runs before the first file is written, so a point that fails,
     # even in its switch-off trigger search, leaves no file behind
     tables = []
@@ -472,20 +481,19 @@ def cmd_zeno(args: argparse.Namespace) -> int:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")
     params = SystemParams(omega0=args.omega0, J=args.J, gamma=args.gamma)
     protocol = ZenoProtocol(tau=args.tau, n_measurements=n, params=params)
-    result = run_zeno(protocol)
+    survival = run_zeno(protocol)
     exact, gauss = analytic_survival(args.J, args.tau, n)
     print(f"tau_s = {args.tau:.6e}")
     print(f"n_measurements = {n}")
     print(f"total_time_s = {protocol.total_time:.6e}")
-    print(f"survival = {result.survival[-1]:.6e}")
+    print(f"survival = {survival[-1]:.6e}")
     print(f"survival_exact_gamma0 = {exact:.6e}")
     print(f"survival_gaussian = {gauss:.6e}")
     if args.out is not None:
+        times = np.arange(n + 1, dtype=float)
+        times *= args.tau  # in place, so the curve and its times are all the run holds
         table = ObservableTable(
-            scenario="zeno",
-            times=result.times,
-            names=("survival",),
-            data=result.survival[:, None],
+            scenario="zeno", times=times, names=("survival",), data=survival[:, None]
         )
         emit_csv(table, args.out)
         print(f"wrote {args.out}")

@@ -363,16 +363,14 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
     for tau in scenario.zeno_taus:
         stride = round(grid / tau)
         n_total = round(scenario.horizon / tau)
-        result = run_zeno(
-            ZenoProtocol(tau=tau, n_measurements=n_total, params=scenario.params)
-        )
+        protocol = ZenoProtocol(tau=tau, n_measurements=n_total, params=scenario.params)
         exact = np.empty(n_rows + 1)
         gauss = np.empty(n_rows + 1)
         for r in range(n_rows + 1):
             exact[r], gauss[r] = analytic_survival(scenario.params.J, tau, r * stride)
         label = f"{tau * 1e9:g}ns"
         names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
-        columns += [result.survival[::stride], exact, gauss]
+        columns += [run_zeno(protocol)[::stride], exact, gauss]
     return ObservableTable(
         scenario=scenario.name,
         times=times,

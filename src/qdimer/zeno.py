@@ -1,15 +1,14 @@
-"""Repeated projective measurement of an entangled target state.
+"""Repeated projective measurement of the entangled state |f>.
 
-Prepare the target, let the pair evolve freely for an interval tau, project
-back onto the target, and repeat.  The reported survival probability is the
-selective one: the probability that every one of the N measurements found
-the target.  For a coherence-free run this is [cos^2(J tau)]^N when the
-target is one of the circular superpositions of the single-excitation
-states, and it approaches exp(-J^2 T^2 / N) at fixed T = N tau as the
-measurements become frequent.
+Prepare |f>, let the pair evolve freely for an interval tau, project back
+onto |f>, and repeat.  The reported survival probability is the selective
+one: the probability that every one of the N measurements found |f>.  For a
+coherence-free run this is [cos^2(J tau)]^N, and it approaches
+exp(-J^2 T^2 / N) at fixed T = N tau as the measurements become frequent.
 
-Propagation between measurements uses the exact free propagator, so the
-protocol itself introduces no integration error.
+The interval between measurements is one exact step exp(L tau) of the same
+block walk that every other command runs, so the protocol itself introduces
+no integration error.
 """
 
 from __future__ import annotations
@@ -19,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import closed_form_free
+from .integrate import integrate_blocks
 from .liouville import SystemParams, _check_finite, _is_finite_number, _is_integer
 from .states import named_state, population, pure_density
 
-__all__ = ["MAX_MEASUREMENTS", "MAX_SAMPLES", "ZenoProtocol", "ZenoResult", "run_zeno",
-           "analytic_survival"]
+__all__ = ["MAX_MEASUREMENTS", "MAX_SAMPLES", "ZenoProtocol", "run_zeno", "analytic_survival"]
 
-# run_zeno holds the whole survival curve and its times, 16 bytes per
-# measurement (traced peak at 10**6), so ZenoProtocol refuses more than this
+# run_zeno returns the whole survival curve, 8 bytes per measurement, and
+# `zeno --out` adds its times, 8 more, so ZenoProtocol refuses more than this
 # many before anything is allocated: at most 160 MB
 MAX_MEASUREMENTS = 10**7
 
@@ -50,7 +48,7 @@ def _check_samples(samples: object) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ZenoProtocol:
-    """One measurement schedule: N projections onto `target`, spaced tau.
+    """One measurement schedule: N projections onto |f>, spaced tau.
 
     The protocol only makes sense inside the Zeno window tau < 1/J, where a
     single interval rotates the state by much less than a full swap; outside
@@ -61,7 +59,6 @@ class ZenoProtocol:
     tau: float
     n_measurements: int
     params: SystemParams
-    target: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (_is_finite_number(self.tau) and self.tau > 0.0):
@@ -85,48 +82,28 @@ class ZenoProtocol:
                 f"tau = {self.tau:.3e} s is outside the Zeno window (need tau < 1/J = "
                 f"{1.0 / self.params.J:.3e} s)"
             )
-        target = self.target if self.target is not None else named_state("f")
-        target = np.asarray(target, dtype=complex)
-        norm = np.linalg.norm(target)
-        if not abs(norm - 1.0) <= 1e-9:
-            raise ValueError(f"target state norm is {norm}, expected 1")
-        object.__setattr__(self, "target", target)
 
     @property
     def total_time(self) -> float:
         return self.n_measurements * self.tau
 
 
-@dataclass(frozen=True, eq=False)
-class ZenoResult:
-    """Survival curve: survival[k] is the probability that measurements
-    1..k all found the target (survival[0] = 1 at t = 0)."""
+def run_zeno(protocol: ZenoProtocol) -> np.ndarray:
+    """Survival curve of the selective measurement chain started in |f>:
+    survival[k] is the probability that measurements 1..k all found |f>
+    (survival[0] = 1 at t = 0), measurement k taken at k * tau.
 
-    protocol: ZenoProtocol
-    times: np.ndarray
-    survival: np.ndarray
-    step_probability: float
-
-
-def run_zeno(protocol: ZenoProtocol) -> ZenoResult:
-    """Run the selective measurement chain starting from the target state.
-
-    Each cycle propagates the conditional state for tau with the exact free
-    propagator, reads p = <target|rho|target>, and projects back onto the
-    target.  The projector has rank 1, so every cycle restarts from the pure
-    target state and has the same p: survival[k] = p**k.  Raises if the
-    chain is extinguished (p <= 1e-15).
+    Each cycle propagates the conditional state for tau, reads
+    p = <f|rho|f>, and projects back onto |f>.  The projector has rank 1, so
+    every cycle restarts from the pure state |f> and has the same p:
+    survival[k] = p**k.  Inside the Zeno window p > 0.2915 (it is
+    cos^2(J tau) at gamma = 0, and (1 + exp(-2 gamma tau)) / 2 at J = 0), so
+    the chain is never extinguished.
     """
-    target = protocol.target
-    rho = closed_form_free(pure_density(target), protocol.params, protocol.tau)
-    p = population(rho, target)
-    if p <= 1e-15:
-        raise ValueError(f"measurement chain extinguished at step 1 (p = {p:.3e})")
-    n = protocol.n_measurements
-    survival = p ** np.arange(n + 1)
-    times = np.arange(n + 1, dtype=float)
-    times *= protocol.tau  # in place, so the curve and its times are all it holds
-    return ZenoResult(protocol=protocol, times=times, survival=survival, step_probability=float(p))
+    f = named_state("f")
+    [(_, states)] = integrate_blocks("derived", pure_density(f), protocol.params, [protocol.tau])
+    p = population(states[0], f)
+    return p ** np.arange(protocol.n_measurements + 1)
 
 
 def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:

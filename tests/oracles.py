@@ -48,13 +48,10 @@ def integrate(
     times: np.ndarray,
     *,
     closure: bool = True,
-    trace_guard: bool = True,
 ) -> np.ndarray:
     """The whole (len(times), 4, 4) stack of `integrate_blocks`, which documents
     the arguments and the errors; states[k] is rho at times[k]."""
-    walk = integrate_blocks(
-        variant, rho0, params, times, closure=closure, trace_guard=trace_guard
-    )
+    walk = integrate_blocks(variant, rho0, params, times, closure=closure)
     return np.concatenate([states for _, states in walk])
 
 

@@ -406,6 +406,46 @@ def test_plot_script_contents(tmp_path):
     assert 'title "C [swap]"' in script.read_text()
 
 
+def test_plot_script_bytes_are_pinned(tmp_path, monkeypatch):
+    # spaces and single quotes stay in the double-quoted strings as they are
+    monkeypatch.chdir(tmp_path)
+    table = ObservableTable(scenario="x", times=np.linspace(0.0, 1e-9, 3),
+                            names=("C", "rho_ff"), data=np.zeros((3, 2)))
+    emit_csv(table, "run 1.csv")
+    emit_csv(table, "it's.csv")
+    emit_plot_script(["run 1.csv", "it's.csv"], "fig3a", "fig.gp")
+    assert (tmp_path / "fig.gp").read_bytes() == (
+        b'# fig3a: free swap, one molecule excited\n'
+        b'set datafile separator ","\n'
+        b'set termoption noenhanced\n'
+        b'set key top right\n'
+        b'set xlabel "t (ns)"\n'
+        b'set ylabel "population / concurrence"\n'
+        b'plot \\\n'
+        b'  "run 1.csv" using ($1*1e+09):2 with lines title "C [run 1]", \\\n'
+        b'  "run 1.csv" using ($1*1e+09):3 with lines title "rho_ff [run 1]", \\\n'
+        b'  "it\'s.csv" using ($1*1e+09):2 with lines title "C [it\'s]", \\\n'
+        b'  "it\'s.csv" using ($1*1e+09):3 with lines title "rho_ff [it\'s]"\n'
+    )
+
+
+@pytest.mark.parametrize("name", [
+    'x"; system("touch PWNED"); "y.csv', "back\\slash.csv", "`touch PWNED`.csv",
+    "new\nline.csv", "tab\t.csv",
+], ids=["quote", "backslash", "backquote", "newline", "tab"])
+def test_plot_refuses_a_csv_path_gnuplot_cannot_quote(tmp_path, capsys, monkeypatch, name):
+    # such a path once went into the script as it was, so loading the script
+    # could run a command
+    monkeypatch.chdir(tmp_path)
+    emit_csv(ObservableTable(scenario="x", times=np.array([0.0, 1e-9]), names=("C",),
+                             data=np.zeros((2, 1))), name)
+    assert main(["plot", "--figure", "fig5b", "--csv", name, "--out", "s.gp"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: CSV path {name!r} has a quote, backslash, backquote or control "
+        "character, which a gnuplot script cannot hold\n"))
+    assert not (tmp_path / "s.gp").exists()
+
+
 def test_plot_errors(tmp_path):
     csv_path = tmp_path / "c.csv"
     emit_csv(small_table(), str(csv_path))
@@ -589,6 +629,26 @@ def test_save_config_onto_an_output_exits_2(tmp_path, capsys, monkeypatch, sweep
     assert capsys.readouterr() == (
         "", f"error: --save-config ./{saved} would overwrite the output {saved}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sweep, config", [
+    (None, "a.csv"),
+    ("gamma=0,1e6", "a.gamma1e+06.csv"),
+    ("gamma=0,1e6", "a.index.csv"),
+], ids=["plain-run", "point-csv", "sweep-index"])
+def test_run_onto_its_config_exits_2(tmp_path, capsys, monkeypatch, sweep, config):
+    # the run once wrote its CSV over the config it was read from
+    monkeypatch.chdir(tmp_path)
+    sweep_args = [] if sweep is None else ["--sweep", sweep]
+    assert main(run_args("b.csv", *sweep_args, "--save-config", config)) == 0
+    saved = (tmp_path / config).read_bytes()
+    files = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["run", "--config", f"./{config}", "--out", "a.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: output {config} would overwrite the --config file ./{config}\n")
+    assert (tmp_path / config).read_bytes() == saved
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_missing_out_rejected(capsys):

@@ -11,11 +11,10 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(qdimer.__path__))
 PUBLIC = [
     "ConcurrenceError", "ConcurrenceStack", "ConsistencyReport", "DEBYE", "EPSILON_0", "HBAR",
     "MolecularConstants", "OBSERVABLES", "ObservableTable", "Scenario", "SPEED_OF_LIGHT",
-    "SystemParams", "ZenoProtocol", "ZenoResult", "analytic_survival", "catalog",
-    "closed_form_free", "concurrence_stack", "consistency_report", "dephasing_rates",
-    "dipole_coupling", "einstein_a", "find_first_maximum", "hamiltonian", "named_state",
-    "population", "pure_density", "rabi_frequency", "run_scenario", "run_zeno",
-    "superoperator", "__version__",
+    "SystemParams", "ZenoProtocol", "analytic_survival", "catalog", "concurrence_stack",
+    "consistency_report", "dephasing_rates", "dipole_coupling", "einstein_a",
+    "find_first_maximum", "hamiltonian", "named_state", "population", "pure_density",
+    "rabi_frequency", "run_scenario", "run_zeno", "superoperator", "__version__",
 ]
 
 
@@ -33,3 +32,11 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"qdimer.{name}")
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_only_integrate_binds_the_closed_form(name):
+    # the free closed form is the walk's reference, not a propagator of its own
+    module = importlib.import_module(f"qdimer.{name}")
+    assert hasattr(module, "closed_form_free") == (name == "integrate")
+    assert not hasattr(qdimer, "closed_form_free")

@@ -206,7 +206,7 @@ def per_sample_audit(params, rho0, horizon, samples):
     times = np.linspace(0.0, horizon, samples)
     derived = integrate("derived", rho0, params, times)
     published = integrate("published", rho0, params, times)
-    raw = integrate("published", rho0, params, times, closure=False, trace_guard=False)
+    raw = integrate("published", rho0, params, times, closure=False)
     pops_d = np.array([np.diag(rho).real for rho in derived])
     pops_p = np.array([np.diag(rho).real for rho in published])
     max_conc, skipped = 0.0, 0

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import fastest_rate
 
+from qdimer.cli import main
 from qdimer.liouville import SystemParams
-from qdimer.states import named_state
+from qdimer.integrate import closed_form_free
+from qdimer.states import named_state, population, pure_density
 from qdimer.zeno import MAX_MEASUREMENTS, ZenoProtocol, analytic_survival, run_zeno
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
@@ -24,17 +29,6 @@ def test_protocol_validation():
         ZenoProtocol(tau=1e-11, n_measurements=5, params=driven)
     with pytest.raises(ValueError):  # outside the Zeno window tau < 1/J
         ZenoProtocol(tau=3e-10, n_measurements=5, params=FREE)
-    with pytest.raises(ValueError):  # unnormalized target
-        ZenoProtocol(tau=1e-11, n_measurements=5, params=FREE,
-                     target=np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_protocol_rejects_non_finite_target(value):
-    # a NaN norm once passed, and run_zeno gave survival [1, nan, nan, ...]
-    with pytest.raises(ValueError, match="target state norm"):
-        ZenoProtocol(tau=1e-11, n_measurements=3, params=FREE,
-                     target=np.array([value, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, True])
@@ -65,7 +59,6 @@ def test_protocol_caps_the_measurement_count():
 def test_protocol_records_total_time():
     proto = ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE)
     assert proto.total_time == pytest.approx(1e-9)
-    assert np.allclose(proto.target, named_state("f"))  # default target
 
 
 # ---------------------------------------------------------------------------
@@ -124,32 +117,37 @@ def test_analytic_survival_rejects_non_finite_and_non_integer(name, bad):
 
 def test_single_measurement_is_cos_squared():
     proto = ZenoProtocol(tau=1e-10, n_measurements=1, params=FREE)
-    result = run_zeno(proto)
-    assert result.survival[0] == 1.0
-    assert result.survival[1] == pytest.approx(np.cos(4e9 * 1e-10) ** 2, abs=1e-10)
+    survival = run_zeno(proto)
+    assert survival[0] == 1.0
+    assert survival[1] == pytest.approx(np.cos(4e9 * 1e-10) ** 2, abs=1e-10)
 
 
 def test_run_matches_exact_law_at_every_step():
     proto = ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE)
-    result = run_zeno(proto)
+    survival = run_zeno(proto)
     p1 = np.cos(4e9 * 1e-11) ** 2
     for k in range(101):
-        assert abs(result.survival[k] - p1**k) < 1e-9, k
+        assert abs(survival[k] - p1**k) < 1e-9, k
     # projective reset makes every step identical when gamma = 0
-    assert abs(result.step_probability - p1) < 1e-12
+    assert abs(survival[1] - p1) < 1e-12
 
 
-def test_times_grid():
+def test_times_grid(tmp_path):
+    # run_zeno returns the curve alone; `zeno --out` writes it against k * tau
     proto = ZenoProtocol(tau=2e-11, n_measurements=5, params=FREE)
-    result = run_zeno(proto)
-    assert np.allclose(result.times, 2e-11 * np.arange(6))
-    assert result.survival.shape == (6,)
+    survival = run_zeno(proto)
+    assert survival.shape == (6,)
+    out = tmp_path / "z.csv"
+    assert main(["zeno", "--tau", "2e-11", "--N", "5", "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.allclose(data[:, 0], 2e-11 * np.arange(6))
+    assert np.array_equal(data[:, 1], survival)
 
 
 def test_survival_monotone_in_step_count():
     proto = ZenoProtocol(tau=1e-11, n_measurements=50, params=FREE_DEPH)
-    result = run_zeno(proto)
-    assert np.all(np.diff(result.survival) <= 0.0)
+    survival = run_zeno(proto)
+    assert np.all(np.diff(survival) <= 0.0)
 
 
 def test_more_frequent_measurement_preserves_better():
@@ -157,7 +155,7 @@ def test_more_frequent_measurement_preserves_better():
     finals = []
     for tau, n in ((1e-10, 10), (1e-11, 100), (5e-12, 200)):
         proto = ZenoProtocol(tau=tau, n_measurements=n, params=FREE)
-        finals.append(run_zeno(proto).survival[-1])
+        finals.append(run_zeno(proto)[-1])
     assert finals[0] < finals[1] < finals[2]
 
 
@@ -165,27 +163,42 @@ def test_dephasing_lowers_survival():
     params_hot = SystemParams(omega0=1.5e11, J=4.0e9, gamma=5.0e7)
     cold = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE))
     hot = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, params=params_hot))
-    assert np.all(hot.survival[1:] < cold.survival[1:])
-    assert np.all(hot.survival <= cold.survival + 1e-15)
+    assert np.all(hot[1:] < cold[1:])
+    assert np.all(hot <= cold + 1e-15)
 
 
 def test_no_coupling_means_no_decay():
     params = SystemParams(omega0=1.5e11, J=0.0, gamma=0.0)
     proto = ZenoProtocol(tau=1e-10, n_measurements=20, params=params)
-    result = run_zeno(proto)
-    assert np.allclose(result.survival, 1.0, atol=1e-12)
+    assert np.allclose(run_zeno(proto), 1.0, atol=1e-12)
 
 
-def test_extinguished_chain_raises():
-    # target (|1> + |4>)/sqrt(2) with J = 0: after tau = pi/(2 w0) the
-    # (1,4) coherence has rotated by pi and the overlap hits zero
-    omega0 = 1.0e10
-    params = SystemParams(omega0=omega0, J=0.0, gamma=0.0)
-    proto = ZenoProtocol(
-        tau=np.pi / (2.0 * omega0),
-        n_measurements=3,
-        params=params,
-        target=named_state("p"),
-    )
-    with pytest.raises(ValueError, match="extinguished"):
-        run_zeno(proto)
+@st.composite
+def zeno_windows(draw):
+    """Rates and one interval inside the Zeno window tau < 1/J, with the edge
+    cases drawn on purpose: J = 0 (no window), gamma = 0 and gamma = 2J."""
+    j = draw(st.just(0.0) | st.floats(1e6, 1e10))
+    gamma = draw(st.sampled_from((0.0, 2.0 * j)) | st.floats(0.0, 1e11))
+    params = SystemParams(omega0=draw(st.floats(1e9, 1e12)), J=j, gamma=gamma)
+    fraction = draw(st.floats(1e-6, 1.0))
+    if j == 0.0:
+        return params, fraction * 1e-6
+    return params, min(fraction / j, np.nextafter(1.0 / j, 0.0))  # the window is open
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(zeno_windows())
+def test_step_probability_stays_above_the_window_floor(window):
+    # inside the window a step keeps |f> with p > 0.2915, so the chain is never
+    # extinguished.  That floor is p's infimum 0.2915177379, approached at
+    # gamma = 0.0435 J as J tau -> 1: weak dephasing takes p below its gamma = 0
+    # value cos^2(J tau), which is >= cos^2(1) = 0.2919.  The walk's one step
+    # agrees with the closed form to the rounding of omega0 * tau radians of
+    # phase, which the closed form does not carry: the splitting drops out of
+    # <f|rho|f>
+    params, tau = window
+    p = run_zeno(ZenoProtocol(tau=tau, n_measurements=1, params=params))[1]
+    assert p > 0.2915
+    f = named_state("f")
+    exact = population(closed_form_free(pure_density(f), params, tau), f)
+    assert abs(p - exact) <= 1e-15 + 4.0 * np.finfo(float).eps * fastest_rate(params) * tau
