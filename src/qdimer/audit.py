@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import integrate_blocks
-from .liouville import SystemParams, _is_finite_number
-from .zeno import _check_samples
+from .integrate import _drained, integrate_blocks
+from .liouville import SystemParams
+from .zeno import _check_horizon, _check_samples
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -42,8 +42,6 @@ class ConsistencyReport:
     quantity actually moves.
     """
 
-    params: SystemParams
-    horizon: float
     max_population_deviation: float
     max_rho_deviation: float
     max_concurrence_deviation: float
@@ -63,8 +61,7 @@ def consistency_report(
     """Walk the derived, published and raw published runs side by side and
     reduce each block as it arrives, so no trajectory is held."""
     _check_samples(samples)
-    if not (_is_finite_number(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+    _check_horizon(horizon)
     times = np.linspace(0.0, horizon, samples)
     # in this order, so that a derived error comes before a published one
     walks = zip(
@@ -80,43 +77,33 @@ def consistency_report(
     pop23_start = None
     low, high = math.inf, -math.inf
     skipped = 0
-    error = None
-    for (_, derived), (_, published), (_, raw) in walks:
-        # an unscorable published state is skipped; a derived one is an error,
-        # raised once the walks are drained so that a trace-guard error wins
-        if error is not None:
-            continue
-        c_d = concurrence_stack(derived)
-        bad = np.flatnonzero(~c_d.valid)
-        if bad.size:
-            error = c_d.error(int(bad[0]))
-            continue
-        c_p = concurrence_stack(published)
-        skipped += int(np.count_nonzero(~c_p.valid))
-        deviation = np.abs(c_d.values - c_p.values)[c_p.valid]
-        max_conc = np.maximum(max_conc, np.max(deviation, initial=0.0))
+    # an unscorable published state is skipped; a derived one is an error
+    with _drained(walks):
+        for (_, derived), (_, published), (_, raw) in walks:
+            c_d = concurrence_stack(derived)
+            c_d.check()
+            c_p = concurrence_stack(published)
+            skipped += int(np.count_nonzero(~c_p.valid))
+            deviation = np.abs(c_d.values - c_p.values)[c_p.valid]
+            max_conc = np.maximum(max_conc, np.max(deviation, initial=0.0))
 
-        pops_d = np.diagonal(derived, axis1=1, axis2=2).real
-        pops_p = np.diagonal(published, axis1=1, axis2=2).real
-        max_pop = np.maximum(max_pop, np.max(np.abs(pops_d - pops_p)))
-        max_rho = np.maximum(max_rho, np.max(np.abs(derived - published)))
+            pops_d = np.diagonal(derived, axis1=1, axis2=2).real
+            pops_p = np.diagonal(published, axis1=1, axis2=2).real
+            max_pop = np.maximum(max_pop, np.max(np.abs(pops_d - pops_p)))
+            max_rho = np.maximum(max_rho, np.max(np.abs(derived - published)))
 
-        traces = np.trace(raw, axis1=1, axis2=2).real
-        trace_drift = np.maximum(trace_drift, np.max(np.abs(traces - 1.0)))
+            traces = np.trace(raw, axis1=1, axis2=2).real
+            trace_drift = np.maximum(trace_drift, np.max(np.abs(traces - 1.0)))
 
-        diff_p = pops_p[:, 2] - pops_p[:, 1]
-        diff_d = pops_d[:, 2] - pops_d[:, 1]
-        if pop23_start is None:
-            pop23_start = diff_p[0]
-        pop23_drift = np.maximum(pop23_drift, np.max(np.abs(diff_p - pop23_start)))
-        low = np.minimum(low, np.min(diff_d))
-        high = np.maximum(high, np.max(diff_d))
-    if error is not None:
-        raise error
+            diff_p = pops_p[:, 2] - pops_p[:, 1]
+            diff_d = pops_d[:, 2] - pops_d[:, 1]
+            if pop23_start is None:
+                pop23_start = diff_p[0]
+            pop23_drift = np.maximum(pop23_drift, np.max(np.abs(diff_p - pop23_start)))
+            low = np.minimum(low, np.min(diff_d))
+            high = np.maximum(high, np.max(diff_d))
 
     return ConsistencyReport(
-        params=params,
-        horizon=horizon,
         max_population_deviation=float(max_pop),
         max_rho_deviation=float(max_rho),
         max_concurrence_deviation=math.nan if skipped else float(max_conc),

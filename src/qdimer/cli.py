@@ -492,10 +492,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
     if args.out is not None:
         times = np.arange(n + 1, dtype=float)
         times *= args.tau  # in place, so the curve and its times are all the run holds
-        table = ObservableTable(
-            scenario="zeno", times=times, names=("survival",), data=survival[:, None]
-        )
-        emit_csv(table, args.out)
+        emit_csv(ObservableTable(times, ("survival",), survival[:, None]), args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -517,11 +514,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    constants = MolecularConstants(d0=args.d0, r=args.r, mu_eg=args.mu_eg, E_l=args.E_l or 0.0)
-    print(f"J = {dipole_coupling(constants):.6e} s^-1")
-    print(f"einstein_a = {einstein_a(constants.mu_eg, args.omega0):.6e} s^-1")
+    constants = MolecularConstants(d0=args.d0, r=args.r, mu_eg=args.mu_eg)
+    # every rate is computed, and so checked, before the first line is printed
+    rates = {"J": dipole_coupling(constants),
+             "einstein_a": einstein_a(constants.mu_eg, args.omega0)}
     if args.E_l is not None:
-        print(f"Omega = {rabi_frequency(constants.mu_eg, args.E_l):.6e} s^-1")
+        rates["Omega"] = rabi_frequency(constants.mu_eg, args.E_l)
+    for name, value in rates.items():
+        print(f"{name} = {value:.6e} s^-1")
     return 0
 
 

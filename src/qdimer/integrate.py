@@ -17,6 +17,7 @@ trajectories.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Iterator
 
@@ -136,6 +137,19 @@ def integrate_blocks(
             raise ValueError(f"the state overflowed during integration (trace drift {drift})")
         if not drift <= 1e-6:
             raise ValueError(f"trace drifted by {drift:.3e} during integration")
+
+
+@contextlib.contextmanager
+def _drained(walk: Iterator[object]) -> Iterator[None]:
+    """On a ValueError from the with block, step the rest of `walk` and re-raise
+    it, so that an error the walk raises at its end (the trace guard) takes its
+    place, as if the run were propagated whole first."""
+    try:
+        yield
+    except ValueError:
+        for _ in walk:
+            pass
+        raise
 
 
 def _block23_propagator(j: float, gamma: float, t: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ class SystemParams:
     """Rates defining one run, all in rad/s (gamma in 1/s).
 
     omega0   inversion-doublet splitting
-    delta_l  drive detuning (rotating frame); only meaningful when driven
+    delta_l  drive detuning (rotating frame); must be 0 when driven is False
     J        dipole-dipole exchange rate
     Omega    drive Rabi rate; must be 0 when driven is False
     gamma    single-molecule pure-dephasing rate
@@ -90,6 +90,8 @@ class SystemParams:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if not self.driven and self.Omega != 0.0:
             raise ValueError("Omega must be 0 when driven is False")
+        if not self.driven and self.delta_l != 0.0:
+            raise ValueError("delta_l must be 0 when driven is False")
 
     def splitting(self) -> float:
         """Diagonal splitting actually entering the generator."""

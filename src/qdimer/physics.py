@@ -32,31 +32,27 @@ DEBYE = 3.33564e-30  # C*m per Debye
 
 @dataclass(frozen=True)
 class MolecularConstants:
-    """Inputs describing one molecular species and the drive acting on it.
+    """Inputs describing one molecular species.
 
     d0     permanent dipole moment of the localized wells (C*m)
     mu_eg  transition dipole moment between doublet levels (C*m); equals d0
            in magnitude for an ideal inversion doublet
     r      intermolecular distance (m)
-    E_l    driving field amplitude (V/m)
     """
 
     d0: float
     r: float
     mu_eg: float | None = None
-    E_l: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mu_eg is None:
             object.__setattr__(self, "mu_eg", self.d0)
-        for name in ("d0", "r", "mu_eg", "E_l"):
+        for name in ("d0", "r", "mu_eg"):
             value = getattr(self, name)
             if not _is_finite_number(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if name != "E_l" and value <= 0.0:
+            if value <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if self.E_l < 0.0:
-            raise ValueError(f"E_l must be >= 0, got {self.E_l}")
 
 
 def dipole_coupling(constants: MolecularConstants) -> float:

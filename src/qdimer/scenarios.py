@@ -21,10 +21,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import integrate_blocks
+from .integrate import _drained, integrate_blocks
 from .liouville import RhsVariant, SystemParams, _is_finite_number
-from .states import named_state, population, pure_density
-from .zeno import ZenoProtocol, _check_samples, analytic_survival, run_zeno
+from .states import _checked_populations, named_state, population, pure_density
+from .zeno import ZenoProtocol, _check_horizon, _check_samples, analytic_survival, run_zeno
 
 __all__ = [
     "OBSERVABLES",
@@ -49,10 +49,10 @@ def _concurrence(rho: np.ndarray) -> np.ndarray:
 
 # each entry takes one (4, 4) state or an (N, 4, 4) stack
 OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "rho11": lambda rho: rho[..., 0, 0].real,
-    "rho22": lambda rho: rho[..., 1, 1].real,
-    "rho33": lambda rho: rho[..., 2, 2].real,
-    "rho44": lambda rho: rho[..., 3, 3].real,
+    "rho11": lambda rho: _checked_populations(rho[..., 0, 0].real),
+    "rho22": lambda rho: _checked_populations(rho[..., 1, 1].real),
+    "rho33": lambda rho: _checked_populations(rho[..., 2, 2].real),
+    "rho44": lambda rho: _checked_populations(rho[..., 3, 3].real),
     "rho_pp": _entangled_population("p"),
     "rho_ss": _entangled_population("s"),
     "rho_aa": _entangled_population("a"),
@@ -69,21 +69,13 @@ def _evaluate(
 ) -> None:
     """Fill out[k, m] = OBSERVABLES[names[m]](state k) from a block walk.
 
-    The walk is always drained before an observable error is raised, so an
-    error it raises at its end (the trace guard) takes precedence; among
-    observable errors the first block's first column wins.
+    The first block's first failing column raises, once `_drained` has
+    stepped the rest of the walk.
     """
-    error = None
-    for rows, states in walk:
-        if error is not None:
-            continue
-        try:
+    with _drained(walk):
+        for rows, states in walk:
             for m, name in enumerate(names):
                 out[rows, m] = OBSERVABLES[name](states)
-        except ValueError as exc:
-            error = exc
-    if error is not None:
-        raise error
 
 
 @dataclass(frozen=True)
@@ -110,8 +102,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.initial, str):
             raise ValueError(f"initial must be a state name, got {self.initial!r}")
-        if not (_is_finite_number(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be > 0, got {self.horizon!r}")
+        _check_horizon(self.horizon)
         _check_samples(self.samples)
         if not isinstance(self.observables, tuple):
             raise ValueError(f"observables must be a tuple of names, got {self.observables!r}")
@@ -157,7 +148,6 @@ class Scenario:
 class ObservableTable:
     """Time series of named observables; data[k, m] is names[m] at times[k]."""
 
-    scenario: str
     times: np.ndarray
     names: tuple[str, ...]
     data: np.ndarray
@@ -371,12 +361,7 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
         label = f"{tau * 1e9:g}ns"
         names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
         columns += [run_zeno(protocol)[::stride], exact, gauss]
-    return ObservableTable(
-        scenario=scenario.name,
-        times=times,
-        names=tuple(names),
-        data=np.column_stack(columns),
-    )
+    return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
 
 
 def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> ObservableTable:
@@ -401,4 +386,4 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
             t_off = _switch_trigger(scenario, variant)
         walk = _switch_off_walk(variant, rho0, scenario.params, t_off, times)
     _evaluate(names, walk, data)
-    return ObservableTable(scenario=scenario.name, times=times, names=names, data=data)
+    return ObservableTable(times=times, names=names, data=data)

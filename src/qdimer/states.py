@@ -118,15 +118,19 @@ def population(rho: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
     """Population <psi| rho |psi> of a pure state in a density matrix.
 
     rho is one (4, 4) state, giving a float, or an (N, 4, 4) stack, giving
-    one population per state.  Each value is clamped to [0, 1] when rounding
-    noise puts it within 1e-9 of either boundary; a larger excursion or a
-    non-finite value raises (for a stack, that of its first such state), since
-    it signals a broken density matrix rather than roundoff.
+    one population per state, checked by `_checked_populations`.
     """
     psi = np.asarray(psi, dtype=complex)
     amps = np.matmul(np.asarray(rho, dtype=complex), psi[:, None])
     # matmul, unlike einsum, keeps every value bit-identical to np.vdot
-    values = np.matmul(psi.conj()[None, :], amps)[..., 0, 0].real
+    return _checked_populations(np.matmul(psi.conj()[None, :], amps)[..., 0, 0].real)
+
+
+def _checked_populations(values: np.ndarray) -> float | np.ndarray:
+    """Populations clamped to [0, 1] when rounding noise puts them within 1e-9
+    of either boundary; a larger excursion or a non-finite value raises (for a
+    stack, that of its first such state), since it signals a broken density
+    matrix rather than roundoff."""
     bad = np.flatnonzero(~((values >= -_POP_TOL) & (values <= 1.0 + _POP_TOL)))
     if bad.size:
         value = float(values.flat[bad[0]])

@@ -46,6 +46,12 @@ def _check_samples(samples: object) -> None:
         raise ValueError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
 
 
+def _check_horizon(horizon: object) -> None:
+    """Refuse a horizon that is not a finite number above 0."""
+    if not (_is_finite_number(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ZenoProtocol:
     """One measurement schedule: N projections onto |f>, spaced tau.

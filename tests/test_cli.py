@@ -306,7 +306,6 @@ def test_legacy_config_with_tolerances_loads(tmp_path, capsys):
 
 def small_table():
     return ObservableTable(
-        scenario="x",
         times=np.array([0.0, 1e-9]),
         names=("a", "b"),
         data=np.array([[1.0, 0.25], [1.0 / 3.0, -2e-16]]),
@@ -349,7 +348,7 @@ def test_csv_matches_per_cell_formatting(tmp_path, rows):
     flat[: min(len(extremes), flat.size)] = extremes[: flat.size]
     flat[-1] = -0.0
     table = ObservableTable(
-        scenario="x", times=np.linspace(0.0, 1e-9, rows), names=("a", "b", "c", "d"),
+        times=np.linspace(0.0, 1e-9, rows), names=("a", "b", "c", "d"),
         data=data,
     )
     path = tmp_path / "t.csv"
@@ -385,7 +384,6 @@ def test_csv_round_trips_doubles_exactly(tmp_path):
 def test_plot_script_contents(tmp_path):
     csv_path = tmp_path / "swap.csv"
     table = ObservableTable(
-        scenario="x",
         times=np.linspace(0.0, 1e-9, 3),
         names=("C", "rho_ff"),
         data=np.zeros((3, 2)),
@@ -409,7 +407,7 @@ def test_plot_script_contents(tmp_path):
 def test_plot_script_bytes_are_pinned(tmp_path, monkeypatch):
     # spaces and single quotes stay in the double-quoted strings as they are
     monkeypatch.chdir(tmp_path)
-    table = ObservableTable(scenario="x", times=np.linspace(0.0, 1e-9, 3),
+    table = ObservableTable(times=np.linspace(0.0, 1e-9, 3),
                             names=("C", "rho_ff"), data=np.zeros((3, 2)))
     emit_csv(table, "run 1.csv")
     emit_csv(table, "it's.csv")
@@ -437,7 +435,7 @@ def test_plot_refuses_a_csv_path_gnuplot_cannot_quote(tmp_path, capsys, monkeypa
     # such a path once went into the script as it was, so loading the script
     # could run a command
     monkeypatch.chdir(tmp_path)
-    emit_csv(ObservableTable(scenario="x", times=np.array([0.0, 1e-9]), names=("C",),
+    emit_csv(ObservableTable(times=np.array([0.0, 1e-9]), names=("C",),
                              data=np.zeros((2, 1))), name)
     assert main(["plot", "--figure", "fig5b", "--csv", name, "--out", "s.gp"]) == 2
     assert capsys.readouterr() == ("", (
@@ -694,6 +692,32 @@ def test_guard_error_wins_over_observable_error(tmp_path, capsys):
     assert main(["run", "--scenario", "free_eg", "--rhs", "published", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: population")
     assert not out.exists()
+
+
+def test_bare_population_above_one_exits_2(tmp_path, capsys):
+    # the bare columns once went unchecked: this run wrote rho22 up to 398.67
+    out = tmp_path / "u.csv"
+    assert main(["run", "--scenario", "free_eg", "--rhs", "published",
+                 "--observables", "rho22,rho33", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: population 1.019928e+00 above 1 beyond tolerance\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--scenario", "free_eg", "--delta-l", "4e9"], None),
+    (["--scenario", "free_eg", "--sweep", "delta_l=1e9,2e9"], None),
+    ([], {"initial": "e1g2", "J": 4e9, "horizon": 1e-9, "delta_l": 3e9}),
+], ids=["flag", "sweep", "config"])
+def test_undriven_delta_l_exits_2(tmp_path, capsys, argv, config):
+    # an undriven run reads omega0, not delta_l, so these once ran unchanged
+    out = tmp_path / "d.csv"
+    if config is not None:
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"out": str(out), **config}))
+        argv = ["--config", str(path)]
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: delta_l must be 0 when driven is False\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unwritable_out_is_io_error(tmp_path, capsys):
@@ -992,6 +1016,16 @@ def test_constants_without_field_omits_rabi(capsys):
     out = capsys.readouterr().out
     assert "Omega" not in out
     assert "J = " in out and "einstein_a = " in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--omega0", "-1"], "omega0 must be >= 0, got -1.0"),
+    (["--E-l", "-1V/m"], "E_l must be >= 0, got -1.0"),
+])
+def test_constants_prints_nothing_before_a_bad_value(capsys, flags, message):
+    # J was once printed before the bad value exited 2
+    assert main(["constants", "--d0", "1.46D", "--r", "10nm", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_audit_command_divergent_start(capsys):

@@ -12,7 +12,7 @@ from oracles import (
     random_pure,
 )
 from qdimer import states as states_mod
-from qdimer.integrate import _exponential, closed_form_free, integrate_blocks
+from qdimer.integrate import _drained, _exponential, closed_form_free, integrate_blocks
 from qdimer.liouville import SystemParams, superoperator
 from qdimer.scenarios import catalog
 from qdimer.states import BLOCK, blocks, named_state, population, pure_density
@@ -260,6 +260,31 @@ def test_blocks_concatenate_to_the_stack(monkeypatch):
     [(rows, whole)] = integrate_blocks("derived", rho0, FREE, times)
     assert rows == slice(0, times.size)
     assert np.array_equal(stack, whole)
+
+
+@pytest.mark.parametrize("raised, at_end, expected", [
+    (ValueError("block"), None, "block"),
+    (ValueError("block"), ValueError("guard"), "guard"),
+    (KeyError("block"), ValueError("guard"), "'block'"),
+])
+def test_drained_lets_the_walks_end_error_take_a_value_errors_place(raised, at_end, expected):
+    stepped = []
+
+    def walk():
+        for k in range(4):
+            stepped.append(k)
+            yield k
+        if at_end is not None:
+            raise at_end
+
+    blocks_ = walk()
+    with pytest.raises(Exception) as info:
+        with _drained(blocks_):
+            next(blocks_)
+            raise raised
+    assert str(info.value) == expected
+    # only a ValueError steps the rest of the walk
+    assert stepped == ([0, 1, 2, 3] if isinstance(raised, ValueError) else [0])
 
 
 def test_walk_stops_at_the_first_failing_block_and_reports_the_whole_grid():

@@ -37,6 +37,15 @@ def test_params_validation():
     SystemParams(omega0=1.0, J=1.0, gamma=0.0, Omega=0.5, delta_l=-1.0, driven=True)
 
 
+@pytest.mark.parametrize("delta_l", [3e9, -1.0, 1e-300])
+def test_params_refuse_delta_l_when_undriven(delta_l):
+    # splitting() reads delta_l only in the rotating frame, so it was once ignored
+    with pytest.raises(ValueError, match="^delta_l must be 0 when driven is False$"):
+        SystemParams(omega0=1.0, J=1.0, gamma=0.0, delta_l=delta_l)
+    driven = SystemParams(omega0=1.0, J=1.0, gamma=0.0, delta_l=delta_l, driven=True)
+    assert driven.splitting() == delta_l
+
+
 @pytest.mark.parametrize("name", ["omega0", "J", "gamma", "Omega", "delta_l"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True, "4e9", None])
 def test_params_reject_non_finite(name, bad):

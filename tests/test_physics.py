@@ -75,12 +75,18 @@ def test_rabi_frequency_linear_in_field():
 
 
 @pytest.mark.parametrize("name, bad", [
-    ("E_l", np.inf), ("E_l", np.nan), ("E_l", "100"), ("mu_eg", np.nan),
+    ("E_l", np.inf), ("E_l", -np.inf), ("E_l", np.nan), ("E_l", True), ("E_l", "100"),
+    ("mu_eg", np.nan),
 ])
 def test_rabi_frequency_rejects_non_finite(name, bad):
     args = {"mu_eg": 5e-30, "E_l": 100.0, name: bad}
     with pytest.raises(ValueError, match=f"{name} must be a finite number, got {bad!r}"):
         rabi_frequency(**args)
+
+
+def test_rabi_frequency_rejects_negative_field():
+    with pytest.raises(ValueError, match="E_l must be >= 0, got -5.0"):
+        rabi_frequency(5e-30, -5.0)
 
 
 def test_field_for_typical_drive_strength():
@@ -95,14 +101,12 @@ def test_molecular_constants_validation():
         MolecularConstants(d0=-1e-30, r=1e-8)
     with pytest.raises(ValueError):
         MolecularConstants(d0=1e-30, r=0.0)
-    with pytest.raises(ValueError):
-        MolecularConstants(d0=1e-30, r=1e-8, E_l=-5.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True])
-@pytest.mark.parametrize("name", ["d0", "r", "mu_eg", "E_l"])
+@pytest.mark.parametrize("name", ["d0", "r", "mu_eg"])
 def test_molecular_constants_reject_non_finite(name, bad):
-    inputs = dict(d0=1e-30, r=1e-8, mu_eg=1e-30, E_l=1.0)
+    inputs = dict(d0=1e-30, r=1e-8, mu_eg=1e-30)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         MolecularConstants(**{**inputs, name: bad})
 

@@ -117,7 +117,6 @@ def test_scenario_samples_must_be_an_integer(bad):
 
 def test_table_column_lookup():
     table = ObservableTable(
-        scenario="x",
         times=np.array([0.0, 1.0]),
         names=("a", "b"),
         data=np.array([[1.0, 2.0], [3.0, 4.0]]),
@@ -226,7 +225,6 @@ def test_run_matches_direct_integration():
             fn = OBSERVABLES[name]
             direct = np.array([fn(rho) for rho in states])
             assert np.array_equal(table.column(name), direct), (sc.name, name)
-        assert table.scenario == sc.name
         assert np.array_equal(table.times, times)
 
 

@@ -180,10 +180,10 @@ def test_first_unphysical_state_decides_the_error():
     assert raised(OBSERVABLES["C"], rhos) == raised(OBSERVABLES["C"], NEGATIVE)
 
 
-def excess(name):
+def excess(name, i=1):
     # the existing single-state test's broken state: a pure state plus 1e-3
     rho = pure_density(named_state(name))
-    rho[1, 1] += 1e-3
+    rho[i, i] += 1e-3
     return rho
 
 
@@ -194,6 +194,10 @@ def test_unphysical_population_k_raises_its_single_state_error(k):
         ("rho_ss", excess("s"), "above 1"),
         ("rho_ff", excess("f"), "above 1"),
         ("rho_ss", -excess("s"), "below 0"),
+        ("rho11", -excess("g1g2", 0), "below 0"),
+        ("rho22", excess("g1e2"), "above 1"),
+        ("rho33", excess("e1g2", 2), "above 1"),
+        ("rho44", excess("e1e2", 3), "above 1"),
     ]:
         rhos[k] = bad
         expected = raised(OBSERVABLES[name], bad)
@@ -256,7 +260,7 @@ def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
 
 AUDIT_CASES = [
     ("e1g2", 501), ("g1e2", 501), ("f", 501), ("k", 501), ("L1L2", 501),
-    # past the current block's edges, and past three 512-state blocks
+    # one sample past three blocks, and one past six (1537 = 6 * 256 + 1)
     *(("g1e2", n) for n in sorted({3 * BLOCK + 1, 1537})),
 ]
 

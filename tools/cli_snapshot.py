@@ -1,0 +1,83 @@
+"""Run a fixed set of qdimer commands and keep everything each one produces.
+
+Usage: python tools/cli_snapshot.py SRC OUTDIR
+
+SRC is the `src` directory of a checkout, from which the package is imported;
+OUTDIR must not exist yet.  Each command runs as `python -m qdimer.cli ...` in
+a directory of its own under OUTDIR, which ends up holding the files the
+command wrote plus its stdout.txt, stderr.txt and exit.txt.  The commands write
+relative paths only, so two snapshots -- say of a parent commit and of a
+change -- compare with `diff -r`.
+
+The set: every catalog preset under both --rhs values, a drive sweep, a short
+switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
+two `constants` calls (one of them refused) and the custom run of the README.
+Only the standard library is used, and the commands run one at a time.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+STARTS = ("g1g2", "g1e2", "e1g2", "e1e2", "s", "a", "p", "q", "f", "k",
+          "L1L2", "R1R2", "L1R2", "R1L2")
+
+
+def commands(presets: list[str]) -> dict[str, list[str]]:
+    """Each command's directory name and its arguments."""
+    cmds = {
+        f"run_{name}_{rhs}": ["run", "--scenario", name, "--rhs", rhs, "--out", "out.csv"]
+        for name in presets for rhs in ("derived", "published")
+    }
+    cmds["sweep_driven_detuned_s"] = ["run", "--scenario", "driven_detuned_s",
+                                      "--sweep", "Omega=3e7,4e7,5e7", "--out", "det.csv"]
+    cmds["run_switch_off_short"] = ["run", "--scenario", "switch_off", "--horizon", "5e-7",
+                                    "--out", "out.csv"]
+    cmds["run_custom_readme"] = ["run", "--initial", "e1g2", "--J", "4e9", "--gamma", "1e7",
+                                 "--horizon", "25ns", "--out", "hot.csv"]
+    cmds.update({f"audit_{start}": ["audit", "--initial", start] for start in STARTS})
+    cmds["zeno_readme"] = ["zeno", "--tau", "0.01ns", "--T", "1ns", "--gamma", "1e6",
+                           "--out", "zeno.csv"]
+    cmds["zeno_benchmark_chain"] = ["zeno", "--tau", "1e-13", "--N", "10000", "--J", "4e9",
+                                    "--gamma", "0", "--out", "zeno.csv"]
+    cmds["zeno_long_interval"] = ["zeno", "--J", "1e3", "--tau", "10us", "--N", "10000"]
+    cmds["catalog"] = ["catalog"]
+    cmds["constants_field"] = ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1V/m"]
+    cmds["constants_bad_omega0"] = ["constants", "--d0", "1.46D", "--r", "10nm",
+                                    "--omega0", "-1"]
+    return cmds
+
+
+def run(args: list[str], cwd: str, env: dict[str, str]) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "qdimer.cli", *args], cwd=cwd, env=env,
+                          capture_output=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/cli_snapshot.py SRC OUTDIR", file=sys.stderr)
+        return 2
+    src, outdir = os.path.abspath(argv[0]), argv[1]
+    env = {**os.environ, "PYTHONPATH": src}
+    os.makedirs(outdir)
+    listing = run(["catalog"], outdir, env)
+    if listing.returncode != 0:
+        sys.stderr.write(listing.stderr.decode())
+        return 1
+    presets = [line.split(":")[0] for line in listing.stdout.decode().splitlines()]
+    for name, args in commands(presets).items():
+        cwd = os.path.join(outdir, name)
+        os.mkdir(cwd)
+        done = run(args, cwd, env)
+        for filename, data in (("stdout.txt", done.stdout), ("stderr.txt", done.stderr),
+                               ("exit.txt", f"{done.returncode}\n".encode())):
+            with open(os.path.join(cwd, filename), "wb") as fh:
+                fh.write(data)
+        print(f"{name}: exit {done.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
