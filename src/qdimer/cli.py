@@ -31,7 +31,7 @@ from .liouville import SystemParams, _is_integer
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import ObservableTable, Scenario, catalog, run_scenario
 from .states import blocks, named_state, pure_density
-from .zeno import ZenoProtocol, analytic_survival, run_zeno
+from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
 
 __all__ = ["RunConfig", "emit_csv", "emit_plot_script", "main"]
 
@@ -246,7 +246,10 @@ def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenari
     # each set field goes to the SystemParams or Scenario field of the same name
     params = {n: point[n] for n in _field_names(SystemParams) if n in point}
     fields = {n: point[n] for n in _field_names(Scenario) if n in point}
-    return replace(sc, params=replace(sc.params, **params), **fields)
+    sc = replace(sc, params=replace(sc.params, **params), **fields)
+    if sc.params.driven and "omega0" in point:
+        raise ValueError("a driven run's rotating frame reads delta_l, so it takes no omega0")
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +478,8 @@ def cmd_zeno(args: argparse.Namespace) -> int:
             raise ValueError(f"--tau must be > 0, got {args.tau:g} s")
         if not args.T > 0.0:
             raise ValueError(f"--T must be > 0, got {args.T:g} s")
-        ratio = args.T / args.tau
-        n = round(ratio)
-        if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        n = _intervals(args.T, args.tau)
+        if n is None:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")
     params = SystemParams(omega0=args.omega0, J=args.J, gamma=args.gamma)
     protocol = ZenoProtocol(tau=args.tau, n_measurements=n, params=params)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .liouville import _check_finite, _is_finite_number
 
@@ -55,6 +56,17 @@ class MolecularConstants:
                 raise ValueError(f"{name} must be > 0, got {value}")
 
 
+def _finite_rate(name: str, rate: Callable[[], float]) -> float:
+    """rate(), refused unless finite; a float ** or / that raises counts as not finite."""
+    try:
+        value = rate()
+    except (OverflowError, ZeroDivisionError):  # r**3 may also underflow to 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not a finite number for these inputs")
+    return value
+
+
 def dipole_coupling(constants: MolecularConstants) -> float:
     """Dipole-dipole exchange rate J = 2 d0^2 / (4 pi eps0 hbar r^3), in rad/s.
 
@@ -62,7 +74,8 @@ def dipole_coupling(constants: MolecularConstants) -> float:
     divided by hbar so it reads directly as the coherent exchange rate between
     the single-excitation product states.
     """
-    return 2.0 * constants.d0**2 / (4.0 * math.pi * EPSILON_0 * HBAR * constants.r**3)
+    return _finite_rate("J", lambda: 2.0 * constants.d0**2 / (
+        4.0 * math.pi * EPSILON_0 * HBAR * constants.r**3))
 
 
 def einstein_a(mu_eg: float, omega0: float) -> float:
@@ -75,7 +88,8 @@ def einstein_a(mu_eg: float, omega0: float) -> float:
     _check_finite(mu_eg=mu_eg, omega0=omega0)
     if omega0 < 0.0:
         raise ValueError(f"omega0 must be >= 0, got {omega0}")
-    return mu_eg**2 * omega0**3 / (3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3)
+    return _finite_rate("einstein_a", lambda: mu_eg**2 * omega0**3 / (
+        3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3))
 
 
 def rabi_frequency(mu_eg: float, E_l: float) -> float:
@@ -83,4 +97,4 @@ def rabi_frequency(mu_eg: float, E_l: float) -> float:
     _check_finite(mu_eg=mu_eg, E_l=E_l)
     if E_l < 0.0:
         raise ValueError(f"E_l must be >= 0, got {E_l}")
-    return abs(mu_eg) * E_l / (2.0 * HBAR)
+    return _finite_rate("Omega", lambda: abs(mu_eg) * E_l / (2.0 * HBAR))

@@ -24,7 +24,9 @@ from .concurrence import concurrence_stack
 from .integrate import _drained, integrate_blocks
 from .liouville import RhsVariant, SystemParams, _is_finite_number
 from .states import _checked_populations, named_state, population, pure_density
-from .zeno import ZenoProtocol, _check_horizon, _check_samples, analytic_survival, run_zeno
+from .zeno import (
+    ZenoProtocol, _check_horizon, _check_samples, _intervals, analytic_survival, run_zeno
+)
 
 __all__ = [
     "OBSERVABLES",
@@ -82,11 +84,11 @@ def _evaluate(
 class Scenario:
     """One named run: initial state, rates, horizon and recorded columns.
 
-    field_off_time is None (no switching), a time in seconds, or "auto",
-    which means "suppress the drive at the first maximum of the symmetric
-    population" -- the trigger is then computed from a probe run, never
-    hard-coded.  zeno_taus turns the scenario into a measurement-interval
-    sweep handled by the projection protocol instead of the integrator.
+    field_off_time is None (no switching) or "auto", which means "suppress
+    the drive at the first maximum of the symmetric population" -- the
+    trigger is computed from a probe run, never hard-coded.  zeno_taus turns
+    the scenario into a measurement-interval sweep handled by the projection
+    protocol instead of the integrator.
     """
 
     name: str
@@ -95,9 +97,8 @@ class Scenario:
     horizon: float
     observables: tuple[str, ...]
     samples: int = 2001
-    field_off_time: float | str | None = None
+    field_off_time: str | None = None
     zeno_taus: tuple[float, ...] = ()
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not isinstance(self.initial, str):
@@ -116,32 +117,26 @@ class Scenario:
         repeated = sorted({n for n in self.observables if self.observables.count(n) > 1})
         if repeated:
             raise ValueError(f"observables {repeated} are listed more than once")
-        off = self.field_off_time
-        if off is not None:
+        if self.field_off_time is not None:
             if not self.params.driven:
                 raise ValueError("field_off_time requires a driven scenario")
-            if isinstance(off, str):
-                if off != "auto":
-                    raise ValueError(f"field_off_time must be a time or 'auto', got {off!r}")
-                if self.params.Omega <= 0.0:
-                    raise ValueError("automatic switch-off needs a nonzero drive")
-            elif not (_is_finite_number(off) and 0.0 < off < self.horizon):
-                raise ValueError(f"field_off_time {off!r} not inside (0, horizon)")
+            if self.field_off_time != "auto":
+                raise ValueError(f"field_off_time must be 'auto', got {self.field_off_time!r}")
+            if self.params.Omega <= 0.0:
+                raise ValueError("automatic switch-off needs a nonzero drive")
         if self.zeno_taus:
             if not all(_is_finite_number(tau) and tau > 0.0 for tau in self.zeno_taus):
                 raise ValueError(f"zeno_taus must all be > 0, got {self.zeno_taus!r}")
             grid = max(self.zeno_taus)
             for tau in self.zeno_taus:
                 for label, total in (("grid interval", grid), ("horizon", self.horizon)):
-                    ratio = total / tau
-                    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+                    n = _intervals(total, tau)
+                    if n is None:
                         raise ValueError(
                             f"zeno tau {tau} does not divide the {label} {total}"
                         )
-                # the protocol the run builds checks free evolution and the Zeno window
-                ZenoProtocol(
-                    tau=tau, n_measurements=round(self.horizon / tau), params=self.params
-                )
+                # n is the horizon's count; its protocol checks free evolution and the Zeno window
+                ZenoProtocol(tau=tau, n_measurements=n, params=self.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +172,6 @@ def catalog() -> list[Scenario]:
             horizon=5e-9,
             observables=("rho11", "rho22", "rho33", "rho44", "rho_ff", "rho_kk", "C"),
             samples=2001,
-            description="free excitation swap, one molecule initially excited",
         ),
         Scenario(
             name="free_LL",
@@ -186,7 +180,6 @@ def catalog() -> list[Scenario]:
             horizon=5e-9,
             observables=("rho_pp", "rho_qq", "rho_ss", "rho_aa", "re_rho23", "C"),
             samples=5001,
-            description="both molecules in the same localized conformation",
         ),
         Scenario(
             name="free_LR",
@@ -195,7 +188,6 @@ def catalog() -> list[Scenario]:
             horizon=5e-9,
             observables=("rho_pp", "rho_qq", "rho_ss", "rho_aa", "re_rho23", "C"),
             samples=5001,
-            description="molecules in opposite localized conformations",
         ),
         Scenario(
             name="driven_resonant",
@@ -204,7 +196,6 @@ def catalog() -> list[Scenario]:
             horizon=5e-6,
             observables=("rho11", "rho44", "rho_ss", "rho_aa", "C"),
             samples=2001,
-            description="resonant drive of the doubly excited pair",
         ),
         Scenario(
             name="driven_detuned_s",
@@ -213,7 +204,6 @@ def catalog() -> list[Scenario]:
             horizon=2e-7,
             observables=pair_detail,
             samples=2001,
-            description="drive detuned onto the symmetric state",
         ),
         Scenario(
             name="driven_detuned_a",
@@ -222,7 +212,6 @@ def catalog() -> list[Scenario]:
             horizon=2e-7,
             observables=pair_detail,
             samples=2001,
-            description="drive detuned onto the antisymmetric state (forbidden)",
         ),
         Scenario(
             name="switch_off",
@@ -232,7 +221,6 @@ def catalog() -> list[Scenario]:
             observables=pair_detail,
             samples=3001,
             field_off_time="auto",
-            description="suppress the drive at the first symmetric-population maximum",
         ),
         Scenario(
             name="switch_off_gamma1e5",
@@ -242,7 +230,6 @@ def catalog() -> list[Scenario]:
             observables=pair_detail,
             samples=3001,
             field_off_time="auto",
-            description="switch_off with tenfold slower dephasing",
         ),
         Scenario(
             name="zeno_sweep",
@@ -251,7 +238,6 @@ def catalog() -> list[Scenario]:
             horizon=1e-9,
             observables=(),
             zeno_taus=(1e-10, 1e-11, 5e-12),
-            description="survival under repeated projection, one column set per interval",
         ),
     ]
 
@@ -346,14 +332,13 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
     gaussian frequent-measurement approximation.
     """
     grid = max(scenario.zeno_taus)
-    n_rows = round(scenario.horizon / grid)
+    n_rows = _intervals(scenario.horizon, grid)
     times = grid * np.arange(n_rows + 1)
     names: list[str] = []
     columns: list[np.ndarray] = []
     for tau in scenario.zeno_taus:
-        stride = round(grid / tau)
-        n_total = round(scenario.horizon / tau)
-        protocol = ZenoProtocol(tau=tau, n_measurements=n_total, params=scenario.params)
+        stride = _intervals(grid, tau)
+        protocol = ZenoProtocol(tau=tau, n_measurements=n_rows * stride, params=scenario.params)
         exact = np.empty(n_rows + 1)
         gauss = np.empty(n_rows + 1)
         for r in range(n_rows + 1):
@@ -381,9 +366,7 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
     if scenario.field_off_time is None:
         walk = integrate_blocks(variant, rho0, scenario.params, times)
     else:
-        t_off = scenario.field_off_time
-        if isinstance(t_off, str):
-            t_off = _switch_trigger(scenario, variant)
+        t_off = _switch_trigger(scenario, variant)
         walk = _switch_off_walk(variant, rho0, scenario.params, t_off, times)
     _evaluate(names, walk, data)
     return ObservableTable(times=times, names=names, data=data)

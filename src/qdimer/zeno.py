@@ -22,17 +22,11 @@ from .integrate import integrate_blocks
 from .liouville import SystemParams, _check_finite, _is_finite_number, _is_integer
 from .states import named_state, population, pure_density
 
-__all__ = ["MAX_MEASUREMENTS", "MAX_SAMPLES", "ZenoProtocol", "run_zeno", "analytic_survival"]
+__all__ = ["MAX_SAMPLES", "ZenoProtocol", "run_zeno", "analytic_survival"]
 
-# run_zeno returns the whole survival curve, 8 bytes per measurement, and
-# `zeno --out` adds its times, 8 more, so ZenoProtocol refuses more than this
-# many before anything is allocated: at most 160 MB
-MAX_MEASUREMENTS = 10**7
-
-# run_scenario holds its times and its table, 8 bytes per sample for the times
-# and for each column, and consistency_report its times, so Scenario and
-# consistency_report refuse more samples than this before anything is
-# allocated: at most 80 MB for the times and 80 MB per column
+# every series a command holds whole (run_scenario's times and columns, the audit's
+# times, run_zeno's survival curve and the times `zeno --out` adds) takes 8 B per entry,
+# so Scenario, consistency_report and ZenoProtocol refuse more: at most 80 MB a series
 MAX_SAMPLES = 10**7
 
 
@@ -44,6 +38,16 @@ def _check_samples(samples: object) -> None:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
+
+
+def _intervals(total: float, tau: float) -> int | None:
+    """The whole number of tau intervals in total, to 1e-9 relative, or None."""
+    ratio = total / tau
+    if not math.isfinite(ratio):
+        raise ValueError(f"tau = {tau:.3e} s asks for more than 1e308 measurements, "
+                         f"above the cap of {MAX_SAMPLES}")
+    n = round(ratio)
+    return n if n >= 1 and abs(ratio - n) <= 1e-9 * ratio else None
 
 
 def _check_horizon(horizon: object) -> None:
@@ -73,13 +77,13 @@ class ZenoProtocol:
             raise ValueError(f"n_measurements must be an integer, got {self.n_measurements!r}")
         if self.n_measurements < 1:
             raise ValueError(f"need at least one measurement, got {self.n_measurements}")
-        if self.n_measurements > MAX_MEASUREMENTS:
+        if self.n_measurements > MAX_SAMPLES:
             count = str(self.n_measurements)
             if len(count) > 15:  # the int may be too large for a float
                 count = f"{count[0]}.{count[1:4]}e+{len(count) - 1}"
             raise ValueError(
                 f"tau = {self.tau:.3e} s asks for {count} measurements, above the cap "
-                f"of {MAX_MEASUREMENTS}"
+                f"of {MAX_SAMPLES}"
             )
         if self.params.Omega != 0.0:
             raise ValueError("zeno protocol requires free evolution (Omega = 0)")

@@ -179,7 +179,7 @@ CUSTOM_JSON = """{
   "horizon": 2e-07,
   "initial": "e1g2",
   "observables": null,
-  "omega0": 100000000000.0,
+  "omega0": null,
   "out": "custom.csv",
   "rhs": "derived",
   "samples": 11,
@@ -195,7 +195,7 @@ def test_config_json_text_is_pinned():
     preset = RunConfig(out="eg.csv", scenario="free_eg", gamma=2e6, horizon=1e-9, samples=21,
                        observables=("rho11", "C"), rhs="published", sweep_param="J",
                        sweep_values=(1e9, 2.5e9))
-    custom = RunConfig(out="custom.csv", initial="e1g2", J=4e9, omega0=1e11, delta_l=-4e7,
+    custom = RunConfig(out="custom.csv", initial="e1g2", J=4e9, delta_l=-4e7,
                        Omega=3e7, driven=True, horizon=2e-7, samples=11)
     assert preset.to_json() == PRESET_SWEEP_JSON
     assert custom.to_json() == CUSTOM_JSON
@@ -720,6 +720,25 @@ def test_undriven_delta_l_exits_2(tmp_path, capsys, argv, config):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--scenario", "driven_detuned_s", "--samples", "11", "--omega0", "1e9"], None),
+    (["--scenario", "driven_detuned_s", "--samples", "11", "--sweep", "omega0=1e9,2e9"], None),
+    ([], {"initial": "e1g2", "J": 4e9, "Omega": 3e7, "driven": True, "horizon": 1e-9,
+          "samples": 11, "omega0": 1e11}),
+], ids=["flag", "sweep", "config"])
+def test_driven_omega0_exits_2(tmp_path, capsys, argv, config):
+    # a driven run reads delta_l, not omega0, so these once ran unchanged
+    out = tmp_path / "d.csv"
+    if config is not None:
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"out": str(out), **config}))
+        argv = ["--config", str(path)]
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a driven run's rotating frame reads delta_l, so it takes no omega0\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unwritable_out_is_io_error(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(run_args(out)) == 4
@@ -1002,6 +1021,19 @@ def test_zeno_count_above_the_cap_exits_2(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, tau", [
+    (["zeno", "--tau", "1e-300", "--T", "1e10", "--out", "z.csv"], "1.000e-300"),
+    (["run", "--scenario", "zeno_sweep", "--horizon", "1e300", "--out", "z.csv"], "1.000e-10"),
+], ids=["zeno", "zeno_sweep"])
+def test_tau_ratio_that_overflows_exits_2(tmp_path, monkeypatch, capsys, argv, tau):
+    # T / tau = 1e310 overflows to inf, which once ended in an OverflowError traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: tau = {tau} s asks for more than 1e308 "
+                                       "measurements, above the cap of 10000000\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_constants_command(capsys):
     code = main(["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1V/m"])
     assert code == 0
@@ -1026,6 +1058,20 @@ def test_constants_prints_nothing_before_a_bad_value(capsys, flags, message):
     # J was once printed before the bad value exited 2
     assert main(["constants", "--d0", "1.46D", "--r", "10nm", *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags, rate", [
+    (["--r", "1e-300m"], "J"),
+    (["--r", "1e300"], "J"),
+    (["--d0", "1e300"], "J"),
+    (["--mu-eg", "1e300"], "einstein_a"),
+    (["--omega0", "1e300"], "einstein_a"),
+    (["--mu-eg", "1e150", "--omega0", "0", "--E-l", "1e160"], "Omega"),
+])
+def test_constants_rate_that_is_not_finite_exits_2(capsys, flags, rate):
+    # the first five once ended in a ZeroDivisionError or OverflowError traceback
+    assert main(["constants", "--d0", "1.46D", "--r", "10nm", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {rate} is not a finite number for these inputs\n")
 
 
 def test_audit_command_divergent_start(capsys):
@@ -1066,6 +1112,34 @@ def test_audit_command_rejects_bad_ranges(capsys, flags, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+_RUN_UNIT_FLAGS = ("--horizon", "--omega0", "--J", "--Omega", "--gamma", "--delta-l")
+# each command's base arguments and the unit-bearing flags it takes
+_UNIT_FLAG_COMMANDS = {
+    "run-driven": (["run", "--scenario", "driven_detuned_s", "--samples", "11"],
+                   _RUN_UNIT_FLAGS),
+    "run-free": (["run", "--scenario", "free_eg", "--samples", "11"], _RUN_UNIT_FLAGS),
+    "run-zeno_sweep": (["run", "--scenario", "zeno_sweep"], _RUN_UNIT_FLAGS),
+    "zeno-N": (["zeno", "--tau", "1e-11", "--N", "10"], ("--tau", "--J", "--gamma", "--omega0")),
+    "zeno-T": (["zeno", "--tau", "1e-11", "--T", "1e-10"],
+               ("--tau", "--T", "--J", "--gamma", "--omega0")),
+    "audit": (["audit", "--samples", "11"], ("--horizon", "--omega0", "--J", "--gamma")),
+    "constants": (["constants", "--d0", "1.46D", "--r", "10nm"],
+                  ("--d0", "--r", "--mu-eg", "--omega0", "--E-l")),
+}
+
+
+@pytest.mark.parametrize("value", ["1e-300", "1e300", "-1e300"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in _UNIT_FLAG_COMMANDS.items() for flag in flags
+])
+def test_no_flag_value_escapes_main(tmp_path, monkeypatch, capsys, command, flag, value):
+    # extreme values once escaped as OverflowError and ZeroDivisionError tracebacks
+    monkeypatch.chdir(tmp_path)
+    base, _ = _UNIT_FLAG_COMMANDS[command]
+    out = ["--out", "o.csv"] if base[0] == "run" else []
+    assert main([*base, *out, flag, value]) in (0, 2)
 
 
 # ---------------------------------------------------------------------------

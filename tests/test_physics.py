@@ -89,6 +89,24 @@ def test_rabi_frequency_rejects_negative_field():
         rabi_frequency(5e-30, -5.0)
 
 
+@pytest.mark.parametrize("rate, name", [
+    # r**3 underflows to 0 (ZeroDivisionError), or a power overflows (OverflowError)
+    (lambda: dipole_coupling(MolecularConstants(d0=REF.d0, r=1e-300)), "J"),
+    (lambda: dipole_coupling(MolecularConstants(d0=REF.d0, r=1e300)), "J"),
+    (lambda: dipole_coupling(MolecularConstants(d0=1e300, r=REF.r)), "J"),
+    (lambda: einstein_a(1e300, 1.5e11), "einstein_a"),
+    (lambda: einstein_a(REF.mu_eg, 1e300), "einstein_a"),
+    # a finite product that rounds to inf, with no exception raised
+    (lambda: einstein_a(1e150, 1e100), "einstein_a"),
+    (lambda: rabi_frequency(1e300, 1e300), "Omega"),
+], ids=["J-tiny-r", "J-huge-r", "J-huge-d0", "A-huge-mu", "A-huge-omega0", "A-inf-product",
+        "Omega-inf-product"])
+def test_rates_refuse_a_value_that_is_not_finite(rate, name):
+    # these once raised ZeroDivisionError or OverflowError, or returned inf
+    with pytest.raises(ValueError, match=f"^{name} is not a finite number for these inputs$"):
+        rate()
+
+
 def test_field_for_typical_drive_strength():
     # the drive strengths used in the presets need desk-scale fields
     mu = REF.mu_eg

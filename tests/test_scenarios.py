@@ -197,6 +197,11 @@ def test_first_maximum_boundary_and_errors():
 # ---------------------------------------------------------------------------
 # running presets
 
+def switch_at(monkeypatch, t_off):
+    """Place the automatic switch-off at t_off instead of the found maximum."""
+    monkeypatch.setattr(scenarios_mod, "_switch_trigger", lambda scenario, variant: t_off)
+
+
 def direct_states(sc, times):
     """The states run_scenario evaluates, from whole-stack integrate runs:
     the switch-off joins a driven run to t_off and a free run from its state."""
@@ -233,13 +238,15 @@ def test_run_matches_direct_integration():
     [2.95001e-8, 3.0e-8, "auto", "two_blocks"],
     ids=["off_grid", "on_grid", "auto", "two_blocks"],
 )
-def test_switch_off_walk_matches_direct_integration(t_off):
+def test_switch_off_walk_matches_direct_integration(t_off, monkeypatch):
     # the driven segment spans blocks and ends inside one, on or off the grid;
     # at "two_blocks" exactly 2 * BLOCK samples lie at or before the switch, so
     # the appended t_off state sits alone in the driven walk's last block
     horizon, samples = 6e-8, 1601
     if t_off == "two_blocks":
         t_off = (2 * BLOCK - 0.5) * horizon / (samples - 1)
+    if t_off != "auto":
+        switch_at(monkeypatch, t_off)
     sc = Scenario(
         name="switch_blocks",
         initial="e1e2",
@@ -247,12 +254,11 @@ def test_switch_off_walk_matches_direct_integration(t_off):
         horizon=horizon,
         observables=("rho44", "rho_ss", "C"),
         samples=samples,
-        field_off_time=t_off,
+        field_off_time="auto",
     )
     table = run_scenario(sc)
     states = direct_states(sc, table.times)
-    if t_off == "auto":
-        t_off = scenarios_mod._switch_trigger(sc, "derived")
+    t_off = scenarios_mod._switch_trigger(sc, "derived")
     assert np.count_nonzero(table.times <= t_off) > BLOCK
     for name in sc.observables:
         assert np.array_equal(table.column(name), OBSERVABLES[name](states)), name
@@ -270,6 +276,7 @@ def test_switch_off_free_walk_error_beats_a_driven_observable_error(monkeypatch)
         return rho[..., 0, 0].real
 
     monkeypatch.setitem(OBSERVABLES, "fails_first", fails_first)
+    switch_at(monkeypatch, 3.0e-8)
     sc = Scenario(
         name="switch_errors",
         initial="e1e2",
@@ -277,7 +284,7 @@ def test_switch_off_free_walk_error_beats_a_driven_observable_error(monkeypatch)
         horizon=6e-8,
         observables=("fails_first", "rho44"),
         samples=1601,
-        field_off_time=3.0e-8,
+        field_off_time="auto",
     )
     with pytest.raises(ValueError, match="driven observable"):
         run_scenario(sc)
@@ -379,7 +386,8 @@ def test_detuned_drive_reaches_symmetric_state():
     assert np.max(np.abs(table.column("rho_ss") - recon)) < 1e-9
 
 
-def test_switch_off_freezes_corner_populations():
+def test_switch_off_freezes_corner_populations(monkeypatch):
+    switch_at(monkeypatch, 3e-8)
     sc = Scenario(
         name="switch_test",
         initial="e1e2",
@@ -387,7 +395,7 @@ def test_switch_off_freezes_corner_populations():
         horizon=6e-8,
         observables=("rho11", "rho44", "rho_ss", "rho_aa", "C"),
         samples=601,
-        field_off_time=3e-8,
+        field_off_time="auto",
     )
     table = run_scenario(sc)
     after = table.times > 3e-8
@@ -436,7 +444,8 @@ def test_switch_off_trigger_without_a_peak_in_a_full_swap_period():
     )
 
 
-def test_switch_off_with_off_grid_time():
+def test_switch_off_with_off_grid_time(monkeypatch):
+    switch_at(monkeypatch, 2.95001e-8)
     sc = Scenario(
         name="switch_offgrid",
         initial="e1e2",
@@ -444,7 +453,7 @@ def test_switch_off_with_off_grid_time():
         horizon=6e-8,
         observables=("rho44",),
         samples=301,
-        field_off_time=2.95001e-8,
+        field_off_time="auto",
     )
     table = run_scenario(sc)
     assert table.times.shape == (301,)

@@ -8,7 +8,7 @@ from qdimer.cli import main
 from qdimer.liouville import SystemParams
 from qdimer.integrate import closed_form_free
 from qdimer.states import named_state, population, pure_density
-from qdimer.zeno import MAX_MEASUREMENTS, ZenoProtocol, analytic_survival, run_zeno
+from qdimer.zeno import MAX_SAMPLES, ZenoProtocol, analytic_survival, run_zeno
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
 FREE_DEPH = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
@@ -47,8 +47,8 @@ def test_protocol_n_measurements_must_be_integer(bad):
 def test_protocol_caps_the_measurement_count():
     # run_zeno allocates the whole survival curve, so the count is refused
     # before anything is allocated; constructing the protocol allocates nothing
-    assert ZenoProtocol(tau=1e-11, n_measurements=MAX_MEASUREMENTS, params=FREE)
-    for n, count in [(MAX_MEASUREMENTS + 1, "10000001"), (10**291, "1.000e+291")]:
+    assert ZenoProtocol(tau=1e-11, n_measurements=MAX_SAMPLES, params=FREE)
+    for n, count in [(MAX_SAMPLES + 1, "10000001"), (10**291, "1.000e+291")]:
         with pytest.raises(ValueError) as err:
             ZenoProtocol(tau=1e-11, n_measurements=n, params=FREE)
         assert str(err.value) == (

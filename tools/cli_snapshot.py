@@ -11,7 +11,9 @@ change -- compare with `diff -r`.
 
 The set: every catalog preset under both --rhs values, a drive sweep, a short
 switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
-two `constants` calls (one of them refused) and the custom run of the README.
+two `constants` calls (one of them refused), the custom run of the README, and
+four refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio overflows,
+`--omega0` on a driven run, and a `constants` distance whose cube underflows.
 Only the standard library is used, and the commands run one at a time.
 """
 
@@ -47,6 +49,13 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["constants_field"] = ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1V/m"]
     cmds["constants_bad_omega0"] = ["constants", "--d0", "1.46D", "--r", "10nm",
                                     "--omega0", "-1"]
+    cmds["zeno_tau_ratio_overflow"] = ["zeno", "--tau", "1e-300", "--T", "1e10",
+                                       "--out", "zeno.csv"]
+    cmds["run_zeno_sweep_horizon_overflow"] = ["run", "--scenario", "zeno_sweep",
+                                               "--horizon", "1e300", "--out", "out.csv"]
+    cmds["run_driven_omega0"] = ["run", "--scenario", "driven_detuned_s", "--samples", "11",
+                                 "--omega0", "1e9", "--out", "out.csv"]
+    cmds["constants_tiny_r"] = ["constants", "--d0", "1.46D", "--r", "1e-300m"]
     return cmds
 
 
