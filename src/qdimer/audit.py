@@ -19,8 +19,7 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import _drained, integrate_blocks
-from .liouville import SystemParams
-from .zeno import _check_horizon, _check_samples
+from .liouville import SystemParams, _check_positive, _check_samples
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -61,7 +60,7 @@ def consistency_report(
     """Walk the derived, published and raw published runs side by side and
     reduce each block as it arrives, so no trajectory is held."""
     _check_samples(samples)
-    _check_horizon(horizon)
+    _check_positive("horizon", horizon)
     times = np.linspace(0.0, horizon, samples)
     # in this order, so that a derived error comes before a published one
     walks = zip(

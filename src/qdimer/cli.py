@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .audit import consistency_report
-from .liouville import SystemParams, _is_integer
+from .liouville import SystemParams, _check_positive, _is_integer
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import ObservableTable, Scenario, catalog, run_scenario
 from .states import blocks, named_state, pure_density
@@ -474,10 +474,8 @@ def cmd_zeno(args: argparse.Namespace) -> int:
     if args.N is not None:
         n = args.N
     else:
-        if not args.tau > 0.0:
-            raise ValueError(f"--tau must be > 0, got {args.tau:g} s")
-        if not args.T > 0.0:
-            raise ValueError(f"--T must be > 0, got {args.T:g} s")
+        _check_positive("--tau", args.tau)
+        _check_positive("--T", args.T)
         n = _intervals(args.T, args.tau)
         if n is None:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")

@@ -25,13 +25,14 @@ vectorization of rho.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 __all__ = [
+    "MAX_SAMPLES",
     "SystemParams",
     "RhsVariant",
     "hamiltonian",
@@ -43,20 +44,59 @@ RhsVariant = Literal["derived", "published"]
 _VARIANTS = ("derived", "published")
 
 
-# the type rules of every run value, shared by the types that hold them
-def _is_finite_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+# every series a command holds whole (run_scenario's times and columns, the audit's
+# times, run_zeno's survival curve and the times `zeno --out` adds) takes 8 B per entry,
+# so Scenario, consistency_report and ZenoProtocol refuse more: at most 80 MB a series
+MAX_SAMPLES = 10**7
 
 
+# the rules of every run value, shared by the types and functions that take them
 def _is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: object) -> bool:
+    # compared, not converted: float() of an int past the float range raises OverflowError
+    return (_is_integer(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _shown(value: object) -> str:
+    """repr(value), but an int of more than 15 digits as its first four (1.000e+400)."""
+    if not (_is_integer(value) and abs(value) >= 10**15):
+        return repr(value)
+    digits = str(abs(value))
+    return f"{'-' * (value < 0)}{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
 
 
 def _check_finite(**values: object) -> None:
     """Refuse, by its name, the first value that is not a finite number."""
     for name, value in values.items():
         if not _is_finite_number(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+            raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
+
+
+def _check_nonnegative(**values: object) -> None:
+    """Refuse, by its name, the first value that is not a finite number >= 0."""
+    for name, value in values.items():
+        _check_finite(**{name: value})
+        if value < 0.0:
+            raise ValueError(f"{name} must be >= 0, got {_shown(value)}")
+
+
+def _check_positive(name: str, value: object) -> None:
+    """Refuse a value that is not a finite number above 0."""
+    if not (_is_finite_number(value) and value > 0.0):
+        raise ValueError(f"{name} must be > 0, got {_shown(value)}")
+
+
+def _check_samples(samples: object) -> None:
+    """Refuse a sample count that is not an integer from 2 to MAX_SAMPLES."""
+    if not _is_integer(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {_shown(samples)}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{_shown(samples)} samples are above the cap of {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -82,12 +122,8 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not isinstance(self.driven, bool):
             raise ValueError(f"driven must be True or False, got {self.driven!r}")
-        for name in ("omega0", "J", "gamma", "Omega", "delta_l"):
-            value = getattr(self, name)
-            if not _is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            if name != "delta_l" and value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        _check_nonnegative(omega0=self.omega0, J=self.J, gamma=self.gamma, Omega=self.Omega)
+        _check_finite(delta_l=self.delta_l)
         if not self.driven and self.Omega != 0.0:
             raise ValueError("Omega must be 0 when driven is False")
         if not self.driven and self.delta_l != 0.0:
@@ -124,9 +160,7 @@ def dephasing_rates(gamma: float) -> np.ndarray:
     Diagonal elements are untouched, single-flip coherences decay at gamma,
     double-flip coherences (1,4) and (2,3) at 2*gamma.
     """
-    _check_finite(gamma=gamma)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_nonnegative(gamma=gamma)
     # sigma_z eigenvalues per molecule in the bare ordering
     z1 = np.array([-1.0, -1.0, 1.0, 1.0])
     z2 = np.array([-1.0, 1.0, -1.0, 1.0])

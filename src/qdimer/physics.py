@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .liouville import _check_finite, _is_finite_number
+from .liouville import _check_finite, _check_nonnegative, _is_finite_number, _shown
 
 __all__ = [
     "HBAR",
@@ -51,9 +51,9 @@ class MolecularConstants:
         for name in ("d0", "r", "mu_eg"):
             value = getattr(self, name)
             if not _is_finite_number(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {_shown(value)}")
             if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+                raise ValueError(f"{name} must be > 0, got {_shown(value)}")
 
 
 def _finite_rate(name: str, rate: Callable[[], float]) -> float:
@@ -85,16 +85,14 @@ def einstein_a(mu_eg: float, omega0: float) -> float:
     many orders of magnitude slower than every other rate in the model, which
     is why radiative decay is dropped from the dynamics.
     """
-    _check_finite(mu_eg=mu_eg, omega0=omega0)
-    if omega0 < 0.0:
-        raise ValueError(f"omega0 must be >= 0, got {omega0}")
+    _check_finite(mu_eg=mu_eg)
+    _check_nonnegative(omega0=omega0)
     return _finite_rate("einstein_a", lambda: mu_eg**2 * omega0**3 / (
         3.0 * math.pi * HBAR * EPSILON_0 * SPEED_OF_LIGHT**3))
 
 
 def rabi_frequency(mu_eg: float, E_l: float) -> float:
     """Drive Rabi rate Omega = |mu_eg| E_l / (2 hbar), in rad/s."""
-    _check_finite(mu_eg=mu_eg, E_l=E_l)
-    if E_l < 0.0:
-        raise ValueError(f"E_l must be >= 0, got {E_l}")
+    _check_finite(mu_eg=mu_eg)
+    _check_nonnegative(E_l=E_l)
     return _finite_rate("Omega", lambda: abs(mu_eg) * E_l / (2.0 * HBAR))

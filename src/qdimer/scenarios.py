@@ -22,11 +22,9 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import _drained, integrate_blocks
-from .liouville import RhsVariant, SystemParams, _is_finite_number
+from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples
 from .states import _checked_populations, named_state, population, pure_density
-from .zeno import (
-    ZenoProtocol, _check_horizon, _check_samples, _intervals, analytic_survival, run_zeno
-)
+from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
 
 __all__ = [
     "OBSERVABLES",
@@ -103,7 +101,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.initial, str):
             raise ValueError(f"initial must be a state name, got {self.initial!r}")
-        _check_horizon(self.horizon)
+        _check_positive("horizon", self.horizon)
         _check_samples(self.samples)
         if not isinstance(self.observables, tuple):
             raise ValueError(f"observables must be a tuple of names, got {self.observables!r}")
@@ -125,8 +123,8 @@ class Scenario:
             if self.params.Omega <= 0.0:
                 raise ValueError("automatic switch-off needs a nonzero drive")
         if self.zeno_taus:
-            if not all(_is_finite_number(tau) and tau > 0.0 for tau in self.zeno_taus):
-                raise ValueError(f"zeno_taus must all be > 0, got {self.zeno_taus!r}")
+            for tau in self.zeno_taus:
+                _check_positive("zeno_taus", tau)
             grid = max(self.zeno_taus)
             for tau in self.zeno_taus:
                 for label, total in (("grid interval", grid), ("horizon", self.horizon)):

@@ -19,25 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import integrate_blocks
-from .liouville import SystemParams, _check_finite, _is_finite_number, _is_integer
+from .liouville import (
+    MAX_SAMPLES, SystemParams, _check_nonnegative, _check_positive, _is_integer, _shown
+)
 from .states import named_state, population, pure_density
 
-__all__ = ["MAX_SAMPLES", "ZenoProtocol", "run_zeno", "analytic_survival"]
-
-# every series a command holds whole (run_scenario's times and columns, the audit's
-# times, run_zeno's survival curve and the times `zeno --out` adds) takes 8 B per entry,
-# so Scenario, consistency_report and ZenoProtocol refuse more: at most 80 MB a series
-MAX_SAMPLES = 10**7
-
-
-def _check_samples(samples: object) -> None:
-    """Refuse a sample count that is not an integer from 2 to MAX_SAMPLES."""
-    if not _is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"{samples} samples are above the cap of {MAX_SAMPLES}")
+__all__ = ["ZenoProtocol", "run_zeno", "analytic_survival"]
 
 
 def _intervals(total: float, tau: float) -> int | None:
@@ -48,12 +35,6 @@ def _intervals(total: float, tau: float) -> int | None:
                          f"above the cap of {MAX_SAMPLES}")
     n = round(ratio)
     return n if n >= 1 and abs(ratio - n) <= 1e-9 * ratio else None
-
-
-def _check_horizon(horizon: object) -> None:
-    """Refuse a horizon that is not a finite number above 0."""
-    if not (_is_finite_number(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,20 +52,14 @@ class ZenoProtocol:
     params: SystemParams
 
     def __post_init__(self) -> None:
-        if not (_is_finite_number(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be > 0, got {self.tau!r}")
+        _check_positive("tau", self.tau)
         if not _is_integer(self.n_measurements):
             raise ValueError(f"n_measurements must be an integer, got {self.n_measurements!r}")
         if self.n_measurements < 1:
-            raise ValueError(f"need at least one measurement, got {self.n_measurements}")
+            raise ValueError(f"need at least one measurement, got {_shown(self.n_measurements)}")
         if self.n_measurements > MAX_SAMPLES:
-            count = str(self.n_measurements)
-            if len(count) > 15:  # the int may be too large for a float
-                count = f"{count[0]}.{count[1:4]}e+{len(count) - 1}"
-            raise ValueError(
-                f"tau = {self.tau:.3e} s asks for {count} measurements, above the cap "
-                f"of {MAX_SAMPLES}"
-            )
+            raise ValueError(f"tau = {self.tau:.3e} s asks for {_shown(self.n_measurements)} "
+                             f"measurements, above the cap of {MAX_SAMPLES}")
         if self.params.Omega != 0.0:
             raise ValueError("zeno protocol requires free evolution (Omega = 0)")
         if self.params.J > 0.0 and self.tau >= 1.0 / self.params.J:
@@ -124,13 +99,10 @@ def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:
     J tau ~ 0.4 it overshoots the exact product noticeably, which is part of
     what a sweep report is expected to show.
     """
-    _check_finite(J=j, tau=tau)
-    if j < 0.0 or tau < 0.0:
-        raise ValueError("J and tau must be >= 0")
+    _check_nonnegative(J=j, tau=tau)
     if not _is_integer(n):
         raise ValueError(f"measurement count must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"measurement count must be >= 0, got {n}")
+    _check_nonnegative(n=n)
     if n == 0:
         return 1.0, 1.0
     c = math.cos(j * tau)

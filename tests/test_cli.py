@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qdimer
 from qdimer import cli, states
@@ -25,10 +27,10 @@ from qdimer.cli import (
     rate_quantity,
     time_quantity,
 )
+from qdimer.liouville import MAX_SAMPLES
 from qdimer.physics import DEBYE
 from qdimer.scenarios import ObservableTable, catalog, run_scenario
 from qdimer.states import BLOCK
-from qdimer.zeno import MAX_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +921,26 @@ def test_non_finite_config_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"scenario": "free_eg", "horizon": 10**400}, "horizon must be > 0, got 1.000e+400"),
+    ({"scenario": "free_eg", "J": 10**400}, "J must be a finite number, got 1.000e+400"),
+    ({"scenario": "free_eg", "omega0": -10**400},
+     "omega0 must be a finite number, got -1.000e+400"),
+    ({"scenario": "switch_off", "horizon": 10**400}, "horizon must be > 0, got 1.000e+400"),
+    ({"scenario": "zeno_sweep", "sweep_param": "J", "sweep_values": [4e9, 10**400]},
+     "J must be a finite number, got 1.000e+400"),
+    ({"scenario": "free_eg", "samples": 10**400},
+     "1.000e+400 samples are above the cap of 10000000"),
+], ids=["horizon", "J", "omega0", "switch_off", "sweep", "samples"])
+def test_config_int_past_the_float_range_exits_2(tmp_path, capsys, fields, message):
+    # JSON reads a 400-digit number as an int, whose check once raised OverflowError
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"out": str(tmp_path / "x.csv"), **fields}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_sweep_exits_2(tmp_path, capsys, value):
     # --sweep gamma=inf once wrote a CSV frozen at the initial state
@@ -1140,6 +1162,33 @@ def test_no_flag_value_escapes_main(tmp_path, monkeypatch, capsys, command, flag
     base, _ = _UNIT_FLAG_COMMANDS[command]
     out = ["--out", "o.csv"] if base[0] == "run" else []
     assert main([*base, *out, flag, value]) in (0, 2)
+
+
+_FUZZ_NUMBERS = st.sampled_from([0, 1, -1, 1e300, -1e300, 10**400, -10**400,
+                                  math.nan, math.inf, -math.inf])
+_FUZZ_SCALARS = _FUZZ_NUMBERS | st.sampled_from([
+    None, True, False, "", "a", "free_eg", "switch_off", "zeno_sweep", "e1g2", "J", "C",
+])
+# numbers and the run-value fields are drawn most often, as that is where a
+# number can go wrong
+_FUZZ_VALUES = (_FUZZ_NUMBERS | _FUZZ_SCALARS | st.lists(_FUZZ_SCALARS, max_size=3)
+                | st.dictionaries(st.sampled_from(["a", "J"]), _FUZZ_SCALARS, max_size=2))
+_FUZZ_FIELDS = (st.sampled_from(["omega0", "J", "Omega", "gamma", "delta_l", "horizon"])
+                | st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(_FUZZ_FIELDS, _FUZZ_VALUES, min_size=1, max_size=3))
+def test_no_config_document_escapes_main(tmp_path, monkeypatch, fields):
+    # a 400-digit integer once escaped as an OverflowError traceback; json writes
+    # NaN and inf as its NaN and Infinity literals
+    monkeypatch.chdir(tmp_path)
+    doc = {"scenario": "free_eg", "samples": 11, "out": "o.csv", **fields}
+    if doc["samples"] is None:  # null would run the preset's own 2001 samples
+        doc["samples"] = 11
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "c.json"]) in (0, 2, 4)
 
 
 # ---------------------------------------------------------------------------

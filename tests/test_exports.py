@@ -40,3 +40,16 @@ def test_only_integrate_binds_the_closed_form(name):
     module = importlib.import_module(f"qdimer.{name}")
     assert hasattr(module, "closed_form_free") == (name == "integrate")
     assert not hasattr(qdimer, "closed_form_free")
+
+
+RUN_VALUE_RULES = ("_is_finite_number", "_is_integer", "_shown", "_check_finite",
+                   "_check_nonnegative", "_check_positive", "_check_samples")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_the_run_value_rules_live_in_liouville(name):
+    # a module may import a rule, but a copy of its own would fork the rule
+    module = importlib.import_module(f"qdimer.{name}")
+    homes = {getattr(module, rule).__module__ for rule in RUN_VALUE_RULES
+             if hasattr(module, rule)}
+    assert homes <= {"qdimer.liouville"}

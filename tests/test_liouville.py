@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import fastest_rate, published_superoperator_table
-from qdimer.liouville import SystemParams, dephasing_rates, hamiltonian, superoperator
+from qdimer.liouville import (
+    SystemParams, _is_finite_number, _shown, dephasing_rates, hamiltonian, superoperator
+)
 from qdimer.scenarios import catalog
 from qdimer.states import NAMED_STATES, named_state, pure_density
 
@@ -52,6 +56,35 @@ def test_params_reject_non_finite(name, bad):
     rates = dict(omega0=1.0, J=1.0, gamma=0.0, Omega=0.5, delta_l=-1.0)
     with pytest.raises(ValueError, match="finite"):
         SystemParams(**{**rates, name: bad}, driven=True)
+
+
+@pytest.mark.parametrize("bad, shown", [(10**400, "1.000e+400"), (-10**400, "-1.000e+400")],
+                         ids=["plus", "minus"])
+@pytest.mark.parametrize("name", ["omega0", "J", "gamma", "Omega", "delta_l"])
+def test_params_refuse_an_int_past_the_float_range(name, bad, shown):
+    # math.isfinite(10**400) raises OverflowError, which once escaped the check
+    rates = dict(omega0=1.0, J=1.0, gamma=0.0, Omega=0.5, delta_l=-1.0)
+    message = re.escape(f"{name} must be a finite number, got {shown}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SystemParams(**{**rates, name: bad}, driven=True)
+
+
+def test_an_int_is_a_finite_number_inside_the_float_range():
+    assert _is_finite_number(10**308) and _is_finite_number(-10**308)
+    assert not _is_finite_number(10**309) and not _is_finite_number(-10**309)
+    assert SystemParams(omega0=10**308, J=1, gamma=0).omega0 == 10**308
+
+
+SHOWN = [
+    (10**400, "1.000e+400"), (-10**400, "-1.000e+400"), (123456789 * 10**300, "1.234e+308"),
+    (10**15, "1.000e+15"), (10**15 - 1, "999999999999999"), (-5, "-5"), (2.5, "2.5"),
+    (True, "True"), ("a", "'a'"), (None, "None"),
+]
+
+
+@pytest.mark.parametrize("value, shown", SHOWN, ids=[shown for _, shown in SHOWN])
+def test_an_int_of_more_than_15_digits_is_shown_by_its_first_four(value, shown):
+    assert _shown(value) == shown
 
 
 @pytest.mark.parametrize("bad", ["no", "false", 1, 0, None])
@@ -133,6 +166,14 @@ def test_dephasing_rates_table():
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, True, None])
 def test_dephasing_rates_reject_non_finite(gamma):
     with pytest.raises(ValueError, match=f"gamma must be a finite number, got {gamma!r}"):
+        dephasing_rates(gamma)
+
+
+@pytest.mark.parametrize("gamma, shown", [(10**400, "1.000e+400"), (-10**400, "-1.000e+400")],
+                         ids=["plus", "minus"])
+def test_dephasing_rates_reject_an_int_past_the_float_range(gamma, shown):
+    message = re.escape(f"gamma must be a finite number, got {shown}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         dephasing_rates(gamma)
 
 

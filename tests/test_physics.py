@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,31 @@ def test_molecular_constants_reject_non_finite(name, bad):
     inputs = dict(d0=1e-30, r=1e-8, mu_eg=1e-30)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         MolecularConstants(**{**inputs, name: bad})
+
+
+BIG = [(10**400, "1.000e+400"), (-10**400, "-1.000e+400")]
+
+
+@pytest.mark.parametrize("bad, shown", BIG, ids=["plus", "minus"])
+@pytest.mark.parametrize("name", ["d0", "r", "mu_eg"])
+def test_molecular_constants_reject_an_int_past_the_float_range(name, bad, shown):
+    # math.isfinite(10**400) raises OverflowError, which once escaped the check
+    inputs = dict(d0=1e-30, r=1e-8, mu_eg=1e-30)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be finite, got {shown}')}$"):
+        MolecularConstants(**{**inputs, name: bad})
+
+
+@pytest.mark.parametrize("bad, shown", BIG, ids=["plus", "minus"])
+@pytest.mark.parametrize("rate, args, name", [
+    (einstein_a, {"mu_eg": 5e-30, "omega0": 1.5e11}, "mu_eg"),
+    (einstein_a, {"mu_eg": 5e-30, "omega0": 1.5e11}, "omega0"),
+    (rabi_frequency, {"mu_eg": 5e-30, "E_l": 100.0}, "mu_eg"),
+    (rabi_frequency, {"mu_eg": 5e-30, "E_l": 100.0}, "E_l"),
+], ids=["A-mu_eg", "A-omega0", "Omega-mu_eg", "Omega-E_l"])
+def test_rates_reject_an_int_past_the_float_range(rate, args, name, bad, shown):
+    message = re.escape(f"{name} must be a finite number, got {shown}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rate(**{**args, name: bad})
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-30])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -98,6 +99,20 @@ def test_scenario_validation():
     ]:
         with pytest.raises(ValueError, match=message):
             Scenario(**{**ok, field: bad})
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("horizon", 10**400, "horizon must be > 0, got 1.000e+400"),
+    ("horizon", -10**400, "horizon must be > 0, got -1.000e+400"),
+    ("samples", 10**400, "1.000e+400 samples are above the cap of 10000000"),
+    ("zeno_taus", (1e-10, "a"), "zeno_taus must be > 0, got 'a'"),
+    ("zeno_taus", (1e-10, 10**400), "zeno_taus must be > 0, got 1.000e+400"),
+], ids=["horizon-plus", "horizon-minus", "samples-plus", "zeno_taus-str", "zeno_taus-plus"])
+def test_scenario_names_the_one_bad_value(field, bad, message):
+    # a horizon of 10**400 once raised OverflowError; zeno_taus once printed every tau
+    ok = dict(name="x", initial="f", params=FREE, horizon=1e-9, observables=("rho11",))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Scenario(**{**ok, field: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -208,9 +223,7 @@ def direct_states(sc, times):
     rho0 = pure_density(named_state(sc.initial))
     if sc.field_off_time is None:
         return integrate("derived", rho0, sc.params, times)
-    t_off = sc.field_off_time
-    if isinstance(t_off, str):
-        t_off = scenarios_mod._switch_trigger(sc, "derived")
+    t_off = scenarios_mod._switch_trigger(sc, "derived")
     head = times[times <= t_off]
     driven = integrate("derived", rho0, sc.params, np.append(head[head < t_off], t_off))
     free = replace(sc.params, Omega=0.0)

@@ -5,6 +5,7 @@ matrix at a time, so batching may not move a single digit of the CSVs.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -255,6 +256,20 @@ def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state("L1L2"))
     with pytest.raises(ValueError, match=message):
+        consistency_report(params, rho0, horizon, samples=samples)
+
+
+@pytest.mark.parametrize("horizon, samples, message", [
+    (10**400, 501, "horizon must be > 0, got 1.000e+400"),
+    (-10**400, 501, "horizon must be > 0, got -1.000e+400"),
+    (5e-9, 10**400, "1.000e+400 samples are above the cap of 10000000"),
+    (5e-9, -10**400, "need at least 2 samples, got -1.000e+400"),
+], ids=["horizon-plus", "horizon-minus", "samples-plus", "samples-minus"])
+def test_audit_refuses_an_int_past_the_float_range(horizon, samples, message):
+    # math.isfinite(10**400) once raised OverflowError from the horizon check
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    rho0 = pure_density(named_state("L1L2"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         consistency_report(params, rho0, horizon, samples=samples)
 
 

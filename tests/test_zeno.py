@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 from oracles import fastest_rate
 
 from qdimer.cli import main
-from qdimer.liouville import SystemParams
+from qdimer.liouville import MAX_SAMPLES, SystemParams
 from qdimer.integrate import closed_form_free
 from qdimer.states import named_state, population, pure_density
-from qdimer.zeno import MAX_SAMPLES, ZenoProtocol, analytic_survival, run_zeno
+from qdimer.zeno import ZenoProtocol, analytic_survival, run_zeno
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
 FREE_DEPH = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
@@ -54,6 +56,20 @@ def test_protocol_caps_the_measurement_count():
         assert str(err.value) == (
             f"tau = 1.000e-11 s asks for {count} measurements, above the cap of 10000000"
         )
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("tau", 10**400, "tau must be > 0, got 1.000e+400"),
+    ("tau", -10**400, "tau must be > 0, got -1.000e+400"),
+    ("n_measurements", 10**400,
+     "tau = 1.000e-11 s asks for 1.000e+400 measurements, above the cap of 10000000"),
+    ("n_measurements", -10**400, "need at least one measurement, got -1.000e+400"),
+], ids=["tau-plus", "tau-minus", "n_measurements-plus", "n_measurements-minus"])
+def test_protocol_refuses_an_int_past_the_float_range(field, bad, message):
+    # math.isfinite(10**400) raises OverflowError, which once escaped the tau check
+    args = {"tau": 1e-11, "n_measurements": 5, field: bad}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ZenoProtocol(**args, params=FREE)
 
 
 def test_protocol_records_total_time():
@@ -110,6 +126,25 @@ def test_analytic_survival_rejects_non_finite_and_non_integer(name, bad):
             "n": "measurement count must be an integer"}[name]
     with pytest.raises(ValueError, match=f"{what}, got {bad!r}"):
         analytic_survival(**args)
+
+
+@pytest.mark.parametrize("bad, shown", [(10**400, "1.000e+400"), (-10**400, "-1.000e+400")],
+                         ids=["plus", "minus"])
+@pytest.mark.parametrize("name", ["j", "tau", "n"])
+def test_analytic_survival_rejects_an_int_past_the_float_range(name, bad, shown):
+    # float ** 10**400 and math.isfinite(10**400) once raised OverflowError
+    args = {"j": 4e9, "tau": 1e-12, "n": 5, name: bad}
+    message = re.escape(f"{'J' if name == 'j' else name} must be a finite number, got {shown}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        analytic_survival(**args)
+
+
+def test_analytic_survival_names_the_negative_input():
+    for args, message in [((-1.0, 1e-11, 5), "J must be >= 0, got -1.0"),
+                          ((4e9, -1e-11, 5), "tau must be >= 0, got -1e-11"),
+                          ((4e9, 1e-11, -5), "n must be >= 0, got -5")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            analytic_survival(*args)
 
 
 # ---------------------------------------------------------------------------

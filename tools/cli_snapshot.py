@@ -12,8 +12,11 @@ change -- compare with `diff -r`.
 The set: every catalog preset under both --rhs values, a drive sweep, a short
 switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
 two `constants` calls (one of them refused), the custom run of the README, and
-four refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio overflows,
-`--omega0` on a driven run, and a `constants` distance whose cube underflows.
+six refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio overflows,
+`--omega0` on a driven run, a `constants` distance whose cube underflows, and
+two `run --config` files holding an integer past the float range (1 followed
+by 400 zeros), one as the `horizon` and one as a sweep value.  Each config file
+is written as config.json into its command's own directory, where it stays.
 Only the standard library is used, and the commands run one at a time.
 """
 
@@ -25,6 +28,16 @@ import sys
 
 STARTS = ("g1g2", "g1e2", "e1g2", "e1e2", "s", "a", "p", "q", "f", "k",
           "L1L2", "R1R2", "L1R2", "R1L2")
+
+# the config.json of each command that runs `run --config config.json`
+BIG = "1" + "0" * 400
+CONFIGS = {
+    "run_config_big_horizon":
+        '{"scenario": "free_eg", "horizon": %s, "out": "out.csv"}\n' % BIG,
+    "run_config_big_sweep_value":
+        '{"scenario": "free_eg", "sweep_param": "J", "sweep_values": [4e9, %s], '
+        '"out": "out.csv"}\n' % BIG,
+}
 
 
 def commands(presets: list[str]) -> dict[str, list[str]]:
@@ -56,6 +69,7 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["run_driven_omega0"] = ["run", "--scenario", "driven_detuned_s", "--samples", "11",
                                  "--omega0", "1e9", "--out", "out.csv"]
     cmds["constants_tiny_r"] = ["constants", "--d0", "1.46D", "--r", "1e-300m"]
+    cmds.update({name: ["run", "--config", "config.json"] for name in CONFIGS})
     return cmds
 
 
@@ -79,6 +93,9 @@ def main(argv: list[str]) -> int:
     for name, args in commands(presets).items():
         cwd = os.path.join(outdir, name)
         os.mkdir(cwd)
+        if name in CONFIGS:
+            with open(os.path.join(cwd, "config.json"), "w") as fh:
+                fh.write(CONFIGS[name])
         done = run(args, cwd, env)
         for filename, data in (("stdout.txt", done.stdout), ("stderr.txt", done.stderr),
                                ("exit.txt", f"{done.returncode}\n".encode())):
