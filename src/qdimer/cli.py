@@ -27,9 +27,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .audit import consistency_report
-from .liouville import SystemParams, _check_positive, _is_integer
+from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
-from .scenarios import ObservableTable, Scenario, catalog, run_scenario
+from .scenarios import NH3, ObservableTable, Scenario, catalog, run_scenario
 from .states import blocks, named_state, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
 
@@ -137,7 +137,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not _is_integer(self.schema_version) or self.schema_version != _SCHEMA_VERSION:
             raise ValueError(
-                f"unsupported schema_version {self.schema_version!r} "
+                f"unsupported schema_version {_shown(self.schema_version)} "
                 f"(this build reads version {_SCHEMA_VERSION})"
             )
         if not isinstance(self.out, str) or not self.out:
@@ -148,7 +148,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be a string or null, got {value!r}")
         if not isinstance(self.sweep_values, tuple):
             raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
-        if self.rhs not in ("derived", "published"):
+        if self.rhs not in _VARIANTS:
             raise ValueError(f"rhs must be 'derived' or 'published', got {self.rhs!r}")
         if self.scenario is None and self.initial is None:
             raise ValueError("config needs a scenario name or an initial state")
@@ -190,7 +190,7 @@ class RunConfig:
 
 def _config_fields(text: str) -> dict[str, object]:
     """The RunConfig fields a JSON config sets, as the types the fields hold."""
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=_json_int)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     # schema-1 files written while the propagator was adaptive carry its
@@ -205,6 +205,16 @@ def _config_fields(text: str) -> dict[str, object]:
         if isinstance(doc.get(name), list):
             doc[name] = tuple(doc[name])
     return doc
+
+
+def _json_int(literal: str) -> int:
+    """int(literal); past the interpreter's digit limit, which int() refuses, the
+    leading digits times a power of ten: every field refuses a value that far past
+    its range, and _shown shows it by the same leading digits."""
+    try:
+        return int(literal)
+    except ValueError:
+        return int(literal[:20]) * 10 ** (len(literal) - 20)
 
 
 def _field_names(cls: type) -> list[str]:
@@ -233,7 +243,7 @@ def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenari
         sc = Scenario(
             name="custom",
             initial=point["initial"],
-            params=SystemParams(omega0=1.5e11, J=point["J"], gamma=0.0),
+            params=replace(NH3, J=point["J"], gamma=0.0),
             horizon=point["horizon"],
             observables=("rho11", "rho22", "rho33", "rho44", "C"),
         )
@@ -562,16 +572,16 @@ def build_parser() -> argparse.ArgumentParser:
                        "--save-config may be given with it")
     run_p.add_argument("--out", help="output CSV path")
     run_p.add_argument("--save-config", help="also write the resolved config as JSON")
-    run_p.add_argument("--rhs", choices=("derived", "published"), default=None)
+    run_p.add_argument("--rhs", choices=_VARIANTS, default=None)
     run_p.add_argument("--initial", help="initial state name for custom runs")
-    run_p.add_argument("--horizon", type=time_quantity, help="run length (s, ns, us...)")
+    run_p.add_argument("--horizon", type=_SWEEP_FIELDS["horizon"], help="run length (s, ns, us...)")
     run_p.add_argument("--samples", type=int, help="number of sample times")
     run_p.add_argument("--observables", type=_name_list, help="comma-separated column list")
-    run_p.add_argument("--omega0", type=rate_quantity, help="doublet splitting (s^-1)")
-    run_p.add_argument("--J", type=rate_quantity, help="exchange coupling (s^-1)")
-    run_p.add_argument("--Omega", type=rate_quantity, help="drive strength (s^-1)")
-    run_p.add_argument("--gamma", type=rate_quantity, help="dephasing rate (s^-1)")
-    run_p.add_argument("--delta-l", type=rate_quantity, help="drive detuning (s^-1)")
+    run_p.add_argument("--omega0", type=_SWEEP_FIELDS["omega0"], help="doublet splitting (s^-1)")
+    run_p.add_argument("--J", type=_SWEEP_FIELDS["J"], help="exchange coupling (s^-1)")
+    run_p.add_argument("--Omega", type=_SWEEP_FIELDS["Omega"], help="drive strength (s^-1)")
+    run_p.add_argument("--gamma", type=_SWEEP_FIELDS["gamma"], help="dephasing rate (s^-1)")
+    run_p.add_argument("--delta-l", type=_SWEEP_FIELDS["delta_l"], help="drive detuning (s^-1)")
     run_p.add_argument("--driven", action="store_const", const=True, default=None,
                        help="interpret the run in the rotating frame of a drive")
     run_p.add_argument("--sweep", help="<param>=<v1,v2,...> one CSV per value + index")
@@ -586,18 +596,18 @@ def build_parser() -> argparse.ArgumentParser:
     group = zeno_p.add_mutually_exclusive_group(required=True)
     group.add_argument("--T", type=time_quantity, help="total duration (s, ns...)")
     group.add_argument("--N", type=int, help="number of measurements")
-    zeno_p.add_argument("--J", type=rate_quantity, default=4.0e9)
+    zeno_p.add_argument("--J", type=rate_quantity, default=NH3.J)
     zeno_p.add_argument("--gamma", type=rate_quantity, default=0.0)
-    zeno_p.add_argument("--omega0", type=rate_quantity, default=1.5e11)
+    zeno_p.add_argument("--omega0", type=rate_quantity, default=NH3.omega0)
     zeno_p.add_argument("--out", help="optional CSV of the survival curve")
     zeno_p.set_defaults(func=cmd_zeno)
 
     audit_p = sub.add_parser("audit", help="published-vs-derived consistency report")
     audit_p.add_argument("--initial", default="e1g2")
     audit_p.add_argument("--horizon", type=time_quantity, default=5e-9)
-    audit_p.add_argument("--omega0", type=rate_quantity, default=1.5e11)
-    audit_p.add_argument("--J", type=rate_quantity, default=4.0e9)
-    audit_p.add_argument("--gamma", type=rate_quantity, default=1.0e6)
+    audit_p.add_argument("--omega0", type=rate_quantity, default=NH3.omega0)
+    audit_p.add_argument("--J", type=rate_quantity, default=NH3.J)
+    audit_p.add_argument("--gamma", type=rate_quantity, default=NH3.gamma)
     audit_p.add_argument("--samples", type=int, default=501)
     audit_p.set_defaults(func=cmd_audit)
 
@@ -608,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="intermolecular distance (m, nm...)")
     const_p.add_argument("--mu-eg", type=dipole_quantity, default=None,
                          help="transition dipole (defaults to d0)")
-    const_p.add_argument("--omega0", type=rate_quantity, default=1.5e11)
+    const_p.add_argument("--omega0", type=rate_quantity, default=NH3.omega0)
     const_p.add_argument("--E-l", type=field_quantity, default=None,
                          help="drive amplitude (V/m)")
     const_p.set_defaults(func=cmd_constants)

@@ -25,9 +25,10 @@ vectorization of rho.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 RhsVariant = Literal["derived", "published"]
-_VARIANTS = ("derived", "published")
+_VARIANTS: tuple[str, ...] = get_args(RhsVariant)
 
 
 # every series a command holds whole (run_scenario's times and columns, the audit's
@@ -61,11 +62,21 @@ def _is_finite_number(value: object) -> bool:
 
 
 def _shown(value: object) -> str:
-    """repr(value), but an int of more than 15 digits as its first four (1.000e+400)."""
+    """repr(value), but an int of more than 15 digits as its first four (1.000e+400).
+
+    The digits are found by division, as str() of an int past 4,300 digits raises.
+    """
     if not (_is_integer(value) and abs(value) >= 10**15):
         return repr(value)
-    digits = str(abs(value))
-    return f"{'-' * (value < 0)}{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+    shift = int(math.log10(abs(value))) - 3  # the float log10 may be one off either way
+    lead = abs(value) // 10**shift
+    if lead < 1000:
+        shift -= 1
+        lead = abs(value) // 10**shift
+    if lead >= 10000:
+        shift += 1
+        lead //= 10
+    return f"{'-' * (value < 0)}{lead // 1000}.{lead % 1000:03d}e+{shift + 3}"
 
 
 def _check_finite(**values: object) -> None:
@@ -171,26 +182,16 @@ def dephasing_rates(gamma: float) -> np.ndarray:
     return rate
 
 
-def _derived_superoperator(params: SystemParams) -> np.ndarray:
+def superoperator(variant: RhsVariant, params: SystemParams, *, closure: bool = True) -> np.ndarray:
+    """16x16 matrix L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown rhs variant {variant!r}; expected one of {_VARIANTS}")
     h = hamiltonian(params)
     eye = np.eye(4, dtype=complex)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     lv -= np.diag(dephasing_rates(params.gamma).reshape(16).astype(complex))
-    return lv
-
-
-def _published_superoperator(params: SystemParams, closure: bool = True) -> np.ndarray:
-    lv = _derived_superoperator(params)
-    lv[10] = -lv[10]  # the tabulated rho33 line, every term sign-flipped
-    if closure:  # drho44 = -(drho11 + drho22 + drho33)
-        lv[15] = -(lv[0] + lv[5] + lv[10])
-    return lv
-
-
-def superoperator(variant: RhsVariant, params: SystemParams, *, closure: bool = True) -> np.ndarray:
-    """16x16 matrix L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
-    if variant == "derived":
-        return _derived_superoperator(params)
     if variant == "published":
-        return _published_superoperator(params, closure=closure)
-    raise ValueError(f"unknown rhs variant {variant!r}; expected one of {_VARIANTS}")
+        lv[10] = -lv[10]  # the tabulated rho33 line, every term sign-flipped
+        if closure:  # drho44 = -(drho11 + drho22 + drho33)
+            lv[15] = -(lv[0] + lv[5] + lv[10])
+    return lv

@@ -14,6 +14,7 @@ what makes microsecond horizons affordable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -34,6 +35,9 @@ __all__ = [
     "find_first_maximum",
     "run_scenario",
 ]
+
+# the NH3 rates of the presets and of the commands' defaults
+NH3 = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
 
 
 def _entangled_population(name: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -125,16 +129,24 @@ class Scenario:
         if self.zeno_taus:
             for tau in self.zeno_taus:
                 _check_positive("zeno_taus", tau)
-            grid = max(self.zeno_taus)
-            for tau in self.zeno_taus:
-                for label, total in (("grid interval", grid), ("horizon", self.horizon)):
-                    n = _intervals(total, tau)
-                    if n is None:
-                        raise ValueError(
-                            f"zeno tau {tau} does not divide the {label} {total}"
-                        )
-                # n is the horizon's count; its protocol checks free evolution and the Zeno window
-                ZenoProtocol(tau=tau, n_measurements=n, params=self.params)
+            self._zeno_schedule  # resolves, and so checks, every tau's schedule
+
+    @functools.cached_property
+    def _zeno_schedule(self) -> tuple[tuple[int, ZenoProtocol], ...]:
+        """Each zeno tau's stride on the grid of the widest one, and its
+        protocol over the horizon."""
+        grid = max(self.zeno_taus)
+        schedule = []
+        for tau in self.zeno_taus:
+            counts = []
+            for label, total in (("grid interval", grid), ("horizon", self.horizon)):
+                counts.append(_intervals(total, tau))
+                if counts[-1] is None:
+                    raise ValueError(f"zeno tau {tau} does not divide the {label} {total}")
+            stride, n = counts
+            # the protocol checks free evolution and the Zeno window
+            schedule.append((stride, ZenoProtocol(tau=tau, n_measurements=n, params=self.params)))
+        return tuple(schedule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,85 +166,51 @@ class ObservableTable:
 def catalog() -> list[Scenario]:
     """The preset list, one entry per named case (plus the slow-dephasing
     switch-off variant, which differs only in gamma)."""
-    free = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
-    drive_res = SystemParams(
-        omega0=1.5e11, J=4.0e9, gamma=1.0e6, Omega=7.0e7, delta_l=0.0, driven=True
-    )
-    drive_s = SystemParams(
-        omega0=1.5e11, J=4.0e9, gamma=1.0e6, Omega=4.0e7, delta_l=4.0e9, driven=True
-    )
+    drive_s = replace(NH3, Omega=4.0e7, delta_l=4.0e9, driven=True)
     pair_detail = ("rho22", "rho33", "rho44", "rho_ss", "rho_aa", "re_rho23", "C")
+    free_ll = Scenario(
+        name="free_LL",
+        initial="L1L2",
+        params=NH3,
+        horizon=5e-9,
+        observables=("rho_pp", "rho_qq", "rho_ss", "rho_aa", "re_rho23", "C"),
+        samples=5001,
+    )
+    detuned_s = Scenario(
+        name="driven_detuned_s",
+        initial="e1e2",
+        params=drive_s,
+        horizon=2e-7,
+        observables=pair_detail,
+    )
+    switch_off = replace(
+        detuned_s, name="switch_off", horizon=3e-6, samples=3001, field_off_time="auto"
+    )
     return [
         Scenario(
             name="free_eg",
             initial="e1g2",
-            params=free,
+            params=NH3,
             horizon=5e-9,
             observables=("rho11", "rho22", "rho33", "rho44", "rho_ff", "rho_kk", "C"),
-            samples=2001,
         ),
-        Scenario(
-            name="free_LL",
-            initial="L1L2",
-            params=free,
-            horizon=5e-9,
-            observables=("rho_pp", "rho_qq", "rho_ss", "rho_aa", "re_rho23", "C"),
-            samples=5001,
-        ),
-        Scenario(
-            name="free_LR",
-            initial="L1R2",
-            params=free,
-            horizon=5e-9,
-            observables=("rho_pp", "rho_qq", "rho_ss", "rho_aa", "re_rho23", "C"),
-            samples=5001,
-        ),
+        free_ll,
+        replace(free_ll, name="free_LR", initial="L1R2"),
         Scenario(
             name="driven_resonant",
             initial="e1e2",
-            params=drive_res,
+            params=replace(NH3, Omega=7.0e7, driven=True),
             horizon=5e-6,
             observables=("rho11", "rho44", "rho_ss", "rho_aa", "C"),
-            samples=2001,
         ),
-        Scenario(
-            name="driven_detuned_s",
-            initial="e1e2",
-            params=drive_s,
-            horizon=2e-7,
-            observables=pair_detail,
-            samples=2001,
-        ),
-        Scenario(
-            name="driven_detuned_a",
-            initial="e1e2",
-            params=replace(drive_s, delta_l=-4.0e9),
-            horizon=2e-7,
-            observables=pair_detail,
-            samples=2001,
-        ),
-        Scenario(
-            name="switch_off",
-            initial="e1e2",
-            params=drive_s,
-            horizon=3e-6,
-            observables=pair_detail,
-            samples=3001,
-            field_off_time="auto",
-        ),
-        Scenario(
-            name="switch_off_gamma1e5",
-            initial="e1e2",
-            params=replace(drive_s, gamma=1.0e5),
-            horizon=3e-6,
-            observables=pair_detail,
-            samples=3001,
-            field_off_time="auto",
-        ),
+        detuned_s,
+        replace(detuned_s, name="driven_detuned_a", params=replace(drive_s, delta_l=-4.0e9)),
+        switch_off,
+        replace(switch_off, name="switch_off_gamma1e5", params=replace(drive_s, gamma=1.0e5)),
         Scenario(
             name="zeno_sweep",
             initial="f",
-            params=free,
+            params=NH3,
             horizon=1e-9,
             observables=(),
             zeno_taus=(1e-10, 1e-11, 5e-12),
@@ -329,21 +307,18 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
     Per interval: the dephasing run, the coherence-free closed form, and its
     gaussian frequent-measurement approximation.
     """
-    grid = max(scenario.zeno_taus)
-    n_rows = _intervals(scenario.horizon, grid)
-    times = grid * np.arange(n_rows + 1)
     names: list[str] = []
     columns: list[np.ndarray] = []
-    for tau in scenario.zeno_taus:
-        stride = _intervals(grid, tau)
-        protocol = ZenoProtocol(tau=tau, n_measurements=n_rows * stride, params=scenario.params)
+    for stride, protocol in scenario._zeno_schedule:
+        n_rows = protocol.n_measurements // stride  # the same for every tau
         exact = np.empty(n_rows + 1)
         gauss = np.empty(n_rows + 1)
         for r in range(n_rows + 1):
-            exact[r], gauss[r] = analytic_survival(scenario.params.J, tau, r * stride)
-        label = f"{tau * 1e9:g}ns"
+            exact[r], gauss[r] = analytic_survival(scenario.params.J, protocol.tau, r * stride)
+        label = f"{protocol.tau * 1e9:g}ns"
         names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
         columns += [run_zeno(protocol)[::stride], exact, gauss]
+    times = max(scenario.zeno_taus) * np.arange(n_rows + 1)
     return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
 
 

@@ -931,7 +931,10 @@ def test_non_finite_config_exits_2(tmp_path, capsys, text):
      "J must be a finite number, got 1.000e+400"),
     ({"scenario": "free_eg", "samples": 10**400},
      "1.000e+400 samples are above the cap of 10000000"),
-], ids=["horizon", "J", "omega0", "switch_off", "sweep", "samples"])
+    # the message once held all 401 digits
+    ({"scenario": "free_eg", "schema_version": 10**400},
+     "unsupported schema_version 1.000e+400 (this build reads version 1)"),
+], ids=["horizon", "J", "omega0", "switch_off", "sweep", "samples", "schema_version"])
 def test_config_int_past_the_float_range_exits_2(tmp_path, capsys, fields, message):
     # JSON reads a 400-digit number as an int, whose check once raised OverflowError
     path = tmp_path / "big.json"
@@ -939,6 +942,43 @@ def test_config_int_past_the_float_range_exits_2(tmp_path, capsys, fields, messa
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("field, literal, message", [
+    ("J", "1" + "0" * 5000, "J must be a finite number, got 1.000e+5000"),
+    ("omega0", "-" + "9" * 5001, "omega0 must be a finite number, got -9.999e+5000"),
+    ("samples", "1" + "0" * 5000, "1.000e+5000 samples are above the cap of 10000000"),
+    ("schema_version", "1" + "0" * 5000,
+     "unsupported schema_version 1.000e+5000 (this build reads version 1)"),
+], ids=["J", "omega0", "samples", "schema_version"])
+def test_config_int_past_the_digit_limit_names_its_field(tmp_path, capsys, field, literal,
+                                                         message):
+    # json.loads once refused these with Python's own 4,300-digit limit, naming no field;
+    # json.dumps refuses them too, so the text is written by hand
+    path = tmp_path / "big.json"
+    path.write_text('{"out": "%s", "scenario": "free_eg", "%s": %s}'
+                    % (tmp_path / "x.csv", field, literal))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--scenario", "switch_off", "--initial", "s", "--samples", "11"], None,
+     "switch-off trigger 0.000e+00 s outside (0, horizon)"),
+    (["--initial", "e1g2", "--J", "1e9"], None,
+     "custom runs need --initial, --J and --horizon (or --scenario)"),
+    ([], "[1]", "config must be a JSON object"),
+], ids=["switch-off-from-s", "custom-without-horizon", "config-not-an-object"])
+def test_refused_run_exits_2_with_one_line(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "r.csv"
+    if config is not None:
+        path = tmp_path / "r.json"
+        path.write_text(config)
+        argv = ["--config", str(path)]
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -58,8 +58,9 @@ def test_params_reject_non_finite(name, bad):
         SystemParams(**{**rates, name: bad}, driven=True)
 
 
-@pytest.mark.parametrize("bad, shown", [(10**400, "1.000e+400"), (-10**400, "-1.000e+400")],
-                         ids=["plus", "minus"])
+@pytest.mark.parametrize("bad, shown", [(10**400, "1.000e+400"), (-10**400, "-1.000e+400"),
+                                        (10**5000, "1.000e+5000")],
+                         ids=["plus", "minus", "past-the-digit-limit"])
 @pytest.mark.parametrize("name", ["omega0", "J", "gamma", "Omega", "delta_l"])
 def test_params_refuse_an_int_past_the_float_range(name, bad, shown):
     # math.isfinite(10**400) raises OverflowError, which once escaped the check
@@ -78,6 +79,9 @@ def test_an_int_is_a_finite_number_inside_the_float_range():
 SHOWN = [
     (10**400, "1.000e+400"), (-10**400, "-1.000e+400"), (123456789 * 10**300, "1.234e+308"),
     (10**15, "1.000e+15"), (10**15 - 1, "999999999999999"), (-5, "-5"), (2.5, "2.5"),
+    # str() of an int past 4,300 digits raises, so these once escaped as that error
+    (10**5000, "1.000e+5000"), (-(10**5000) + 1, "-9.999e+4999"),
+    (19999 * 10**9996 - 1, "1.999e+10000"),
     (True, "True"), ("a", "'a'"), (None, "None"),
 ]
 

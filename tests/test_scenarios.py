@@ -198,6 +198,14 @@ def test_first_maximum_symmetric_triple_is_exact():
     assert find_first_maximum(t, v) == (1.0, 1.0)
 
 
+def test_first_maximum_flat_top_returns_the_sample():
+    # the parabola through samples one subnormal apart has no curvature left,
+    # and its vertex would be 0/0
+    t = np.array([0.0, 1.0, 2.0])
+    v = np.array([0.0, 5e-324, 5e-324])
+    assert find_first_maximum(t, v) == (1.0, 5e-324)
+
+
 def test_first_maximum_boundary_and_errors():
     t = np.linspace(0.0, 1.0, 50)
     assert find_first_maximum(t, np.cos(t)) == (0.0, 1.0)

@@ -12,11 +12,14 @@ change -- compare with `diff -r`.
 The set: every catalog preset under both --rhs values, a drive sweep, a short
 switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
 two `constants` calls (one of them refused), the custom run of the README, and
-six refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio overflows,
-`--omega0` on a driven run, a `constants` distance whose cube underflows, and
-two `run --config` files holding an integer past the float range (1 followed
-by 400 zeros), one as the `horizon` and one as a sweep value.  Each config file
-is written as config.json into its command's own directory, where it stays.
+ten refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio overflows,
+`--omega0` on a driven run, a `constants` distance whose cube underflows, two
+`run --config` files holding an integer past the float range (1 followed by
+400 zeros), one as the `horizon` and one as a sweep value, an unknown `--rhs`
+and an unknown `--sweep` parameter (which print the variant and sweep-field
+lists), `--samples` on the `zeno_sweep` preset, and a `switch_off` run from
+the symmetric state, whose trigger lands on t = 0.  Each config file is
+written as config.json into its command's own directory, where it stays.
 Only the standard library is used, and the commands run one at a time.
 """
 
@@ -69,6 +72,13 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["run_driven_omega0"] = ["run", "--scenario", "driven_detuned_s", "--samples", "11",
                                  "--omega0", "1e9", "--out", "out.csv"]
     cmds["constants_tiny_r"] = ["constants", "--d0", "1.46D", "--r", "1e-300m"]
+    cmds["run_bad_rhs"] = ["run", "--scenario", "free_eg", "--rhs", "bogus"]
+    cmds["run_bad_sweep_param"] = ["run", "--scenario", "free_eg", "--sweep", "bogus=1",
+                                   "--out", "out.csv"]
+    cmds["run_zeno_sweep_samples"] = ["run", "--scenario", "zeno_sweep", "--samples", "5",
+                                      "--out", "out.csv"]
+    cmds["run_switch_off_from_s"] = ["run", "--scenario", "switch_off", "--initial", "s",
+                                     "--samples", "11", "--out", "a.csv"]
     cmds.update({name: ["run", "--config", "config.json"] for name in CONFIGS})
     return cmds
 
