@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .audit import consistency_report
+from .audit import ConsistencyReport, consistency_report
 from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
 from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import NH3, ObservableTable, Scenario, catalog, run_scenario
@@ -141,15 +141,15 @@ class RunConfig:
                 f"(this build reads version {_SCHEMA_VERSION})"
             )
         if not isinstance(self.out, str) or not self.out:
-            raise ValueError(f"out must name an output path, got {self.out!r}")
+            raise ValueError(f"out must name an output path, got {_shown(self.out)}")
         for name in ("scenario", "sweep_param"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
-                raise ValueError(f"{name} must be a string or null, got {value!r}")
+                raise ValueError(f"{name} must be a string or null, got {_shown(value)}")
         if not isinstance(self.sweep_values, tuple):
-            raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
+            raise ValueError(f"sweep_values must be a list, got {_shown(self.sweep_values)}")
         if self.rhs not in _VARIANTS:
-            raise ValueError(f"rhs must be 'derived' or 'published', got {self.rhs!r}")
+            raise ValueError(f"rhs must be 'derived' or 'published', got {_shown(self.rhs)}")
         if self.scenario is None and self.initial is None:
             raise ValueError("config needs a scenario name or an initial state")
         if self.sweep_param is None:
@@ -247,12 +247,15 @@ def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenari
             horizon=point["horizon"],
             observables=("rho11", "rho22", "rho33", "rho44", "C"),
         )
-    # the sweep table has its own start, grid and columns, and runs the derived generator
-    ignored = [*_set_fields(cfg, ("initial", "samples", "observables"))]
+    # the sweep table has its own start, grid and columns, and runs the derived generator;
+    # its chain reads only J, gamma and the horizon (omega0 drops out of it, see run_zeno)
+    ignored = [n for n in ("initial", "omega0", "delta_l", "driven", "samples", "observables")
+               if n in point]
     if cfg.rhs != "derived":
         ignored.append("rhs")
     if sc.zeno_taus and ignored:
-        raise ValueError(f"the {sc.name} preset takes no " + ", ".join(f"--{n}" for n in ignored))
+        raise ValueError(f"the {sc.name} preset takes no "
+                         + ", ".join(f"--{n.replace('_', '-')}" for n in ignored))
     # each set field goes to the SystemParams or Scenario field of the same name
     params = {n: point[n] for n in _field_names(SystemParams) if n in point}
     fields = {n: point[n] for n in _field_names(Scenario) if n in point}
@@ -489,7 +492,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
         n = _intervals(args.T, args.tau)
         if n is None:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")
-    params = SystemParams(omega0=args.omega0, J=args.J, gamma=args.gamma)
+    params = replace(NH3, J=args.J, gamma=args.gamma)
     protocol = ZenoProtocol(tau=args.tau, n_measurements=n, params=params)
     survival = run_zeno(protocol)
     exact, gauss = analytic_survival(args.J, args.tau, n)
@@ -508,18 +511,14 @@ def cmd_zeno(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    params = SystemParams(omega0=args.omega0, J=args.J, gamma=args.gamma)
+    params = replace(NH3, J=args.J, gamma=args.gamma)
     rho0 = pure_density(named_state(args.initial))
     report = consistency_report(params, rho0, args.horizon, samples=args.samples)
     print(f"initial = {args.initial}")
     print(f"horizon_s = {args.horizon:.6e}")
-    print(f"max_population_deviation = {report.max_population_deviation:.6e}")
-    print(f"max_rho_deviation = {report.max_rho_deviation:.6e}")
-    print(f"max_concurrence_deviation = {report.max_concurrence_deviation:.6e}")
-    print(f"concurrence_skipped = {report.concurrence_skipped}")
-    print(f"published_trace_drift_no_closure = {report.published_trace_drift_no_closure:.6e}")
-    print(f"published_pop23_diff_drift = {report.published_pop23_diff_drift:.6e}")
-    print(f"derived_pop23_diff_range = {report.derived_pop23_diff_range:.6e}")
+    for name in _field_names(ConsistencyReport):
+        value = getattr(report, name)
+        print(f"{name} = {value}" if _is_integer(value) else f"{name} = {value:.6e}")
     return 0
 
 
@@ -598,14 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--N", type=int, help="number of measurements")
     zeno_p.add_argument("--J", type=rate_quantity, default=NH3.J)
     zeno_p.add_argument("--gamma", type=rate_quantity, default=0.0)
-    zeno_p.add_argument("--omega0", type=rate_quantity, default=NH3.omega0)
     zeno_p.add_argument("--out", help="optional CSV of the survival curve")
     zeno_p.set_defaults(func=cmd_zeno)
 
     audit_p = sub.add_parser("audit", help="published-vs-derived consistency report")
     audit_p.add_argument("--initial", default="e1g2")
     audit_p.add_argument("--horizon", type=time_quantity, default=5e-9)
-    audit_p.add_argument("--omega0", type=rate_quantity, default=NH3.omega0)
     audit_p.add_argument("--J", type=rate_quantity, default=NH3.J)
     audit_p.add_argument("--gamma", type=rate_quantity, default=NH3.gamma)
     audit_p.add_argument("--samples", type=int, default=501)

@@ -61,11 +61,23 @@ def _is_finite_number(value: object) -> bool:
     return (_is_integer(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _shown(value: object) -> str:
+def _shown(value: object, depth: int = 3) -> str:
     """repr(value), but an int of more than 15 digits as its first four (1.000e+400).
 
-    The digits are found by division, as str() of an int past 4,300 digits raises.
+    A tuple, list or dict is shown element by element, and past `depth` levels of
+    nesting as "...".  The digits are found by division, as str() of an int past
+    4,300 digits raises.
     """
+    if isinstance(value, (tuple, list, dict)):
+        if depth == 0:
+            return "..."
+        if isinstance(value, dict):
+            inner = ", ".join(f"{_shown(k)}: {_shown(v, depth - 1)}" for k, v in value.items())
+            return "{" + inner + "}"
+        inner = ", ".join(_shown(v, depth - 1) for v in value)
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
     if not (_is_integer(value) and abs(value) >= 10**15):
         return repr(value)
     shift = int(math.log10(abs(value))) - 3  # the float log10 may be one off either way
@@ -103,7 +115,7 @@ def _check_positive(name: str, value: object) -> None:
 def _check_samples(samples: object) -> None:
     """Refuse a sample count that is not an integer from 2 to MAX_SAMPLES."""
     if not _is_integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+        raise ValueError(f"samples must be an integer, got {_shown(samples)}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {_shown(samples)}")
     if samples > MAX_SAMPLES:
@@ -132,7 +144,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.driven, bool):
-            raise ValueError(f"driven must be True or False, got {self.driven!r}")
+            raise ValueError(f"driven must be True or False, got {_shown(self.driven)}")
         _check_nonnegative(omega0=self.omega0, J=self.J, gamma=self.gamma, Omega=self.Omega)
         _check_finite(delta_l=self.delta_l)
         if not self.driven and self.Omega != 0.0:

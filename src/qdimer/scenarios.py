@@ -23,7 +23,7 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import _drained, integrate_blocks
-from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples
+from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples, _shown
 from .states import _checked_populations, named_state, population, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
 
@@ -104,17 +104,18 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if not isinstance(self.initial, str):
-            raise ValueError(f"initial must be a state name, got {self.initial!r}")
+            raise ValueError(f"initial must be a state name, got {_shown(self.initial)}")
         _check_positive("horizon", self.horizon)
         _check_samples(self.samples)
         if not isinstance(self.observables, tuple):
-            raise ValueError(f"observables must be a tuple of names, got {self.observables!r}")
+            raise ValueError(
+                f"observables must be a tuple of names, got {_shown(self.observables)}")
         if not (self.observables or self.zeno_taus):
             raise ValueError(f"observables must list at least one name, got {self.observables!r}")
         unknown = [n for n in self.observables if not (isinstance(n, str) and n in OBSERVABLES)]
         if unknown:
             raise ValueError(
-                f"unknown observables {unknown}; valid: {sorted(OBSERVABLES)}"
+                f"unknown observables {_shown(unknown)}; valid: {sorted(OBSERVABLES)}"
             )
         repeated = sorted({n for n in self.observables if self.observables.count(n) > 1})
         if repeated:
@@ -123,7 +124,8 @@ class Scenario:
             if not self.params.driven:
                 raise ValueError("field_off_time requires a driven scenario")
             if self.field_off_time != "auto":
-                raise ValueError(f"field_off_time must be 'auto', got {self.field_off_time!r}")
+                raise ValueError(
+                    f"field_off_time must be 'auto', got {_shown(self.field_off_time)}")
             if self.params.Omega <= 0.0:
                 raise ValueError("automatic switch-off needs a nonzero drive")
         if self.zeno_taus:

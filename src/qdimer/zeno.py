@@ -54,7 +54,8 @@ class ZenoProtocol:
     def __post_init__(self) -> None:
         _check_positive("tau", self.tau)
         if not _is_integer(self.n_measurements):
-            raise ValueError(f"n_measurements must be an integer, got {self.n_measurements!r}")
+            raise ValueError(
+                f"n_measurements must be an integer, got {_shown(self.n_measurements)}")
         if self.n_measurements < 1:
             raise ValueError(f"need at least one measurement, got {_shown(self.n_measurements)}")
         if self.n_measurements > MAX_SAMPLES:
@@ -84,9 +85,13 @@ def run_zeno(protocol: ZenoProtocol) -> np.ndarray:
     survival[k] = p**k.  Inside the Zeno window p > 0.2915 (it is
     cos^2(J tau) at gamma = 0, and (1 + exp(-2 gamma tau)) / 2 at J = 0), so
     the chain is never extinguished.
+
+    The step leaves omega0 out, as p does not depend on it: |f> lies in the
+    single-excitation pair, whose two levels have the same energy.
     """
     f = named_state("f")
-    [(_, states)] = integrate_blocks("derived", pure_density(f), protocol.params, [protocol.tau])
+    params = SystemParams(omega0=0.0, J=protocol.params.J, gamma=protocol.params.gamma)
+    [(_, states)] = integrate_blocks("derived", pure_density(f), params, [protocol.tau])
     p = population(states[0], f)
     return p ** np.arange(protocol.n_measurements + 1)
 
@@ -101,7 +106,7 @@ def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:
     """
     _check_nonnegative(J=j, tau=tau)
     if not _is_integer(n):
-        raise ValueError(f"measurement count must be an integer, got {n!r}")
+        raise ValueError(f"measurement count must be an integer, got {_shown(n)}")
     _check_nonnegative(n=n)
     if n == 0:
         return 1.0, 1.0

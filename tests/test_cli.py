@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qdimer
 from qdimer import cli, states
+from qdimer.audit import ConsistencyReport
 from qdimer.cli import (
     RunConfig,
     build_parser,
@@ -29,7 +30,7 @@ from qdimer.cli import (
 )
 from qdimer.liouville import MAX_SAMPLES
 from qdimer.physics import DEBYE
-from qdimer.scenarios import ObservableTable, catalog, run_scenario
+from qdimer.scenarios import OBSERVABLES, ObservableTable, catalog, run_scenario
 from qdimer.states import BLOCK
 
 
@@ -522,25 +523,42 @@ def test_custom_run_with_a_presets_inputs_matches_the_preset(tmp_path, capsys):
     ["--initial", "s"], ["--samples", "5"], ["--observables", "C"],
     ["--initial", "s", "--samples", "5", "--observables", "C"],
     ["--rhs", "published"],
+    # the chain reads only J, gamma and the horizon
+    ["--omega0", "1e9"], ["--delta-l", "1e9", "--driven"], ["--driven"],
 ])
 def test_zeno_sweep_preset_rejects_the_fields_it_ignores(tmp_path, capsys, flags):
-    # the sweep table keeps its own start, grid and columns, so these flags
-    # once ran the plain preset unchanged
+    # the sweep table keeps its own start, grid, columns and frame, so these
+    # flags once ran the plain preset unchanged
     assert main(["run", "--scenario", "zeno_sweep", *flags, "--out", str(tmp_path / "z.csv"),
                  "--save-config", str(tmp_path / "z.json")]) == 2
-    err = capsys.readouterr().err
-    assert all(flag in err for flag in flags[::2])
+    named = ", ".join(flag for flag in flags if flag.startswith("--"))
+    assert capsys.readouterr() == ("", f"error: the zeno_sweep preset takes no {named}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--sweep", "omega0=1e9,2e9"], "--omega0"),
+    (["--driven", "--sweep", "delta_l=1e9,2e9"], "--delta-l, --driven"),
+], ids=["omega0", "delta_l"])
+def test_zeno_sweep_preset_rejects_a_sweep_of_a_field_it_ignores(tmp_path, capsys, flags,
+                                                                  named):
+    assert main(["run", "--scenario", "zeno_sweep", *flags,
+                 "--out", str(tmp_path / "z.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: the zeno_sweep preset takes no {named}\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_zeno_sweep_config_rejects_samples(tmp_path, capsys):
     path = tmp_path / "zeno.json"
-    # the sweep table runs the derived generator whatever rhs says
-    for field, value in [("samples", "5"), ("rhs", '"published"')]:
+    # the sweep table runs the derived generator whatever rhs says, and its
+    # chain reads neither the splitting nor the frame
+    for field, value in [("samples", "5"), ("rhs", '"published"'), ("omega0", "1e9"),
+                         ("delta_l", "1e9"), ("driven", "true"), ("driven", "false")]:
         path.write_text('{"out": "%s", "scenario": "zeno_sweep", "%s": %s}'
                         % (tmp_path / "z.csv", field, value))
         assert main(["run", "--config", str(path)]) == 2
-        assert field in capsys.readouterr().err
+        flag = "--" + field.replace("_", "-")
+        assert capsys.readouterr().err == f"error: the zeno_sweep preset takes no {flag}\n"
         assert list(tmp_path.iterdir()) == [path]
 
 
@@ -944,20 +962,36 @@ def test_config_int_past_the_float_range_exits_2(tmp_path, capsys, fields, messa
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("field, literal, message", [
-    ("J", "1" + "0" * 5000, "J must be a finite number, got 1.000e+5000"),
-    ("omega0", "-" + "9" * 5001, "omega0 must be a finite number, got -9.999e+5000"),
-    ("samples", "1" + "0" * 5000, "1.000e+5000 samples are above the cap of 10000000"),
-    ("schema_version", "1" + "0" * 5000,
+_HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"J": _HUGE}, "J must be a finite number, got 1.000e+5000"),
+    ({"omega0": "-" + "9" * 5001}, "omega0 must be a finite number, got -9.999e+5000"),
+    ({"samples": _HUGE}, "1.000e+5000 samples are above the cap of 10000000"),
+    ({"schema_version": _HUGE},
      "unsupported schema_version 1.000e+5000 (this build reads version 1)"),
-], ids=["J", "omega0", "samples", "schema_version"])
-def test_config_int_past_the_digit_limit_names_its_field(tmp_path, capsys, field, literal,
-                                                         message):
+    # string and list fields once showed such a value with repr, which raised
+    ({"scenario": _HUGE}, "scenario must be a string or null, got 1.000e+5000"),
+    ({"sweep_param": _HUGE}, "sweep_param must be a string or null, got 1.000e+5000"),
+    ({"rhs": _HUGE}, "rhs must be 'derived' or 'published', got 1.000e+5000"),
+    ({"initial": _HUGE}, "initial must be a state name, got 1.000e+5000"),
+    ({"observables": f"[{_HUGE}]"},
+     f"unknown observables [1.000e+5000]; valid: {sorted(OBSERVABLES)}"),
+    ({"sweep_param": '"J"', "sweep_values": _HUGE},
+     "sweep_values must be a list, got 1.000e+5000"),
+    ({"out": _HUGE}, "out must name an output path, got 1.000e+5000"),
+    ({"samples": f"[{_HUGE}]"}, "samples must be an integer, got [1.000e+5000]"),
+    ({"driven": _HUGE}, "driven must be True or False, got 1.000e+5000"),
+], ids=["J", "omega0", "samples", "schema_version", "scenario", "sweep_param", "rhs", "initial",
+        "observables", "sweep_values", "out", "samples-list", "driven"])
+def test_config_int_past_the_digit_limit_names_its_field(tmp_path, capsys, fields, message):
     # json.loads once refused these with Python's own 4,300-digit limit, naming no field;
-    # json.dumps refuses them too, so the text is written by hand
+    # json.dumps refuses them too, so the text is written by hand.  No --out is given,
+    # so the config's own out is the one checked
     path = tmp_path / "big.json"
-    path.write_text('{"out": "%s", "scenario": "free_eg", "%s": %s}'
-                    % (tmp_path / "x.csv", field, literal))
+    doc = {"out": '"%s"' % (tmp_path / "x.csv"), "scenario": '"free_eg"', **fields}
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == [path]
@@ -1160,6 +1194,13 @@ def test_audit_command_agreeing_start(capsys):
     assert float(report["max_concurrence_deviation"]) < 1e-10
 
 
+def test_audit_prints_every_report_field(capsys):
+    assert main(["audit", "--samples", "11"]) == 0
+    names = [line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    fields = [f.name for f in dataclasses.fields(ConsistencyReport)]
+    assert names == ["initial", "horizon_s", *fields]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--horizon", "0"], "horizon must be > 0"),
     (["--horizon", "-1ns"], "horizon must be > 0"),
@@ -1183,25 +1224,33 @@ _UNIT_FLAG_COMMANDS = {
                    _RUN_UNIT_FLAGS),
     "run-free": (["run", "--scenario", "free_eg", "--samples", "11"], _RUN_UNIT_FLAGS),
     "run-zeno_sweep": (["run", "--scenario", "zeno_sweep"], _RUN_UNIT_FLAGS),
-    "zeno-N": (["zeno", "--tau", "1e-11", "--N", "10"], ("--tau", "--J", "--gamma", "--omega0")),
-    "zeno-T": (["zeno", "--tau", "1e-11", "--T", "1e-10"],
-               ("--tau", "--T", "--J", "--gamma", "--omega0")),
-    "audit": (["audit", "--samples", "11"], ("--horizon", "--omega0", "--J", "--gamma")),
+    "zeno-N": (["zeno", "--tau", "1e-11", "--N", "10"], ("--tau", "--J", "--gamma")),
+    "zeno-T": (["zeno", "--tau", "1e-11", "--T", "1e-10"], ("--tau", "--T", "--J", "--gamma")),
+    "audit": (["audit", "--samples", "11"], ("--horizon", "--J", "--gamma")),
     "constants": (["constants", "--d0", "1.46D", "--r", "10nm"],
                   ("--d0", "--r", "--mu-eg", "--omega0", "--E-l")),
 }
+# the flags a command no longer takes: omega0 drops out of the zeno chain and the audit
+_GONE_FLAGS = {"zeno-N": ("--omega0",), "zeno-T": ("--omega0",), "audit": ("--omega0",)}
 
 
 @pytest.mark.parametrize("value", ["1e-300", "1e300", "-1e300"])
 @pytest.mark.parametrize("command, flag", [
-    (command, flag) for command, (_, flags) in _UNIT_FLAG_COMMANDS.items() for flag in flags
+    (command, flag) for command, (_, flags) in _UNIT_FLAG_COMMANDS.items()
+    for flag in (*flags, *_GONE_FLAGS.get(command, ()))
 ])
 def test_no_flag_value_escapes_main(tmp_path, monkeypatch, capsys, command, flag, value):
     # extreme values once escaped as OverflowError and ZeroDivisionError tracebacks
     monkeypatch.chdir(tmp_path)
     base, _ = _UNIT_FLAG_COMMANDS[command]
     out = ["--out", "o.csv"] if base[0] == "run" else []
-    assert main([*base, *out, flag, value]) in (0, 2)
+    code = main([*base, *out, flag, value])
+    if flag in _GONE_FLAGS.get(command, ()):
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+    else:
+        assert code in (0, 2)
 
 
 _FUZZ_NUMBERS = st.sampled_from([0, 1, -1, 1e300, -1e300, 10**400, -10**400,

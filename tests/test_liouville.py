@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -83,12 +84,20 @@ SHOWN = [
     (10**5000, "1.000e+5000"), (-(10**5000) + 1, "-9.999e+4999"),
     (19999 * 10**9996 - 1, "1.999e+10000"),
     (True, "True"), ("a", "'a'"), (None, "None"),
+    # containers, element by element: str() of one holding an int past 4,300 digits raises
+    ([10**5000], "[1.000e+5000]"), ((10**400,), "(1.000e+400,)"),
+    ({"J": -10**400, "a": [1, "C"]}, "{'J': -1.000e+400, 'a': [1, 'C']}"),
+    (("a", 1.5, None, True), "('a', 1.5, None, True)"), ((), "()"), ([], "[]"), ({}, "{}"),
+    # json.loads reads lists nested 900 deep, and _shown stops at three levels
+    ([[[[10**5000]]]], "[[[...]]]"),
+    (functools.reduce(lambda v, _: [v], range(900), []), "[[[...]]]"),
 ]
 
 
 @pytest.mark.parametrize("value, shown", SHOWN, ids=[shown for _, shown in SHOWN])
 def test_an_int_of_more_than_15_digits_is_shown_by_its_first_four(value, shown):
     assert _shown(value) == shown
+
 
 
 @pytest.mark.parametrize("bad", ["no", "false", 1, 0, None])

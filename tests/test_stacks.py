@@ -7,6 +7,7 @@ matrix at a time, so batching may not move a single digit of the CSVs.
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,10 +287,11 @@ AUDIT_CASES = [
     *(pytest.param(initial, n, 7, id=f"{initial}-{n}-block7") for initial, n in AUDIT_CASES),
 ])
 def test_audit_matches_per_sample_loops(monkeypatch, initial, samples, block):
-    # the audit command's defaults, at a 5 ns horizon
+    # the audit command's defaults, at a 5 ns horizon; the audit leaves omega0
+    # out, and so does the reference
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state(initial))
-    expected = per_sample_audit(params, rho0, 5e-9, samples)
+    expected = per_sample_audit(replace(params, omega0=0.0), rho0, 5e-9, samples)
     monkeypatch.setattr(states_mod, "BLOCK", block)
     report = consistency_report(params, rho0, 5e-9, samples=samples)
     got = {field: getattr(report, field) for field in expected}
@@ -304,18 +306,33 @@ def test_audit_matches_per_sample_loops(monkeypatch, initial, samples, block):
         assert np.min(published.low) < -400.0
 
 
+def test_audit_agrees_to_rounding_where_the_variants_agree():
+    # the audit once ran omega0 = 1.5e11 s^-1, whose phase rounding reached
+    # 7.4e-12 in rho, 7.5e-12 in the raw trace and 3.1e-14 in the frozen gap
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    worst = {}
+    for start in ("g1g2", "e1e2", "s", "a", "p", "q", "L1L2", "R1R2", "L1R2", "R1L2"):
+        report = consistency_report(params, pure_density(named_state(start)), 5e-9)
+        worst[start] = (report.max_rho_deviation, report.published_trace_drift_no_closure,
+                        report.published_pop23_diff_drift)
+    assert all(rho <= 1e-14 and trace <= 1e-15 and gap <= 1e-15
+               for rho, trace, gap in worst.values()), worst
+
+
 def test_audit_trace_guard_error_comes_before_a_concurrence_error():
     # the derived run's first state cannot be scored; the published run's
     # trace leaves 1e-6 blocks later, yet its error is the one raised, as
-    # when both runs were integrated whole before anything was scored
+    # when both runs were integrated whole before anything was scored.  The
+    # audit is handed omega0 and leaves it out, so the reference runs without it
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+    free = replace(params, omega0=0.0)
     rho0 = pure_density(named_state("g1e2"))
     rho0[0, 1] = 0.3
     times = np.linspace(0.0, 1e-6, 2001)
     with pytest.raises(ValueError) as guard:
-        integrate("published", rho0, params, times)
+        integrate("published", rho0, free, times)
     assert str(guard.value).startswith("trace drifted by")
-    rows, _ = next(integrate_blocks("published", rho0, params, times))
+    rows, _ = next(integrate_blocks("published", rho0, free, times))
     assert rows == slice(0, BLOCK)  # the trace leaves 1e-6 after the first block
     with pytest.raises(ConcurrenceError):
         OBSERVABLES["C"](rho0)

@@ -12,13 +12,14 @@ change -- compare with `diff -r`.
 The set: every catalog preset under both --rhs values, a drive sweep, a short
 switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
 two `constants` calls (one of them refused), the custom run of the README, and
-ten refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio overflows,
-`--omega0` on a driven run, a `constants` distance whose cube underflows, two
-`run --config` files holding an integer past the float range (1 followed by
-400 zeros), one as the `horizon` and one as a sweep value, an unknown `--rhs`
-and an unknown `--sweep` parameter (which print the variant and sweep-field
-lists), `--samples` on the `zeno_sweep` preset, and a `switch_off` run from
-the symmetric state, whose trigger lands on t = 0.  Each config file is
+thirteen refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio
+overflows, `--omega0` on a driven run, on `zeno`, on `audit` and on the
+`zeno_sweep` preset (none of which reads it), a `constants` distance whose cube
+underflows, two `run --config` files holding an integer past the float range
+(1 followed by 400 zeros), one as the `horizon` and one as a sweep value, an
+unknown `--rhs` and an unknown `--sweep` parameter (which print the variant and
+sweep-field lists), `--samples` on the `zeno_sweep` preset, and a `switch_off`
+run from the symmetric state, whose trigger lands on t = 0.  Each config file is
 written as config.json into its command's own directory, where it stays.
 Only the standard library is used, and the commands run one at a time.
 """
@@ -79,6 +80,10 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
                                       "--out", "out.csv"]
     cmds["run_switch_off_from_s"] = ["run", "--scenario", "switch_off", "--initial", "s",
                                      "--samples", "11", "--out", "a.csv"]
+    cmds["zeno_omega0"] = ["zeno", "--tau", "0.01ns", "--N", "10", "--omega0", "1e9"]
+    cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
+    cmds["run_zeno_sweep_omega0"] = ["run", "--scenario", "zeno_sweep", "--omega0", "1e9",
+                                     "--out", "out.csv"]
     cmds.update({name: ["run", "--config", "config.json"] for name in CONFIGS})
     return cmds
 
