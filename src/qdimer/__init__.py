@@ -1,29 +1,12 @@
 """Two coupled two-level molecules under pure dephasing: free, driven and
-measurement-conditioned dynamics with entanglement readout."""
+measurement-conditioned dynamics with entanglement readout.
 
-from .audit import ConsistencyReport, consistency_report
-from .concurrence import ConcurrenceError, ConcurrenceStack, concurrence_stack
-from .liouville import SystemParams, dephasing_rates, hamiltonian, superoperator
-from .physics import (
-    DEBYE,
-    EPSILON_0,
-    HBAR,
-    SPEED_OF_LIGHT,
-    MolecularConstants,
-    dipole_coupling,
-    einstein_a,
-    rabi_frequency,
-)
-from .scenarios import (
-    OBSERVABLES,
-    ObservableTable,
-    Scenario,
-    catalog,
-    find_first_maximum,
-    run_scenario,
-)
-from .states import named_state, population, pure_density
-from .zeno import ZenoProtocol, analytic_survival, run_zeno
+Importing the package loads none of its submodules: a public name is imported
+from its home module the first time it is looked up (PEP 562), so a command
+pays only for the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -59,3 +42,28 @@ __all__ = [
     "superoperator",
     "__version__",
 ]
+
+_EXPORTS = {
+    "audit": ("ConsistencyReport", "consistency_report"),
+    "concurrence": ("ConcurrenceError", "ConcurrenceStack", "concurrence_stack"),
+    "liouville": ("SystemParams", "dephasing_rates", "hamiltonian", "superoperator"),
+    "physics": ("DEBYE", "EPSILON_0", "HBAR", "SPEED_OF_LIGHT", "MolecularConstants",
+                "dipole_coupling", "einstein_a", "rabi_frequency"),
+    "scenarios": ("OBSERVABLES", "ObservableTable", "Scenario", "catalog",
+                  "find_first_maximum", "run_scenario"),
+    "states": ("named_state", "population", "pure_density"),
+    "zeno": ("ZenoProtocol", "analytic_survival", "run_zeno"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import re
@@ -26,9 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .audit import ConsistencyReport, consistency_report
 from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
-from .physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
 from .scenarios import NH3, ObservableTable, Scenario, catalog, run_scenario
 from .states import blocks, named_state, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
@@ -41,7 +38,6 @@ __all__ = ["RunConfig", "emit_csv", "emit_plot_script", "main"]
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
 _LENGTH_UNITS = {"m": 1.0, "um": 1e-6, "nm": 1e-9, "pm": 1e-12}
-_DIPOLE_UNITS = {"D": DEBYE, "C*m": 1.0, "Cm": 1.0}
 _FIELD_UNITS = {"V/m": 1.0, "kV/m": 1e3, "MV/m": 1e6}
 _RATE_UNITS = {"s^-1": 1.0, "1/s": 1.0, "rad/s": 1.0}
 
@@ -80,7 +76,9 @@ def length_quantity(text: str) -> float:
 
 
 def dipole_quantity(text: str) -> float:
-    return parse_quantity(text, _DIPOLE_UNITS, "dipole")
+    from .physics import DEBYE
+
+    return parse_quantity(text, {"D": DEBYE, "C*m": 1.0, "Cm": 1.0}, "dipole")
 
 
 def field_quantity(text: str) -> float:
@@ -180,6 +178,8 @@ class RunConfig:
         return points
 
     def to_json(self) -> str:
+        import json
+
         # json writes the tuple fields as arrays
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
@@ -190,7 +190,12 @@ class RunConfig:
 
 def _config_fields(text: str) -> dict[str, object]:
     """The RunConfig fields a JSON config sets, as the types the fields hold."""
-    doc = json.loads(text, parse_int=_json_int)
+    import json
+
+    try:
+        doc = json.loads(text, parse_int=_json_int)
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError("config is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     # schema-1 files written while the propagator was adaptive carry its
@@ -283,41 +288,6 @@ def emit_csv(table: ObservableTable, path: str) -> None:
             fh.write((row * len(cells) % tuple(cells.ravel().tolist())).encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    columns: tuple[str, ...]  # plotted from every CSV given
-    xscale: float  # multiplier from seconds to the display unit
-    xlabel: str
-    ylabel: str
-    caption: str
-
-
-_NS = (1e9, "t (ns)")
-_US = (1e6, "t (us)")
-
-FIGURES: dict[str, FigureSpec] = {
-    "fig3a": FigureSpec(("C", "rho_ff"), *_NS, "population / concurrence",
-                        "free swap, one molecule excited"),
-    "fig3b": FigureSpec(
-        ("survival_tau0.1ns", "survival_tau0.01ns", "survival_tau0.005ns",
-         "gauss_tau0.1ns", "gauss_tau0.01ns", "gauss_tau0.005ns"),
-        *_NS, "survival", "projection-interval sweep"),
-    "fig4a": FigureSpec(("rho_pp", "rho_qq", "rho_ss", "rho_aa", "C"), *_NS,
-                        "population / concurrence", "free run from a same-side product"),
-    "fig4b": FigureSpec(("rho_pp", "rho_qq", "rho_ss", "rho_aa", "C"), *_NS,
-                        "population / concurrence", "free run from an opposite-side product"),
-    "fig5a": FigureSpec(("C", "rho11", "rho44"), *_US,
-                        "population / concurrence", "resonant drive"),
-    "fig5b": FigureSpec(("C",), *_US, "concurrence", "drive-strength sweep"),
-    "fig5c": FigureSpec(("C",), *_US, "concurrence", "coupling-strength sweep"),
-    "fig5d": FigureSpec(("C",), *_US, "concurrence", "weak-coupling detail"),
-    "fig6a": FigureSpec(("C", "rho_ss"), *_US, "population / concurrence",
-                        "drive detuned onto the symmetric state"),
-    "fig6b": FigureSpec(("C", "rho_ss"), *_US, "population / concurrence",
-                        "switch-off at the symmetric maximum, two dephasing rates"),
-}
-
-
 def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) -> None:
     """Refuse an output `path` that is, after links are resolved, one of `others`."""
     target = os.path.realpath(path)
@@ -330,7 +300,10 @@ def _column_index(path: str, name: str) -> int:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
     if name not in header:
-        raise ValueError(f"{path} has no column {name!r} (found {', '.join(header)})")
+        found = ", ".join(header)
+        if len(found) > 200:  # a header of any length makes one short message
+            found = found[:200] + "…"
+        raise ValueError(f"{path} has no column {name!r} (found {found})")
     return header.index(name) + 1  # gnuplot columns are 1-based
 
 
@@ -341,6 +314,8 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
     that is one of the CSVs, and a CSV path that a double-quoted gnuplot
     string cannot hold, are refused before anything is written.
     """
+    from .figures import FIGURES
+
     if figure_id not in FIGURES:
         raise ValueError(
             f"unknown figure id {figure_id!r}; known: {', '.join(sorted(FIGURES))}"
@@ -511,6 +486,8 @@ def cmd_zeno(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .audit import ConsistencyReport, consistency_report
+
     params = replace(NH3, J=args.J, gamma=args.gamma)
     rho0 = pure_density(named_state(args.initial))
     report = consistency_report(params, rho0, args.horizon, samples=args.samples)
@@ -523,6 +500,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    from .physics import MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
+
     constants = MolecularConstants(d0=args.d0, r=args.r, mu_eg=args.mu_eg)
     # every rate is computed, and so checked, before the first line is printed
     rates = {"J": dipole_coupling(constants),

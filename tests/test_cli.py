@@ -460,6 +460,22 @@ def test_plot_errors(tmp_path):
                  "--out", str(tmp_path / "s.gp")]) == 2
 
 
+def test_plot_missing_column_message_is_bounded(tmp_path, capsys):
+    # the whole first line once went into the message: 200 kB of stderr for this file
+    csv_path = tmp_path / "wide.csv"
+    names = [f"col{i}" for i in range(30000)]
+    csv_path.write_text(",".join(names) + "\n")
+    script = tmp_path / "s.gp"
+    assert main(["plot", "--figure", "fig5b", "--csv", str(csv_path), "--out", str(script)]) == 2
+    found = ", ".join(names)[:200] + "…"
+    assert capsys.readouterr() == ("", f"error: {csv_path} has no column 'C' (found {found})\n")
+    assert not script.exists()
+    # a header of up to 200 characters is shown whole
+    emit_csv(small_table(), str(csv_path))
+    assert main(["plot", "--figure", "fig5b", "--csv", str(csv_path), "--out", str(script)]) == 2
+    assert capsys.readouterr().err == f"error: {csv_path} has no column 'C' (found t_s, a, b)\n"
+
+
 @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
 def test_plot_out_onto_an_input_csv_exits_2(tmp_path, capsys, link):
     # the script once replaced the data it plots
@@ -997,6 +1013,24 @@ def test_config_int_past_the_digit_limit_names_its_field(tmp_path, capsys, field
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("depth, message", [
+    (900, "out must name an output path, got [[[...]]]"),
+    (990, "config is nested too deeply"),
+    (5000, "config is nested too deeply"),
+])
+def test_deeply_nested_config_exits_2(tmp_path, depth, message):
+    # json.loads recurses once per level, and its RecursionError once escaped main;
+    # a fresh interpreter, so the depth the decoder reaches is the command's own
+    path = tmp_path / "deep.json"
+    path.write_text('{"scenario": "free_eg", "out": %s1%s}' % ("[" * depth, "]" * depth))
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    run = subprocess.run([sys.executable, "-m", "qdimer.cli", "run", "--config", str(path)],
+                         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["--scenario", "switch_off", "--initial", "s", "--samples", "11"], None,
      "switch-off trigger 0.000e+00 s outside (0, horizon)"),
@@ -1298,3 +1332,39 @@ def test_cli_imports_only_numpy_and_the_standard_library():
 
     extra = loaded("qdimer.cli") - loaded("numpy")
     assert extra - set(sys.stdlib_module_names) == {"qdimer"}, sorted(extra)
+
+
+# the modules that only some commands need; every command needs the preset list,
+# and so scenarios, integrate, concurrence, states and zeno
+ON_DEMAND = ("json", "qdimer.audit", "qdimer.figures", "qdimer.physics")
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["run", "--scenario", "free_eg", "--out", "r.csv"], set()),
+    (["catalog"], set()),
+    (["zeno", "--tau", "0.01ns", "--N", "10"], set()),
+    (["audit"], {"qdimer.audit"}),
+    (["constants", "--d0", "1.46D", "--r", "10nm"], {"qdimer.physics"}),
+    (["plot", "--figure", "fig5b", "--csv", "in.csv", "--out", "s.gp"], {"qdimer.figures"}),
+    (["run", "--scenario", "free_eg", "--out", "r.csv", "--save-config", "saved.json"],
+     {"json"}),
+    (["run", "--config", "in.json"], {"json"}),
+], ids=["run", "catalog", "zeno", "audit", "constants", "plot", "save-config", "config"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, needs):
+    emit_csv(ObservableTable(np.array([0.0, 1e-9]), ("C",), np.zeros((2, 1))),
+             str(tmp_path / "in.csv"))
+    (tmp_path / "in.json").write_text('{"scenario": "free_eg", "samples": 11, "out": "c.csv"}')
+    # what site start-up loaded on its own is not the command's doing
+    probe = ("import sys\n"
+             "start = set(sys.modules)\n"
+             "from qdimer.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             f"print(code, *sorted(m for m in {ON_DEMAND} if m in set(sys.modules) - start))\n"
+             f"print(*sorted(m for m in {ON_DEMAND} if m in start))\n")
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    run = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    code, *loaded = run.stdout.splitlines()[-2].split()
+    preloaded = set(run.stdout.splitlines()[-1].split())
+    assert (code, sorted(loaded)) == ("0", sorted(needs - preloaded)), run.stderr

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,19 @@ def test_public_surface_is_pinned():
 def test_package_exports_resolve():
     missing = [name for name in qdimer.__all__ if not hasattr(qdimer, name)]
     assert missing == []
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    # each public name is imported from its home module on first use, and kept
+    probe = ("import sys, qdimer\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('qdimer.')))\n"
+             "missing = [n for n in qdimer.__all__ if not hasattr(qdimer, n)]\n"
+             "print(missing, sorted(dir(qdimer)) == sorted(qdimer.__all__),\n"
+             "      set(qdimer.__all__) <= set(vars(qdimer)))\n")
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    run = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "\n[] True True\n"
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -11,37 +11,48 @@ change -- compare with `diff -r`.
 
 The set: every catalog preset under both --rhs values, a drive sweep, a short
 switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
-two `constants` calls (one of them refused), the custom run of the README, and
-thirteen refused inputs: a `zeno` and a `zeno_sweep` run whose tau ratio
-overflows, `--omega0` on a driven run, on `zeno`, on `audit` and on the
-`zeno_sweep` preset (none of which reads it), a `constants` distance whose cube
-underflows, two `run --config` files holding an integer past the float range
-(1 followed by 400 zeros), one as the `horizon` and one as a sweep value, an
-unknown `--rhs` and an unknown `--sweep` parameter (which print the variant and
-sweep-field lists), `--samples` on the `zeno_sweep` preset, and a `switch_off`
-run from the symmetric state, whose trigger lands on t = 0.  Each config file is
-written as config.json into its command's own directory, where it stays.
+two `constants` calls (one of them refused), the custom run of the README, a
+`run --save-config` followed by a `run --config` of the file it saved, a
+`plot --figure fig3a` over a three-row CSV, and fourteen refused inputs: a
+`zeno` and a `zeno_sweep` run whose tau ratio overflows, `--omega0` on a driven
+run, on `zeno`, on `audit` and on the `zeno_sweep` preset (none of which reads
+it), a `constants` distance whose cube underflows, two `run --config` files
+holding an integer past the float range (1 followed by 400 zeros), one as the
+`horizon` and one as a sweep value, a `run --config` file nested 5,000 levels
+deep, an unknown `--rhs` and an unknown `--sweep` parameter (which print the
+variant and sweep-field lists), `--samples` on the `zeno_sweep` preset, and a
+`switch_off` run from the symmetric state, whose trigger lands on t = 0.  Each
+input file (a config.json, the plot's in.csv) is written into its command's
+own directory, where it stays; the saved config is copied from the directory
+of the command that saved it.
 Only the standard library is used, and the commands run one at a time.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 
 STARTS = ("g1g2", "g1e2", "e1g2", "e1e2", "s", "a", "p", "q", "f", "k",
           "L1L2", "R1R2", "L1R2", "R1L2")
 
-# the config.json of each command that runs `run --config config.json`
+# the input file each command reads, written into its directory before it runs
 BIG = "1" + "0" * 400
-CONFIGS = {
-    "run_config_big_horizon":
-        '{"scenario": "free_eg", "horizon": %s, "out": "out.csv"}\n' % BIG,
-    "run_config_big_sweep_value":
-        '{"scenario": "free_eg", "sweep_param": "J", "sweep_values": [4e9, %s], '
-        '"out": "out.csv"}\n' % BIG,
+INPUTS = {
+    "run_config_big_horizon": (
+        "config.json", '{"scenario": "free_eg", "horizon": %s, "out": "out.csv"}\n' % BIG),
+    "run_config_big_sweep_value": (
+        "config.json", '{"scenario": "free_eg", "sweep_param": "J", "sweep_values": '
+        '[4e9, %s], "out": "out.csv"}\n' % BIG),
+    "run_config_nested": (
+        "config.json", '{"scenario": "free_eg", "out": %s1%s}\n' % ("[" * 5000, "]" * 5000)),
+    "plot_fig3a": (
+        "in.csv", "t_s,C,rho_ff\n0.0,0.0,0.5\n5.0e-10,0.5,0.75\n1.0e-09,1.0,1.0\n"),
 }
+# the commands that read a file an earlier command wrote: that command and the file
+SAVED = {"run_saved_config": ("run_save_config", "saved.json")}
 
 
 def commands(presets: list[str]) -> dict[str, list[str]]:
@@ -84,7 +95,13 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
     cmds["run_zeno_sweep_omega0"] = ["run", "--scenario", "zeno_sweep", "--omega0", "1e9",
                                      "--out", "out.csv"]
-    cmds.update({name: ["run", "--config", "config.json"] for name in CONFIGS})
+    cmds["run_config_big_horizon"] = ["run", "--config", "config.json"]
+    cmds["run_config_big_sweep_value"] = ["run", "--config", "config.json"]
+    cmds["run_config_nested"] = ["run", "--config", "config.json"]
+    cmds["run_save_config"] = ["run", "--scenario", "free_eg", "--samples", "11",
+                               "--out", "out.csv", "--save-config", "saved.json"]
+    cmds["run_saved_config"] = ["run", "--config", "saved.json"]
+    cmds["plot_fig3a"] = ["plot", "--figure", "fig3a", "--csv", "in.csv", "--out", "fig.gp"]
     return cmds
 
 
@@ -108,9 +125,13 @@ def main(argv: list[str]) -> int:
     for name, args in commands(presets).items():
         cwd = os.path.join(outdir, name)
         os.mkdir(cwd)
-        if name in CONFIGS:
-            with open(os.path.join(cwd, "config.json"), "w") as fh:
-                fh.write(CONFIGS[name])
+        if name in INPUTS:
+            filename, text = INPUTS[name]
+            with open(os.path.join(cwd, filename), "w") as fh:
+                fh.write(text)
+        if name in SAVED:
+            source, filename = SAVED[name]
+            shutil.copy(os.path.join(outdir, source, filename), cwd)
         done = run(args, cwd, env)
         for filename, data in (("stdout.txt", done.stdout), ("stderr.txt", done.stderr),
                                ("exit.txt", f"{done.returncode}\n".encode())):
