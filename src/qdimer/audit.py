@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import _drained, integrate_blocks
+from .integrate import integrate_blocks
 from .liouville import SystemParams, _check_positive, _check_samples
 
 __all__ = ["ConsistencyReport", "consistency_report"]
@@ -68,7 +68,7 @@ def consistency_report(
     _check_positive("horizon", horizon)
     params = replace(params, omega0=0.0)
     times = np.linspace(0.0, horizon, samples)
-    # in this order, so that a derived error comes before a published one
+    # in this order, so that within a block the derived walk's error comes first
     walks = zip(
         integrate_blocks("derived", rho0, params, times),
         integrate_blocks("published", rho0, params, times),
@@ -83,30 +83,29 @@ def consistency_report(
     low, high = math.inf, -math.inf
     skipped = 0
     # an unscorable published state is skipped; a derived one is an error
-    with _drained(walks):
-        for (_, derived), (_, published), (_, raw) in walks:
-            c_d = concurrence_stack(derived)
-            c_d.check()
-            c_p = concurrence_stack(published)
-            skipped += int(np.count_nonzero(~c_p.valid))
-            deviation = np.abs(c_d.values - c_p.values)[c_p.valid]
-            max_conc = np.maximum(max_conc, np.max(deviation, initial=0.0))
+    for (_, derived), (_, published), (_, raw) in walks:
+        c_d = concurrence_stack(derived)
+        c_d.check()
+        c_p = concurrence_stack(published)
+        skipped += int(np.count_nonzero(~c_p.valid))
+        deviation = np.abs(c_d.values - c_p.values)[c_p.valid]
+        max_conc = np.maximum(max_conc, np.max(deviation, initial=0.0))
 
-            pops_d = np.diagonal(derived, axis1=1, axis2=2).real
-            pops_p = np.diagonal(published, axis1=1, axis2=2).real
-            max_pop = np.maximum(max_pop, np.max(np.abs(pops_d - pops_p)))
-            max_rho = np.maximum(max_rho, np.max(np.abs(derived - published)))
+        pops_d = np.diagonal(derived, axis1=1, axis2=2).real
+        pops_p = np.diagonal(published, axis1=1, axis2=2).real
+        max_pop = np.maximum(max_pop, np.max(np.abs(pops_d - pops_p)))
+        max_rho = np.maximum(max_rho, np.max(np.abs(derived - published)))
 
-            traces = np.trace(raw, axis1=1, axis2=2).real
-            trace_drift = np.maximum(trace_drift, np.max(np.abs(traces - 1.0)))
+        traces = np.trace(raw, axis1=1, axis2=2).real
+        trace_drift = np.maximum(trace_drift, np.max(np.abs(traces - 1.0)))
 
-            diff_p = pops_p[:, 2] - pops_p[:, 1]
-            diff_d = pops_d[:, 2] - pops_d[:, 1]
-            if pop23_start is None:
-                pop23_start = diff_p[0]
-            pop23_drift = np.maximum(pop23_drift, np.max(np.abs(diff_p - pop23_start)))
-            low = np.minimum(low, np.min(diff_d))
-            high = np.maximum(high, np.max(diff_d))
+        diff_p = pops_p[:, 2] - pops_p[:, 1]
+        diff_d = pops_d[:, 2] - pops_d[:, 1]
+        if pop23_start is None:
+            pop23_start = diff_p[0]
+        pop23_drift = np.maximum(pop23_drift, np.max(np.abs(diff_p - pop23_start)))
+        low = np.minimum(low, np.min(diff_d))
+        high = np.maximum(high, np.max(diff_d))
 
     return ConsistencyReport(
         max_population_deviation=float(max_pop),

@@ -296,15 +296,17 @@ def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) ->
             raise ValueError(f"{what} {path} would overwrite the {kind} {other}")
 
 
-def _column_index(path: str, name: str) -> int:
+def _column_indices(path: str, names: Sequence[str]) -> list[int]:
+    """The gnuplot column (1-based) of each name, from one read of the header."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-    if name not in header:
-        found = ", ".join(header)
-        if len(found) > 200:  # a header of any length makes one short message
-            found = found[:200] + "…"
-        raise ValueError(f"{path} has no column {name!r} (found {found})")
-    return header.index(name) + 1  # gnuplot columns are 1-based
+    for name in names:
+        if name not in header:
+            found = ", ".join(header)
+            if len(found) > 200:  # a header of any length makes one short message
+                found = found[:200] + "…"
+            raise ValueError(f"{path} has no column {name!r} (found {found})")
+    return [header.index(name) + 1 for name in names]
 
 
 def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) -> None:
@@ -335,8 +337,7 @@ def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) ->
     curves = []
     for path in csv_paths:
         stem = os.path.splitext(os.path.basename(path))[0]
-        for column in spec.columns:
-            idx = _column_index(path, column)
+        for column, idx in zip(spec.columns, _column_indices(path, spec.columns)):
             title = column if len(csv_paths) == 1 else f"{column} [{stem}]"
             curves.append(
                 f'  "{path}" using ($1*{spec.xscale:g}):{idx} with lines title "{title}"'

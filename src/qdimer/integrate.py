@@ -17,7 +17,6 @@ trajectories.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Iterator
 
@@ -74,12 +73,10 @@ def integrate_blocks(
     strictly increasing and start at >= 0 (seconds).  Each sample is
     exp(L dt) applied to the previous one (to rho0 for the first, with
     dt = times[0]); a sample at t = 0 is rho0 itself.  Raises ValueError for
-    a bad grid, a non-finite rho0, and, once the whole grid is walked, if the
-    sampled trace drifted from 1 by more than 1e-6 or the state overflowed --
-    either means the run cannot be trusted.  No block is yielded from the
-    first one that fails the guard on, so the caller never sees such a state;
-    the walk still steps to the end, so the error reports the worst drift
-    over the whole grid.
+    a non-finite rho0 at once, and for a bad grid or a sampled trace that
+    drifted from 1 by more than 1e-6 or overflowed (either means the run
+    cannot be trusted) at the first block that holds one; that block is not
+    yielded and nothing past it is stepped.
 
     From symmetric starts such as L1L2 the two generator variants act alike
     on every state the run reaches, but exp(L dt) is built from all of L, so
@@ -94,12 +91,6 @@ def integrate_blocks(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("sample_times must be a non-empty 1-d array")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample_times must be finite")
-    if times[0] < 0.0:
-        raise ValueError("sample_times must start at >= 0")
-    if times.size > 1 and not np.all(np.diff(times) > 0.0):
-        raise ValueError("sample_times must be strictly increasing")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected rho0 shape (4, 4), got {rho0.shape}")
@@ -110,46 +101,37 @@ def integrate_blocks(
     # exact float keys: a uniform grid has only a handful of distinct spacings
     steps: dict[float, np.ndarray] = {}
     y = rho0.reshape(16)
-    drift = 0.0
     last = 0.0  # the time of the state y; rho0 sits at t = 0
     for rows in blocks(times.size):
-        dts = np.diff(times[rows], prepend=last)
-        last = times[rows.stop - 1]
+        block = times[rows]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("sample_times must be finite")
+        dts = np.diff(block, prepend=last)
+        if rows.start == 0 and dts[0] < 0.0:
+            raise ValueError("sample_times must start at >= 0")
+        # only times[0] may sit at dt = 0, i.e. t = 0
+        if not np.all(dts[1 if rows.start == 0 else 0:] > 0.0):
+            raise ValueError("sample_times must be strictly increasing")
+        last = block[-1]
         out = np.empty((rows.stop - rows.start, 16), dtype=complex)
         # a growing mode (the published generator has one) can overflow the
         # state; the trace guard reports that, so numpy need not warn about it
         with np.errstate(over="ignore", invalid="ignore"):
             for k, dt in enumerate(dts.tolist()):
-                if dt != 0.0:  # only the first sample can sit at dt = 0, i.e. t = 0
+                if dt != 0.0:
                     if dt not in steps:
                         steps[dt] = _exponential(lv * dt)
                     y = steps[dt] @ y
                 out[k] = y
             states = out.reshape(-1, 4, 4)
             if closure:
-                # np.maximum keeps a NaN, as the maximum over the whole grid would
-                drift = np.maximum(drift, np.max(np.abs(np.einsum("kii->k", states).real - 1.0)))
-        if drift <= 1e-6:
-            yield rows, states
-
-    if closure:
-        if not math.isfinite(drift):
-            raise ValueError(f"the state overflowed during integration (trace drift {drift})")
-        if not drift <= 1e-6:
-            raise ValueError(f"trace drifted by {drift:.3e} during integration")
-
-
-@contextlib.contextmanager
-def _drained(walk: Iterator[object]) -> Iterator[None]:
-    """On a ValueError from the with block, step the rest of `walk` and re-raise
-    it, so that an error the walk raises at its end (the trace guard) takes its
-    place, as if the run were propagated whole first."""
-    try:
-        yield
-    except ValueError:
-        for _ in walk:
-            pass
-        raise
+                drift = float(np.max(np.abs(np.einsum("kii->k", states).real - 1.0)))
+                if not math.isfinite(drift):
+                    raise ValueError(
+                        f"the state overflowed during integration (trace drift {drift})")
+                if drift > 1e-6:
+                    raise ValueError(f"trace drifted by {drift:.3e} during integration")
+        yield rows, states
 
 
 def _block23_propagator(j: float, gamma: float, t: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import _drained, integrate_blocks
+from .integrate import integrate_blocks
 from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples, _shown
 from .states import _checked_populations, named_state, population, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
@@ -71,15 +71,11 @@ OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def _evaluate(
     names: Sequence[str], walk: Iterator[tuple[slice, np.ndarray]], out: np.ndarray
 ) -> None:
-    """Fill out[k, m] = OBSERVABLES[names[m]](state k) from a block walk.
-
-    The first block's first failing column raises, once `_drained` has
-    stepped the rest of the walk.
-    """
-    with _drained(walk):
-        for rows, states in walk:
-            for m, name in enumerate(names):
-                out[rows, m] = OBSERVABLES[name](states)
+    """Fill out[k, m] = OBSERVABLES[names[m]](state k) from a block walk;
+    the first failing block's first failing column raises."""
+    for rows, states in walk:
+        for m, name in enumerate(names):
+            out[rows, m] = OBSERVABLES[name](states)
 
 
 @dataclass(frozen=True)
@@ -329,8 +325,8 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
     spaced times over [0, horizon].
 
     The states are evaluated block by block as the propagator yields them,
-    and only the table is kept.  Errors are raised as if the whole run were
-    propagated first: a trace-guard error wins over any observable error.
+    and only the table is kept.  The first block that fails, in the walk or
+    in an observable, raises, and nothing past it is stepped.
     """
     if scenario.zeno_taus:
         return _zeno_sweep_table(scenario)

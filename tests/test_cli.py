@@ -460,6 +460,27 @@ def test_plot_errors(tmp_path):
                  "--out", str(tmp_path / "s.gp")]) == 2
 
 
+def test_plot_reads_each_csv_header_once(tmp_path, monkeypatch):
+    # each figure column once reopened its CSV: fig4a opened each input 5 times
+    table = ObservableTable(times=np.linspace(0.0, 1e-9, 3),
+                            names=("rho_pp", "rho_qq", "rho_ss", "rho_aa", "C"),
+                            data=np.zeros((3, 5)))
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for path in paths:
+        emit_csv(table, path)
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    script = str(tmp_path / "fig.gp")
+    emit_plot_script(paths, "fig4a", script)
+    assert sorted(opened) == sorted([*paths, script])
+    assert ':6 with lines title "C [b]"' in (tmp_path / "fig.gp").read_text()
+
+
 def test_plot_missing_column_message_is_bounded(tmp_path, capsys):
     # the whole first line once went into the message: 200 kB of stderr for this file
     csv_path = tmp_path / "wide.csv"
@@ -703,26 +724,41 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
 
 
 def test_overflowing_run_exits_2_without_numpy_warnings(tmp_path):
-    # the published generator's growing mode overflows this run's state;
-    # two RuntimeWarnings from the step product once preceded the error
+    # the published generator's growing mode overflows the state of one 10 us
+    # step; two RuntimeWarnings from the step product once preceded the error
     src = os.path.dirname(os.path.dirname(qdimer.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = tmp_path / "r.csv"
-    run = subprocess.run([sys.executable, "-m", "qdimer.cli", "run", "--scenario",
-                          "driven_resonant", "--rhs", "published", "--out", str(out)],
-                         env=env, capture_output=True, text=True)
-    assert run.returncode == 2
-    assert "RuntimeWarning" not in run.stderr
-    assert run.stderr == "error: the state overflowed during integration (trace drift nan)\n"
-    assert not out.exists()
+    for extra, error in [
+        (["--horizon", "10us", "--samples", "2"],
+         "the state overflowed during integration (trace drift nan)"),
+        # the preset's walk stops at its first block past the guard
+        ([], "trace drifted by 1.851e+94 during integration"),
+    ]:
+        run = subprocess.run([sys.executable, "-m", "qdimer.cli", "run", "--scenario",
+                              "driven_resonant", "--rhs", "published", *extra,
+                              "--out", str(out)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert "RuntimeWarning" not in run.stderr
+        assert run.stderr == f"error: {error}\n"
+        assert not out.exists()
 
 
 def test_guard_error_wins_over_observable_error(tmp_path, capsys):
-    # the switch-off trigger probe's rho_ss leaves [0, 1] at sample 20, but its
-    # trace guard, which trips later in the probe, decides the message
+    # the guard checks a block before any observable sees it: the preset's
+    # trace leaves 1e-6 at sample 19, in its first block, and each of its five
+    # columns fails on that block too
     out = tmp_path / "s.csv"
-    assert main(["run", "--scenario", "switch_off", "--rhs", "published", "--out", str(out)]) == 2
+    assert main(["run", "--scenario", "driven_resonant", "--rhs", "published",
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: trace drifted by")
+    assert not out.exists()
+    # an earlier block's observable error is raised first: the switch-off
+    # trigger probe's rho_ss leaves [0, 1] at sample 20, long before its trace
+    # guard would trip
+    assert main(["run", "--scenario", "switch_off", "--rhs", "published", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: population -1.672e-05 below 0 beyond tolerance\n"
     assert not out.exists()
     # a run whose trace holds fails on its first observable error
     assert main(["run", "--scenario", "free_eg", "--rhs", "published", "--out", str(out)]) == 2

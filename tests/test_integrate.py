@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,9 @@ from oracles import (
     integrate,
     random_pure,
 )
+from qdimer import integrate as integrate_mod
 from qdimer import states as states_mod
-from qdimer.integrate import _drained, _exponential, closed_form_free, integrate_blocks
+from qdimer.integrate import _exponential, closed_form_free, integrate_blocks
 from qdimer.liouville import SystemParams, superoperator
 from qdimer.scenarios import catalog
 from qdimer.states import BLOCK, blocks, named_state, population, pure_density
@@ -262,35 +266,11 @@ def test_blocks_concatenate_to_the_stack(monkeypatch):
     assert np.array_equal(stack, whole)
 
 
-@pytest.mark.parametrize("raised, at_end, expected", [
-    (ValueError("block"), None, "block"),
-    (ValueError("block"), ValueError("guard"), "guard"),
-    (KeyError("block"), ValueError("guard"), "'block'"),
-])
-def test_drained_lets_the_walks_end_error_take_a_value_errors_place(raised, at_end, expected):
-    stepped = []
-
-    def walk():
-        for k in range(4):
-            stepped.append(k)
-            yield k
-        if at_end is not None:
-            raise at_end
-
-    blocks_ = walk()
-    with pytest.raises(Exception) as info:
-        with _drained(blocks_):
-            next(blocks_)
-            raise raised
-    assert str(info.value) == expected
-    # only a ValueError steps the rest of the walk
-    assert stepped == ([0, 1, 2, 3] if isinstance(raised, ValueError) else [0])
-
-
-def test_walk_stops_at_the_first_failing_block_and_reports_the_whole_grid():
+def test_walk_stops_at_the_first_failing_block_and_reports_its_drift(monkeypatch):
     # the switch_off trigger probe under the published generator: its trace
-    # leaves 1e-6 at sample 1071 and grows to 1.9e10; every block before the
-    # one holding that sample is yielded, and no later one
+    # leaves 1e-6 at sample 1071 and grows to 1.9e10 by the end; every block
+    # before the one holding that sample is yielded, that one raises with its
+    # own drift, and no later block is stepped
     sc = next(s for s in catalog() if s.name == "switch_off")
     rho0 = pure_density(named_state(sc.initial))
     times = np.linspace(0.0, 1.2 * np.pi / (np.sqrt(2.0) * sc.params.Omega), 3001)
@@ -308,17 +288,72 @@ def test_walk_stops_at_the_first_failing_block_and_reports_the_whole_grid():
     drift = np.abs(np.einsum("kii->k", raw).real - 1.0)
     first_bad = int(np.flatnonzero(drift > 1e-6)[0])
     clean = list(blocks(first_bad // BLOCK * BLOCK))
+    failing = slice(len(clean) * BLOCK, (len(clean) + 1) * BLOCK)
     assert len(clean) >= 2
+    stepped = []
+
+    def counted(n):
+        for rows in blocks(n):
+            stepped.append(rows)
+            yield rows
+
+    monkeypatch.setattr(integrate_mod, "blocks", counted)
     yielded = []
     with pytest.raises(ValueError) as streamed:
         for rows, states in integrate_blocks("published", rho0, sc.params, times):
             yielded.append(rows)
             assert np.array_equal(states, raw[rows])
     assert yielded == clean
-    assert str(streamed.value) == f"trace drifted by {np.max(drift):.3e} during integration"
+    assert stepped == [*clean, failing]
+    assert str(streamed.value) == (
+        f"trace drifted by {np.max(drift[failing]):.3e} during integration")
+    assert np.max(drift[failing]) < np.max(drift)
     with pytest.raises(ValueError) as whole:
         integrate("published", rho0, sc.params, times)
     assert str(whole.value) == str(streamed.value)
+
+
+def test_walk_reports_an_overflowed_state():
+    # one step of 10 us under the published generator's growing mode at the
+    # resonant drive overflows the state, which numpy is not let warn about
+    sc = next(s for s in catalog() if s.name == "driven_resonant")
+    rho0 = pure_density(named_state(sc.initial))
+    with pytest.raises(ValueError) as info:
+        list(integrate_blocks("published", rho0, sc.params, np.array([0.0, 1e-5])))
+    assert str(info.value) == "the state overflowed during integration (trace drift nan)"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (BLOCK + 3, "finite"),
+    (BLOCK, "strictly increasing"),
+    (2 * BLOCK - 1, "strictly increasing"),
+], ids=["nan", "repeat-at-block-edge", "repeat-in-block"])
+def test_grid_is_checked_a_block_at_a_time(bad, message):
+    # a bad sample in a later block raises once the walk reaches it, after
+    # the blocks before it were yielded, at a block edge too
+    times = np.linspace(0.0, 1e-9, 3 * BLOCK)
+    times[bad] = np.nan if message == "finite" else times[bad - 1]
+    walk = integrate_blocks("derived", pure_density(named_state("e1g2")), FREE, times)
+    assert next(walk)[0] == slice(0, BLOCK)
+    with pytest.raises(ValueError, match=message):
+        next(walk)
+
+
+def test_walk_holds_no_whole_grid_temporary():
+    # the grid was once checked whole up front, with a 1 B/sample mask and an
+    # 8 B/sample np.diff: 9 MB traced at 10**6 samples; the walk now holds
+    # one block at a time.  Every block costs the same, so a few stand for
+    # all (the whole walk takes 20 s under tracemalloc)
+    times = np.linspace(0.0, 1e-6, 10**6)
+    rho0 = pure_density(named_state("e1g2"))
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(integrate_blocks("derived", rho0, FREE, times), 4):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -285,9 +285,10 @@ def test_switch_off_walk_matches_direct_integration(t_off, monkeypatch):
         assert np.array_equal(table.column(name), OBSERVABLES[name](states)), name
 
 
-def test_switch_off_free_walk_error_beats_a_driven_observable_error(monkeypatch):
-    # the free walk is drained before an observable error is raised, as if the
-    # whole switch-off were propagated first
+def test_switch_off_driven_observable_error_stops_before_the_free_walk(monkeypatch):
+    # an observable error on the first driven block is raised at once: the
+    # driven walk steps no further and the free walk never starts, so an error
+    # the free walk would raise cannot take its place
     calls = []
 
     def fails_first(rho):
@@ -307,22 +308,41 @@ def test_switch_off_free_walk_error_beats_a_driven_observable_error(monkeypatch)
         samples=1601,
         field_off_time="auto",
     )
-    with pytest.raises(ValueError, match="driven observable"):
-        run_scenario(sc)
-    assert calls[0] == BLOCK  # it failed on the first driven block
-
     walk = scenarios_mod.integrate_blocks
+    walks = []  # per walk started: its drive and the blocks it yielded
 
     def free_walk_fails(variant, rho0, params, times, **kwargs):
-        yield from walk(variant, rho0, params, times, **kwargs)
+        walks.append([params.Omega, 0])
+        for block in walk(variant, rho0, params, times, **kwargs):
+            walks[-1][1] += 1
+            yield block
         if params.Omega == 0.0:
             raise ValueError("free walk")
 
     monkeypatch.setattr(scenarios_mod, "integrate_blocks", free_walk_fails)
-    calls.clear()
-    with pytest.raises(ValueError, match="free walk"):
+    with pytest.raises(ValueError, match="driven observable"):
         run_scenario(sc)
-    assert calls[0] == BLOCK
+    assert calls[0] == BLOCK  # it failed on the first driven block
+    assert walks == [[DRIVE_S.Omega, 1]]
+
+
+@pytest.mark.parametrize("name", ["free_eg", "switch_off"])
+def test_doomed_published_run_stops_after_its_first_failing_block(monkeypatch, name):
+    # both runs leave [0, 1] in their first block (switch_off in its trigger
+    # probe, whose trace guard would trip only in its fifth block); no block
+    # past it is stepped
+    walk = scenarios_mod.integrate_blocks
+    yielded = []
+
+    def counted(*args, **kwargs):
+        for rows, states in walk(*args, **kwargs):
+            yielded.append(rows)
+            yield rows, states
+
+    monkeypatch.setattr(scenarios_mod, "integrate_blocks", counted)
+    with pytest.raises(ValueError, match="^population .* beyond tolerance$"):
+        run_scenario(replace(preset(name), samples=4 * BLOCK), variant="published")
+    assert yielded == [slice(0, BLOCK)]
 
 
 def test_run_scenario_peak_memory_per_sample():

@@ -320,25 +320,29 @@ def test_audit_agrees_to_rounding_where_the_variants_agree():
 
 
 def test_audit_trace_guard_error_comes_before_a_concurrence_error():
-    # the derived run's first state cannot be scored; the published run's
-    # trace leaves 1e-6 blocks later, yet its error is the one raised, as
-    # when both runs were integrated whole before anything was scored.  The
-    # audit is handed omega0 and leaves it out, so the reference runs without it
+    # the derived run's first state cannot be scored, and the published run's
+    # trace leaves 1e-6 between 0.64 and 0.77 us.  The walks check each block
+    # before the audit scores it, so the guard's error comes first when it
+    # trips in the first block (201 samples are one block), and the
+    # concurrence error when it trips in a later one.  The audit is handed
+    # omega0 and leaves it out, so the reference runs without it
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     free = replace(params, omega0=0.0)
     rho0 = pure_density(named_state("g1e2"))
     rho0[0, 1] = 0.3
-    times = np.linspace(0.0, 1e-6, 2001)
-    with pytest.raises(ValueError) as guard:
-        integrate("published", rho0, free, times)
-    assert str(guard.value).startswith("trace drifted by")
-    rows, _ = next(integrate_blocks("published", rho0, free, times))
-    assert rows == slice(0, BLOCK)  # the trace leaves 1e-6 after the first block
-    with pytest.raises(ConcurrenceError):
+    with pytest.raises(ConcurrenceError) as scored:
         OBSERVABLES["C"](rho0)
-    with pytest.raises(ValueError) as audit:
-        consistency_report(params, rho0, 1e-6, samples=2001)
-    assert str(audit.value) == str(guard.value)
+    for samples, blocks_before_the_guard in [(201, 0), (2001, 5)]:
+        yielded = 0
+        with pytest.raises(ValueError, match="^trace drifted by") as guard:
+            for _ in integrate_blocks("published", rho0, free, np.linspace(0.0, 1e-6, samples)):
+                yielded += 1
+        assert yielded == blocks_before_the_guard
+        with pytest.raises(ValueError) as audit:
+            consistency_report(params, rho0, 1e-6, samples=samples)
+        first = scored if blocks_before_the_guard else guard
+        assert type(audit.value) is type(first.value)
+        assert str(audit.value) == str(first.value)
 
 
 def test_audit_memory_does_not_grow_with_the_sample_count():

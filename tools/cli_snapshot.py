@@ -13,7 +13,9 @@ The set: every catalog preset under both --rhs values, a drive sweep, a short
 switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
 two `constants` calls (one of them refused), the custom run of the README, a
 `run --save-config` followed by a `run --config` of the file it saved, a
-`plot --figure fig3a` over a three-row CSV, and fourteen refused inputs: a
+`plot --figure fig3a` over a three-row CSV, a `free_eg` run under --rhs
+published at 2,000,001 samples (it fails on its first block, so it should exit
+at once), and fourteen refused inputs: a
 `zeno` and a `zeno_sweep` run whose tau ratio overflows, `--omega0` on a driven
 run, on `zeno`, on `audit` and on the `zeno_sweep` preset (none of which reads
 it), a `constants` distance whose cube underflows, two `run --config` files
@@ -24,8 +26,9 @@ variant and sweep-field lists), `--samples` on the `zeno_sweep` preset, and a
 `switch_off` run from the symmetric state, whose trigger lands on t = 0.  Each
 input file (a config.json, the plot's in.csv) is written into its command's
 own directory, where it stays; the saved config is copied from the directory
-of the command that saved it.
-Only the standard library is used, and the commands run one at a time.
+of the command that saved it.  Each command's wall time goes to its console
+line only, so the files under OUTDIR do not depend on it.  Only the standard
+library is used, and the commands run one at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 STARTS = ("g1g2", "g1e2", "e1g2", "e1e2", "s", "a", "p", "q", "f", "k",
           "L1L2", "R1R2", "L1R2", "R1L2")
@@ -91,6 +95,9 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
                                       "--out", "out.csv"]
     cmds["run_switch_off_from_s"] = ["run", "--scenario", "switch_off", "--initial", "s",
                                      "--samples", "11", "--out", "a.csv"]
+    cmds["run_free_eg_published_doomed"] = ["run", "--scenario", "free_eg", "--rhs",
+                                            "published", "--samples", "2000001",
+                                            "--out", "out.csv"]
     cmds["zeno_omega0"] = ["zeno", "--tau", "0.01ns", "--N", "10", "--omega0", "1e9"]
     cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
     cmds["run_zeno_sweep_omega0"] = ["run", "--scenario", "zeno_sweep", "--omega0", "1e9",
@@ -132,12 +139,14 @@ def main(argv: list[str]) -> int:
         if name in SAVED:
             source, filename = SAVED[name]
             shutil.copy(os.path.join(outdir, source, filename), cwd)
+        start = time.perf_counter()
         done = run(args, cwd, env)
+        wall = time.perf_counter() - start
         for filename, data in (("stdout.txt", done.stdout), ("stderr.txt", done.stderr),
                                ("exit.txt", f"{done.returncode}\n".encode())):
             with open(os.path.join(cwd, filename), "wb") as fh:
                 fh.write(data)
-        print(f"{name}: exit {done.returncode}")
+        print(f"{name}: exit {done.returncode} in {wall:.2f} s")
     return 0
 
 
