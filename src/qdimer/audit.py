@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import integrate_blocks
-from .liouville import SystemParams, _check_positive, _check_samples
+from .integrate import UniformGrid, integrate_blocks
+from .liouville import SystemParams
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -58,16 +58,15 @@ def consistency_report(
     samples: int = 501,
 ) -> ConsistencyReport:
     """Walk the derived, published and raw published runs side by side and
-    reduce each block as it arrives, so no trajectory is held.
+    reduce each block as it arrives, so no trajectory, and no grid of times,
+    is held.
 
     The runs leave omega0 out, as no field depends on it: its part of L is a
     diagonal phase that commutes with both variants and leaves the
     populations, rho23 and C alone.
     """
-    _check_samples(samples)
-    _check_positive("horizon", horizon)
+    times = UniformGrid(horizon, samples)  # refuses a bad sample count or horizon
     params = replace(params, omega0=0.0)
-    times = np.linspace(0.0, horizon, samples)
     # in this order, so that within a block the derived walk's error comes first
     walks = zip(
         integrate_blocks("derived", rho0, params, times),

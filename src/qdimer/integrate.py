@@ -18,14 +18,42 @@ trajectories.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .liouville import RhsVariant, SystemParams, superoperator
+from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples, superoperator
 from .states import blocks
 
-__all__ = ["integrate_blocks", "closed_form_free"]
+__all__ = ["UniformGrid", "integrate_blocks", "closed_form_free"]
+
+
+@dataclass(frozen=True)
+class UniformGrid:
+    """The times np.linspace(0.0, horizon, size), computed a block at a time.
+
+    A walk over it touches only the times of the blocks it reaches, so a run
+    that fails in its first block never builds the rest of its grid.
+    """
+
+    horizon: float
+    size: int
+
+    def __post_init__(self) -> None:
+        _check_samples(self.size)
+        _check_positive("horizon", self.horizon)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """The times at `rows`, bit for bit those of the np.linspace grid:
+        index times horizon / (size - 1), with the last one the horizon."""
+        index = range(*rows.indices(self.size))
+        # scaled in place, as linspace does it, so the times are the one array made
+        times = np.arange(index.start, index.stop, index.step, dtype=float)
+        times *= self.horizon / (self.size - 1)
+        if index and index[-1] == self.size - 1:
+            times[-1] = self.horizon
+        return times
 
 
 # exp(L dt) is the Taylor series of L dt / 2**s, summed as a matrix by
@@ -62,7 +90,7 @@ def integrate_blocks(
     variant: RhsVariant,
     rho0: np.ndarray,
     params: SystemParams,
-    times: np.ndarray,
+    times: np.ndarray | UniformGrid,
     *,
     closure: bool = True,
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -70,7 +98,8 @@ def integrate_blocks(
 
     Yields (rows, states) for consecutive blocks of at most `states.BLOCK`
     samples, where states[k] is rho at times[rows][k].  times must be finite,
-    strictly increasing and start at >= 0 (seconds).  Each sample is
+    strictly increasing and start at >= 0 (seconds); a UniformGrid gives
+    each block's times as the walk reaches it.  Each sample is
     exp(L dt) applied to the previous one (to rho0 for the first, with
     dt = times[0]); a sample at t = 0 is rho0 itself.  Raises ValueError for
     a non-finite rho0 at once, and for a bad grid or a sampled trace that
@@ -88,9 +117,10 @@ def integrate_blocks(
     so that walk runs unguarded: it yields every block and raises no drift or
     overflow error.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("sample_times must be a non-empty 1-d array")
+    if not isinstance(times, UniformGrid):
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("sample_times must be a non-empty 1-d array")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected rho0 shape (4, 4), got {rho0.shape}")

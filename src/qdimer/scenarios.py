@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import integrate_blocks
+from .integrate import UniformGrid, integrate_blocks
 from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples, _shown
 from .states import _checked_populations, named_state, population, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
@@ -326,18 +326,19 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
 
     The states are evaluated block by block as the propagator yields them,
     and only the table is kept.  The first block that fails, in the walk or
-    in an observable, raises, and nothing past it is stepped.
+    in an observable, raises, and nothing past it is stepped; without a
+    switch-off, no sample time past it is computed either.
     """
     if scenario.zeno_taus:
         return _zeno_sweep_table(scenario)
     rho0 = pure_density(named_state(scenario.initial))
-    times = np.linspace(0.0, scenario.horizon, scenario.samples)
+    grid = UniformGrid(scenario.horizon, scenario.samples)
     names = scenario.observables
-    data = np.empty((times.size, len(names)))
+    data = np.empty((grid.size, len(names)))
     if scenario.field_off_time is None:
-        walk = integrate_blocks(variant, rho0, scenario.params, times)
+        walk = integrate_blocks(variant, rho0, scenario.params, grid)
     else:
         t_off = _switch_trigger(scenario, variant)
-        walk = _switch_off_walk(variant, rho0, scenario.params, t_off, times)
+        walk = _switch_off_walk(variant, rho0, scenario.params, t_off, grid[:])
     _evaluate(names, walk, data)
-    return ObservableTable(times=times, names=names, data=data)
+    return ObservableTable(times=grid[:], names=names, data=data)

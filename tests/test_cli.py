@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -745,6 +746,28 @@ def test_overflowing_run_exits_2_without_numpy_warnings(tmp_path):
         assert not out.exists()
 
 
+def test_doomed_long_run_builds_no_grid_past_its_first_block(tmp_path):
+    # the run fails in its first block; its 10**7 sample times alone are 80 MB,
+    # and building them up front peaked the process at 106 MB of RSS.  A small
+    # spawner reads the run's peak RSS: Linux starts a child's ru_maxrss at the
+    # resident set of whatever spawned it, and this process holds numpy
+    spawner = ("import os, subprocess, sys\n"
+               "proc = subprocess.Popen(sys.argv[1:])\n"
+               "_, status, usage = os.wait4(proc.pid, 0)\n"
+               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0)\n")
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    out = tmp_path / "r.csv"
+    run = subprocess.run([sys.executable, "-c", spawner, sys.executable, "-m", "qdimer.cli",
+                          "run", "--scenario", "free_eg", "--rhs", "published",
+                          "--samples", "10000000", "--out", str(out)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    code, peak_mb = run.stdout.split()
+    assert code == "2"
+    assert run.stderr == "error: population 1.000000e+00 above 1 beyond tolerance\n"
+    assert float(peak_mb) < 50.0
+    assert not out.exists()
+
+
 def test_guard_error_wins_over_observable_error(tmp_path, capsys):
     # the guard checks a block before any observable sees it: the preset's
     # trace leaves 1e-6 at sample 19, in its first block, and each of its five
@@ -1348,6 +1371,54 @@ def test_no_config_document_escapes_main(tmp_path, monkeypatch, fields):
         doc["samples"] = 11
     (tmp_path / "c.json").write_text(json.dumps(doc))
     assert main(["run", "--config", "c.json"]) in (0, 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+@pytest.mark.parametrize("argv, code", [(["catalog"], 0), (["zeno"], 2)])
+def test_entry_exits_with_the_code_of_main_and_a_frozen_collector(monkeypatch, argv, code):
+    before = gc.get_freeze_count()
+    monkeypatch.setattr(sys, "argv", ["qdimer", *argv])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert exited.value.code == code
+
+
+def test_main_leaves_the_collector_alone():
+    before = gc.get_freeze_count()
+    assert main(["catalog"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_runs_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"qdimer": "qdimer.cli:entry"}
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["catalog"], 0, ""),
+    (["zeno", "--tau", "1e-13", "--N", "0"], 2,
+     "error: need at least one measurement, got 0\n"),
+    (["zeno", "--tau", "1e-13", "--N", "10", "--out", "."], 4,
+     "error: [Errno 21] Is a directory: '.'\n"),
+], ids=["ok", "bad-value", "unwritable"])
+def test_process_exit_is_clean_under_dev_mode(tmp_path, argv, code, stderr):
+    # -X dev reports unclosed files and other resource warnings, which shutdown
+    # would print after main returns
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    run = subprocess.run([sys.executable, "-X", "dev", "-m", "qdimer.cli", *argv],
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (code, stderr)
 
 
 # ---------------------------------------------------------------------------

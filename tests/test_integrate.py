@@ -16,9 +16,9 @@ from oracles import (
 )
 from qdimer import integrate as integrate_mod
 from qdimer import states as states_mod
-from qdimer.integrate import _exponential, closed_form_free, integrate_blocks
+from qdimer.integrate import UniformGrid, _exponential, closed_form_free, integrate_blocks
 from qdimer.liouville import SystemParams, superoperator
-from qdimer.scenarios import catalog
+from qdimer.scenarios import NH3, catalog
 from qdimer.states import BLOCK, blocks, named_state, population, pure_density
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
@@ -240,6 +240,45 @@ def test_propagator_properties(run):
         assert np.max(np.abs(states - closed_form_free(rho0, params, times))) <= tol
 
 
+# P swaps the bare states |2> = |g1 e2> and |3> = |e1 g2>, which exchanges the
+# molecules; on vec(rho), row-major, it acts as P16 = P (x) P
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+SWAP16 = np.kron(SWAP, SWAP)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_runs())
+def test_derived_generator_is_exchange_symmetric(run):
+    # the pair's two molecules are identical, and so, bit for bit, is the
+    # generator seen with them exchanged
+    params = run[0]
+    lv = superoperator("derived", params)
+    assert np.array_equal(SWAP16 @ lv @ SWAP16, lv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_runs(), st.integers(1000, 2000))
+def test_walk_is_exchange_covariant(run, samples):
+    # walking the exchanged start gives the exchanged states, over a long grid
+    params, horizon, _, seed = run
+    rho0 = pure_density(random_pure(np.random.default_rng(seed)))
+    times = np.linspace(0.0, horizon, samples)
+    states = integrate("derived", rho0, params, times)
+    swapped = integrate("derived", SWAP @ rho0 @ SWAP, params, times)
+    tol = 1e-12 + 16.0 * EPS * fastest_rate(params) * horizon
+    assert np.max(np.abs(swapped - SWAP @ states @ SWAP)) <= tol
+
+
+def test_published_generator_breaks_exchange_symmetry():
+    # the premise of `audit`: the published rows for rho22, rho33 and the
+    # closure row rho44 (vec rows 5, 10 and 15) are not exchange symmetric,
+    # by up to 4J at the NH3 rates
+    lv = superoperator("published", NH3)
+    broken = SWAP16 @ lv @ SWAP16 - lv
+    assert np.flatnonzero(np.any(broken != 0.0, axis=1)).tolist() == [5, 10, 15]
+    assert np.max(np.abs(broken)) == 4.0 * NH3.J
+
+
 def test_determinism_bitwise():
     times = np.linspace(0.0, 2e-9, 17)
     rho0 = pure_density(named_state("L1L2"))
@@ -337,6 +376,41 @@ def test_grid_is_checked_a_block_at_a_time(bad, message):
     assert next(walk)[0] == slice(0, BLOCK)
     with pytest.raises(ValueError, match=message):
         next(walk)
+
+
+def test_uniform_grid_is_linspace_block_by_block():
+    # the walk computes each block's times as it reaches them; they are
+    # np.linspace's bytes, on grids that end on, one before and one past a
+    # block edge as much as on random ones.  A numpy whose linspace rounds
+    # otherwise fails here
+    rng = np.random.default_rng(26)
+    edges = [(1e-9, n) for n in (2, 3, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1)]
+    drawn = [(10.0 ** rng.uniform(-13.0, 1.0), int(rng.integers(2, 4 * BLOCK)))
+             for _ in range(300)]
+    for horizon, n in edges + drawn:
+        grid = UniformGrid(horizon, n)
+        times = np.linspace(0.0, horizon, n)
+        for rows in blocks(n):
+            assert grid[rows].tobytes() == times[rows].tobytes(), (horizon, n, rows)
+        assert grid[:].tobytes() == times.tobytes()
+
+
+def test_walk_over_a_uniform_grid_is_the_walk_over_linspace():
+    rho0 = pure_density(named_state("e1g2"))
+    times = np.linspace(0.0, 5e-9, 2 * BLOCK + 1)
+    assert np.array_equal(integrate("derived", rho0, FREE, UniformGrid(5e-9, times.size)),
+                          integrate("derived", rho0, FREE, times))
+
+
+@pytest.mark.parametrize("horizon, size, message", [
+    (1e-9, 1, "at least 2 samples"),
+    (1e-9, 2.0, "samples must be an integer"),
+    (0.0, 3, "horizon must be > 0"),
+    (np.inf, 3, "horizon must be > 0"),
+])
+def test_uniform_grid_refuses_bad_values(horizon, size, message):
+    with pytest.raises(ValueError, match=message):
+        UniformGrid(horizon, size)
 
 
 def test_walk_holds_no_whole_grid_temporary():

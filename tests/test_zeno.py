@@ -195,6 +195,25 @@ def test_times_grid(tmp_path):
     assert np.array_equal(data[:, 1], survival)
 
 
+def test_unwritable_out_prints_nothing_but_the_error(tmp_path, capsys):
+    # the six result lines were once printed before the CSV failed to open
+    argv = ["zeno", "--tau", "1e-13", "--T", "1e-9", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_lines_precede_the_wrote_line(tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    assert main(["zeno", "--tau", "1e-13", "--T", "1e-9", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in lines[:-1]] == [
+        "tau_s", "n_measurements", "total_time_s", "survival", "survival_exact_gamma0",
+        "survival_gaussian"]
+    assert lines[-1] == f"wrote {out}"
+
+
 def test_survival_monotone_in_step_count():
     proto = ZenoProtocol(tau=1e-11, n_measurements=50, params=FREE_DEPH)
     survival = run_zeno(proto)
