@@ -279,14 +279,15 @@ def emit_csv(table: ObservableTable, path: str) -> None:
     scientific notation, LF newlines, UTF-8 bytes.
 
     Rows are formatted and written a block at a time, so the text of the
-    whole file is never held in memory.
+    whole file is never held in memory.  Each cell is the text of
+    ``'%.16e' % x``, which `csvtext` writes for a whole block in numpy.
     """
-    row = ",".join(["%.16e"] * (1 + len(table.names))) + "\n"
+    from .csvtext import csv_rows  # loaded only by the commands that write a CSV
+
     with open(path, "wb") as fh:
         fh.write(("t_s," + ",".join(table.names) + "\n").encode("utf-8"))
         for block in blocks(table.times.size):
-            cells = np.column_stack([table.times[block], table.data[block]])
-            fh.write((row * len(cells) % tuple(cells.ravel().tolist())).encode("utf-8"))
+            fh.write(csv_rows(np.column_stack([table.times[block], table.data[block]])))
 
 
 def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) -> None:

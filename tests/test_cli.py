@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qdimer
+import qdimer.csvtext  # noqa: F401 -- compiled here, with cli, not inside a traced test
 from qdimer import cli, states
 from qdimer.audit import ConsistencyReport
 from qdimer.cli import (
@@ -1443,20 +1444,22 @@ def test_cli_imports_only_numpy_and_the_standard_library():
 
 # the modules that only some commands need; every command needs the preset list,
 # and so scenarios, integrate, concurrence, states and zeno
-ON_DEMAND = ("json", "qdimer.audit", "qdimer.figures", "qdimer.physics")
+ON_DEMAND = ("json", "qdimer.audit", "qdimer.csvtext", "qdimer.figures", "qdimer.physics")
 
 
 @pytest.mark.parametrize("argv, needs", [
-    (["run", "--scenario", "free_eg", "--out", "r.csv"], set()),
+    (["run", "--scenario", "free_eg", "--out", "r.csv"], {"qdimer.csvtext"}),
     (["catalog"], set()),
     (["zeno", "--tau", "0.01ns", "--N", "10"], set()),
+    (["zeno", "--tau", "0.01ns", "--N", "10", "--out", "z.csv"], {"qdimer.csvtext"}),
     (["audit"], {"qdimer.audit"}),
     (["constants", "--d0", "1.46D", "--r", "10nm"], {"qdimer.physics"}),
     (["plot", "--figure", "fig5b", "--csv", "in.csv", "--out", "s.gp"], {"qdimer.figures"}),
     (["run", "--scenario", "free_eg", "--out", "r.csv", "--save-config", "saved.json"],
-     {"json"}),
-    (["run", "--config", "in.json"], {"json"}),
-], ids=["run", "catalog", "zeno", "audit", "constants", "plot", "save-config", "config"])
+     {"json", "qdimer.csvtext"}),
+    (["run", "--config", "in.json"], {"json", "qdimer.csvtext"}),
+], ids=["run", "catalog", "zeno", "zeno-out", "audit", "constants", "plot", "save-config",
+        "config"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, needs):
     emit_csv(ObservableTable(np.array([0.0, 1e-9]), ("C",), np.zeros((2, 1))),
              str(tmp_path / "in.csv"))

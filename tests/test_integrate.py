@@ -279,6 +279,58 @@ def test_published_generator_breaks_exchange_symmetry():
     assert np.max(np.abs(broken)) == 4.0 * NH3.J
 
 
+# the edge cases of random_runs, each held in turn, free and driven (a drive
+# of 1e3 J only driven)
+LONG_EDGES = [(edge, driven) for edge in ("J = 0", "gamma = 0", "gamma = 2J", "Omega = 1e3 J")
+              for driven in (False, True) if driven or edge != "Omega = 1e3 J"]
+
+
+@st.composite
+def edge_runs(draw, edge, driven):
+    """random_runs' rates with one edge case held, on a 1e3..1e4-sample grid."""
+    j = 0.0 if edge == "J = 0" else draw(st.floats(1e6, 1e10))
+    gamma = {"gamma = 0": 0.0, "gamma = 2J": 2.0 * j}.get(edge)
+    if gamma is None:
+        gamma = draw(st.floats(0.0, 1e10))
+    omega = 0.0
+    if driven:
+        omega = 1e3 * j if edge == "Omega = 1e3 J" else draw(st.floats(1e5, 1e11))
+    params = SystemParams(
+        omega0=draw(st.floats(0.0, 2e11)),
+        J=j,
+        gamma=gamma,
+        Omega=omega,
+        delta_l=draw(st.floats(-1e10, 1e10)) if driven else 0.0,
+        driven=driven,
+    )
+    horizon = 10.0 ** draw(st.floats(-12.0, -5.0))
+    return params, horizon, draw(st.integers(1000, 10000)), draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("edge, driven", LONG_EDGES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_long_walk_matches_expm_at_checkpoints(edge, driven, data):
+    # each step adds a rounding error of about eps, and exp(L dt) one of about
+    # eps * |L dt|, so after k steps the walk may be off by eps * (k + |L| t),
+    # with |L| taken as the fastest rate; 120 draws of these cases reached at
+    # most 0.9 of that, and the bound allows 16 times it
+    params, horizon, samples, seed = data.draw(edge_runs(edge, driven))
+    rho0 = pure_density(random_pure(np.random.default_rng(seed)))
+    grid = UniformGrid(horizon, samples)
+    checkpoints = [samples // 10, samples // 2, samples - 1]
+    walked = {}
+    for rows, states in integrate_blocks("derived", rho0, params, grid):
+        for k in checkpoints:
+            if rows.start <= k < rows.stop:
+                walked[k] = states[k - rows.start]
+    times = grid[slice(0, samples)][checkpoints]
+    exact = expm_samples("derived", rho0, params, times)
+    for k, t, reference in zip(checkpoints, times, exact):
+        bound = 16.0 * EPS * (k + fastest_rate(params) * t)
+        assert np.max(np.abs(walked[k] - reference)) <= bound, (k, t)
+
+
 def test_determinism_bitwise():
     times = np.linspace(0.0, 2e-9, 17)
     rho0 = pure_density(named_state("L1L2"))

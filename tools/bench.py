@@ -1,4 +1,4 @@
-"""Time whole qdimer processes from two source trees, side by side.
+"""Time qdimer from two source trees, side by side: whole processes and layers.
 
 Usage: python tools/bench.py --parent SRC --change SRC --out BENCH_<n>.json [--quick]
 
@@ -8,12 +8,19 @@ in a temporary directory: `catalog`, and `run --scenario <p> --out out.csv`
 for every preset that the change tree's `catalog` lists.  A round runs every
 command on both trees, back to back, and the tree that goes first alternates
 by round.  For each tree and command the output records the median, min and
-max of the wall time and of the peak resident set over 7 rounds.  --quick
-runs one round of the `free_eg` preset alone, as a check that the tool works.
+max of the wall time and of the peak resident set over 7 rounds.
 
-The output is a JSON object with two sections, `host` and `presets`.  If OUT
-already holds a JSON object, its other sections are kept, so the sections a
-benchmark record adds by other means survive a rerun.
+The layers of each run are timed inside a process: each round runs
+tools/layers.py once per tree, in the same alternating order, and the output
+records the median over rounds of each preset's superoperator build, walk,
+observable columns (C apart), whole run_scenario and emit_csv.  The same
+rounds time `import qdimer.cli` in fresh interpreters, after numpy is
+imported.  --quick runs one round of the `free_eg` preset alone, as a check
+that the tool works.
+
+The output is a JSON object with three sections, `host`, `presets` and
+`layers`.  If OUT already holds a JSON object, its other sections are kept,
+so the sections a benchmark record adds by other means survive a rerun.
 
 Only the standard library is imported, so this process stays small.  That
 matters for the peak resident set: Linux starts a child's ru_maxrss at the
@@ -38,6 +45,9 @@ import tempfile
 import time
 
 ROUNDS = 7
+LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "layers.py")
+IMPORT_CLI = ("import time, numpy; start = time.perf_counter(); import qdimer.cli; "
+              "print(time.perf_counter() - start)")
 
 
 def spawn(src: str, args: list[str], cwd: str) -> tuple[float, float]:
@@ -77,6 +87,35 @@ def host() -> dict[str, object]:
             "machine": f"{platform.system()} {platform.machine()}",
             "cpus": len(os.sched_getaffinity(0)),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+
+
+def child_output(src: str, args: list[str]) -> str:
+    """The stdout of one python process that imports the package from `src`."""
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def medians(runs: list[dict]) -> dict:
+    """Key by key, the median over runs of the same nested shape."""
+    return {key: medians([run[key] for run in runs]) if isinstance(value, dict)
+            else statistics.median(run[key] for run in runs)
+            for key, value in runs[0].items()}
+
+
+def measure_layers(trees: dict[str, str], names: list[str], rounds: int) -> dict:
+    runs = {side: [] for side in trees}
+    imports = {side: [] for side in trees}
+    sides = list(trees)
+    for r in range(rounds):
+        for side in (sides if r % 2 == 0 else sides[::-1]):
+            runs[side].append(json.loads(child_output(trees[side], [LAYERS, *names])))
+            imports[side].append(float(child_output(trees[side], ["-c", IMPORT_CLI])))
+    return {side: {"import_qdimer_cli_s": {"median_s": statistics.median(imports[side]),
+                                           "min_s": min(imports[side]),
+                                           "max_s": max(imports[side]),
+                                           "runs": rounds},
+                   "presets": medians(runs[side])}
+            for side in sides}
 
 
 def measure(trees: dict[str, str], commands: dict[str, list[str]], rounds: int) -> dict:
@@ -120,6 +159,14 @@ def main(argv: list[str]) -> int:
         "order": f"{rounds} round(s); each round runs every command on both trees, back to "
                  "back, the first tree alternating by round",
         **measure(trees, commands, rounds),
+    }
+    record["layers"] = {
+        "command": "python tools/layers.py <presets> (seconds inside one process, after an "
+                   "untimed pass over the presets), and python -c 'import numpy; import "
+                   "qdimer.cli' timed from after numpy; medians over rounds",
+        "order": f"{rounds} round(s); each round runs both on both trees, the first tree "
+                 "alternating by round",
+        **measure_layers(trees, names, rounds),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
