@@ -10,39 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConcurrenceError",
-    "ConcurrenceStack",
-    "ConsistencyReport",
-    "DEBYE",
-    "EPSILON_0",
-    "HBAR",
-    "MolecularConstants",
-    "OBSERVABLES",
-    "ObservableTable",
-    "Scenario",
-    "SPEED_OF_LIGHT",
-    "SystemParams",
-    "ZenoProtocol",
-    "analytic_survival",
-    "catalog",
-    "concurrence_stack",
-    "consistency_report",
-    "dephasing_rates",
-    "dipole_coupling",
-    "einstein_a",
-    "find_first_maximum",
-    "hamiltonian",
-    "named_state",
-    "population",
-    "pure_density",
-    "rabi_frequency",
-    "run_scenario",
-    "run_zeno",
-    "superoperator",
-    "__version__",
-]
-
 _EXPORTS = {
     "audit": ("ConsistencyReport", "consistency_report"),
     "concurrence": ("ConcurrenceError", "ConcurrenceStack", "concurrence_stack"),
@@ -55,6 +22,9 @@ _EXPORTS = {
     "zeno": ("ZenoProtocol", "analytic_survival", "run_zeno"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+# classes and constants first, then functions, each in case-blind alphabetical order
+__all__ = [*sorted(_HOMES, key=lambda name: (name[0].islower(), name.casefold())),
+           "__version__"]
 
 
 def __getattr__(name: str) -> object:

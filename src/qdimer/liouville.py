@@ -45,9 +45,9 @@ RhsVariant = Literal["derived", "published"]
 _VARIANTS: tuple[str, ...] = get_args(RhsVariant)
 
 
-# every series a command holds whole (run_scenario's times and columns, the audit's
-# times, run_zeno's survival curve and the times `zeno --out` adds) takes 8 B per entry,
-# so Scenario, consistency_report and ZenoProtocol refuse more: at most 80 MB a series
+# every series a command holds whole (run_scenario's times and columns, run_zeno's
+# survival curve and the times `zeno --out` adds) takes 8 B per entry, so Scenario and
+# ZenoProtocol refuse more: at most 80 MB a series; the audit's grid shares the cap
 MAX_SAMPLES = 10**7
 
 

@@ -250,17 +250,15 @@ def find_first_maximum(times: np.ndarray, values: np.ndarray) -> tuple[float, fl
 
 
 def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
-    """Time of the first maximum of the symmetric population under the drive."""
-    params = scenario.params
+    """Time of the first maximum of the symmetric population under the drive,
+    found on a short driven run of the same preset that records rho_ss only."""
     # the |4> <-> |s> exchange runs at sqrt(2)*Omega; one full swap period
     # brackets the first maximum comfortably
-    probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * params.Omega))
-    probe_times = np.linspace(0.0, probe_horizon, 3001)
-    rho0 = pure_density(named_state(scenario.initial))
-    series = np.empty((probe_times.size, 1))
-    _evaluate(("rho_ss",), integrate_blocks(variant, rho0, params, probe_times), series)
+    probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * scenario.params.Omega))
+    probe = run_scenario(replace(scenario, horizon=probe_horizon, samples=3001,
+                                 observables=("rho_ss",), field_off_time=None), variant=variant)
     try:
-        t_off, _ = find_first_maximum(probe_times, series[:, 0])
+        t_off, _ = find_first_maximum(probe.times, probe.data[:, 0])
     except ValueError as exc:
         cut = probe_horizon == scenario.horizon
         hint = "; a longer horizon (--horizon) widens it" if cut else ""
@@ -273,18 +271,26 @@ def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
     return t_off
 
 
-def _switch_off_walk(
-    variant: RhsVariant, rho0: np.ndarray, params: SystemParams, t_off: float, times: np.ndarray
+def _walk(
+    scenario: Scenario, variant: RhsVariant, grid: UniformGrid
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The block walk of a driven segment to t_off, then of free evolution
-    with the drive removed, with its rows in the full grid.
+    """The block walk of a run over its grid, from its initial state.
 
+    A switch-off run walks the driven segment to the trigger t_off, then
+    free evolution with the drive removed, with its rows in the full grid.
     The state is carried across continuously: the driven walk ends on a
     sample at t_off (appended to the grid if it is not on it, and never
     yielded), whose state starts the free walk.  The rotating-frame
     diagonal is kept for the free segment, so only frame-invariant
     observables should be read off afterwards.
     """
+    rho0 = pure_density(named_state(scenario.initial))
+    params = scenario.params
+    if scenario.field_off_time is None:
+        yield from integrate_blocks(variant, rho0, params, grid)
+        return
+    t_off = _switch_trigger(scenario, variant)
+    times = grid[:]
     n_head = int(np.searchsorted(times, t_off, side="right"))  # times <= t_off
     head = times[:n_head]
     if not (n_head and head[-1] == t_off):
@@ -331,14 +337,7 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
     """
     if scenario.zeno_taus:
         return _zeno_sweep_table(scenario)
-    rho0 = pure_density(named_state(scenario.initial))
     grid = UniformGrid(scenario.horizon, scenario.samples)
-    names = scenario.observables
-    data = np.empty((grid.size, len(names)))
-    if scenario.field_off_time is None:
-        walk = integrate_blocks(variant, rho0, scenario.params, grid)
-    else:
-        t_off = _switch_trigger(scenario, variant)
-        walk = _switch_off_walk(variant, rho0, scenario.params, t_off, grid[:])
-    _evaluate(names, walk, data)
-    return ObservableTable(times=grid[:], names=names, data=data)
+    data = np.empty((grid.size, len(scenario.observables)))
+    _evaluate(scenario.observables, _walk(scenario, variant, grid), data)
+    return ObservableTable(times=grid[:], names=scenario.observables, data=data)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -45,3 +46,35 @@ def test_bench_quick_run_of_a_tree_against_itself(tmp_path):
                                                   "rho_kk"]
         assert min(entry.pop("observables_s").values()) > 0.0
         assert min(entry.values()) > 0.0
+
+
+def test_layer_timer_runs_the_switch_off_walk():
+    # the switch-off walk, trigger probe included, is built by the package's one walk builder
+    run = subprocess.run([sys.executable, os.path.join(TOOLS, "layers.py"), "switch_off"],
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True,
+                         capture_output=True, text=True)
+    entry = json.loads(run.stdout)["switch_off"]
+    assert sorted(entry) == ["C_s", "emit_csv_s", "observables_s", "run_scenario_s",
+                             "superoperator_s", "walk_s"]
+    assert sorted(entry["observables_s"]) == ["re_rho23", "rho22", "rho33", "rho44", "rho_aa",
+                                              "rho_ss"]
+    assert min(entry.pop("observables_s").values()) > 0.0
+    assert min(entry.values()) > 0.0
+
+
+def test_bench_counts_a_tier1_run_from_the_tree_root(tmp_path):
+    # one passing and one failing test; the passing one imports from the tree's src
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "tree_marker.py").write_text("VALUE = 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_two.py").write_text(
+        "import tree_marker\n\n\n"
+        "def test_passes():\n    assert tree_marker.VALUE == 1\n\n\n"
+        "def test_fails():\n    assert False\n")
+    spec = importlib.util.spec_from_file_location("bench", os.path.join(TOOLS, "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    result = bench.tier1(str(tmp_path / "src"))
+    assert sorted(result) == ["failed", "passed", "wall_s"]
+    assert (result["passed"], result["failed"]) == (1, 1)
+    assert result["wall_s"] > 0.0

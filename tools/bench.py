@@ -15,11 +15,13 @@ tools/layers.py once per tree, in the same alternating order, and the output
 records the median over rounds of each preset's superoperator build, walk,
 observable columns (C apart), whole run_scenario and emit_csv.  The same
 rounds time `import qdimer.cli` in fresh interpreters, after numpy is
-imported.  --quick runs one round of the `free_eg` preset alone, as a check
-that the tool works.
+imported.  Last, the Tier-1 suite runs once per tree, from the tree's root
+(the parent of SRC), and the output records its wall time and its passed and
+failed counts.  --quick runs one round of the `free_eg` preset alone and no
+Tier-1, as a check that the tool works.
 
-The output is a JSON object with three sections, `host`, `presets` and
-`layers`.  If OUT already holds a JSON object, its other sections are kept,
+The output is a JSON object with four sections, `host`, `presets`, `layers`
+and `tier1`.  If OUT already holds a JSON object, its other sections are kept,
 so the sections a benchmark record adds by other means survive a rerun.
 
 Only the standard library is imported, so this process stays small.  That
@@ -38,6 +40,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -46,6 +49,7 @@ import time
 
 ROUNDS = 7
 LAYERS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "layers.py")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 IMPORT_CLI = ("import time, numpy; start = time.perf_counter(); import qdimer.cli; "
               "print(time.perf_counter() - start)")
 
@@ -134,13 +138,29 @@ def measure(trees: dict[str, str], commands: dict[str, list[str]], rounds: int) 
             for side in sides}
 
 
+def tier1(src: str) -> dict[str, float | int]:
+    """Wall time and passed and failed counts of one Tier-1 run, from the root of
+    the tree whose `src` directory is given, with `src` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=os.path.dirname(src),
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode not in (0, 1):  # 1: some tests failed
+        raise SystemExit(f"Tier-1 exited {done.returncode} on {src}:\n{done.stdout}{done.stderr}")
+    # the last line of -q output, e.g. "3 failed, 824 passed in 45.12s"
+    counts = {word: int(n) for n, word in
+              re.findall(r"(\d+) (passed|failed)", done.stdout.splitlines()[-1])}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="src directory of the parent tree")
     parser.add_argument("--change", required=True, help="src directory of the changed tree")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--quick", action="store_true",
-                        help="one round of the free_eg preset alone")
+                        help="one round of the free_eg preset alone, and no Tier-1")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     names = ["free_eg"] if args.quick else presets(trees["change"])
@@ -168,6 +188,13 @@ def main(argv: list[str]) -> int:
                  "alternating by round",
         **measure_layers(trees, names, rounds),
     }
+    if not args.quick:
+        record["tier1"] = {
+            "command": f"PYTHONPATH=src python {' '.join(TIER1)}, from the tree's root",
+            **{side: tier1(src) for side, src in trees.items()},
+            "note": "the whole process's wall time, one run each; this host's speed swings by "
+                    "up to 2x, so one run resolves nothing finer than that",
+        }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -31,9 +31,8 @@ import numpy as np
 
 from qdimer import scenarios
 from qdimer.cli import emit_csv
-from qdimer.integrate import UniformGrid, integrate_blocks
+from qdimer.integrate import UniformGrid
 from qdimer.liouville import superoperator
-from qdimer.states import named_state, pure_density
 
 
 def timed(call):
@@ -44,14 +43,8 @@ def timed(call):
 
 def walk(sc: scenarios.Scenario) -> list:
     """Every state of the walk run_scenario takes for `sc`."""
-    rho0 = pure_density(named_state(sc.initial))
-    grid = UniformGrid(sc.horizon, sc.samples)
-    if sc.field_off_time is None:
-        blocks = integrate_blocks("derived", rho0, sc.params, grid)
-    else:
-        t_off = scenarios._switch_trigger(sc, "derived")
-        blocks = scenarios._switch_off_walk("derived", rho0, sc.params, t_off, grid[:])
-    return [states for _, states in blocks]
+    return [states for _, states in
+            scenarios._walk(sc, "derived", UniformGrid(sc.horizon, sc.samples))]
 
 
 def layers(sc: scenarios.Scenario, out: str) -> dict[str, object]:
