@@ -276,13 +276,13 @@ def _walk(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The block walk of a run over its grid, from its initial state.
 
-    A switch-off run walks the driven segment to the trigger t_off, then
-    free evolution with the drive removed, with its rows in the full grid.
-    The state is carried across continuously: the driven walk ends on a
-    sample at t_off (appended to the grid if it is not on it, and never
-    yielded), whose state starts the free walk.  The rotating-frame
-    diagonal is kept for the free segment, so only frame-invariant
-    observables should be read off afterwards.
+    A switch-off run is three plain walks, none of which yields a sample
+    its caller must hide: the driven walk over the grid samples at or
+    before the trigger t_off; a one-sample driven walk from its last state
+    to t_off (a step of 0 when t_off is on the grid); and the free walk
+    from that state with the drive removed, its rows shifted into the full
+    grid.  The rotating-frame diagonal is kept for the free segment, so
+    only frame-invariant observables should be read off afterwards.
     """
     rho0 = pure_density(named_state(scenario.initial))
     params = scenario.params
@@ -291,18 +291,14 @@ def _walk(
         return
     t_off = _switch_trigger(scenario, variant)
     times = grid[:]
-    n_head = int(np.searchsorted(times, t_off, side="right"))  # times <= t_off
-    head = times[:n_head]
-    if not (n_head and head[-1] == t_off):
-        head = np.append(head, t_off)
-    for rows, states in integrate_blocks(variant, rho0, params, head):
-        last = states[-1]
-        if rows.start < n_head:
-            yield slice(rows.start, min(rows.stop, n_head)), states[: n_head - rows.start]
-    if n_head < times.size:
-        free = replace(params, Omega=0.0)
-        for rows, states in integrate_blocks(variant, last, free, times[n_head:] - t_off):
-            yield slice(rows.start + n_head, rows.stop + n_head), states
+    # 0 = times[0] <= t_off < horizon = times[-1], so 1 <= n_head < times.size
+    n_head = int(np.searchsorted(times, t_off, side="right"))
+    for rows, states in integrate_blocks(variant, rho0, params, times[:n_head]):
+        yield rows, states
+    [(_, at_off)] = integrate_blocks(variant, states[-1], params, [t_off - times[n_head - 1]])
+    free = replace(params, Omega=0.0)
+    for rows, states in integrate_blocks(variant, at_off[0], free, times[n_head:] - t_off):
+        yield slice(rows.start + n_head, rows.stop + n_head), states
 
 
 def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:

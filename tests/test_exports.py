@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -69,3 +70,15 @@ def test_the_run_value_rules_live_in_liouville(name):
     homes = {getattr(module, rule).__module__ for rule in RUN_VALUE_RULES
              if hasattr(module, rule)}
     assert homes <= {"qdimer.liouville"}
+
+
+def test_readme_python_examples_run(capsys):
+    # each fenced python block of README.md, in a fresh namespace of its own
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.MULTILINE | re.DOTALL)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, readme, "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out

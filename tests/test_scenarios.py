@@ -262,7 +262,7 @@ def test_run_matches_direct_integration():
 def test_switch_off_walk_matches_direct_integration(t_off, monkeypatch):
     # the driven segment spans blocks and ends inside one, on or off the grid;
     # at "two_blocks" exactly 2 * BLOCK samples lie at or before the switch, so
-    # the appended t_off state sits alone in the driven walk's last block
+    # the driven walk over them ends exactly on a block boundary
     horizon, samples = 6e-8, 1601
     if t_off == "two_blocks":
         t_off = (2 * BLOCK - 0.5) * horizon / (samples - 1)
@@ -283,6 +283,19 @@ def test_switch_off_walk_matches_direct_integration(t_off, monkeypatch):
     assert np.count_nonzero(table.times <= t_off) > BLOCK
     for name in sc.observables:
         assert np.array_equal(table.column(name), OBSERVABLES[name](states)), name
+
+
+@pytest.mark.parametrize("name", ["switch_off", "switch_off_gamma1e5"])
+def test_switch_off_head_is_the_plain_driven_run(name):
+    # up to the switch the run is the driven run of the same preset, bit for
+    # bit, over a head that spans more than two blocks
+    sc = replace(preset(name), horizon=6e-8, samples=1601)
+    switched = run_scenario(sc)
+    driven = run_scenario(replace(sc, field_off_time=None))
+    head = switched.times <= scenarios_mod._switch_trigger(sc, "derived")
+    assert np.count_nonzero(head) > 2 * BLOCK
+    assert np.array_equal(switched.times, driven.times)
+    assert np.array_equal(switched.data[head], driven.data[head])
 
 
 def test_switch_off_driven_observable_error_stops_before_the_free_walk(monkeypatch):

@@ -63,7 +63,8 @@ def test_layer_timer_runs_the_switch_off_walk():
 
 
 def test_bench_counts_a_tier1_run_from_the_tree_root(tmp_path):
-    # one passing and one failing test; the passing one imports from the tree's src
+    # one passing and one failing test, the passing one importing from the tree's
+    # src, and a module that fails to import, which pytest reports as one error
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "tree_marker.py").write_text("VALUE = 1\n")
     (tmp_path / "tests").mkdir()
@@ -71,10 +72,13 @@ def test_bench_counts_a_tier1_run_from_the_tree_root(tmp_path):
         "import tree_marker\n\n\n"
         "def test_passes():\n    assert tree_marker.VALUE == 1\n\n\n"
         "def test_fails():\n    assert False\n")
+    (tmp_path / "tests" / "test_unimportable.py").write_text(
+        "import no_such_module_anywhere\n\n\n"
+        "def test_hidden():\n    pass\n")
     spec = importlib.util.spec_from_file_location("bench", os.path.join(TOOLS, "bench.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     result = bench.tier1(str(tmp_path / "src"))
-    assert sorted(result) == ["failed", "passed", "wall_s"]
-    assert (result["passed"], result["failed"]) == (1, 1)
+    assert sorted(result) == ["errors", "failed", "passed", "wall_s"]
+    assert (result["passed"], result["failed"], result["errors"]) == (1, 1, 1)
     assert result["wall_s"] > 0.0

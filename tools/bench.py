@@ -16,9 +16,9 @@ records the median over rounds of each preset's superoperator build, walk,
 observable columns (C apart), whole run_scenario and emit_csv.  The same
 rounds time `import qdimer.cli` in fresh interpreters, after numpy is
 imported.  Last, the Tier-1 suite runs once per tree, from the tree's root
-(the parent of SRC), and the output records its wall time and its passed and
-failed counts.  --quick runs one round of the `free_eg` preset alone and no
-Tier-1, as a check that the tool works.
+(the parent of SRC), and the output records its wall time and its passed,
+failed and error counts.  --quick runs one round of the `free_eg` preset
+alone and no Tier-1, as a check that the tool works.
 
 The output is a JSON object with four sections, `host`, `presets`, `layers`
 and `tier1`.  If OUT already holds a JSON object, its other sections are kept,
@@ -139,8 +139,9 @@ def measure(trees: dict[str, str], commands: dict[str, list[str]], rounds: int) 
 
 
 def tier1(src: str) -> dict[str, float | int]:
-    """Wall time and passed and failed counts of one Tier-1 run, from the root of
-    the tree whose `src` directory is given, with `src` first on PYTHONPATH."""
+    """Wall time and passed, failed and error counts of one Tier-1 run, from the
+    root of the tree whose `src` directory is given, with `src` first on
+    PYTHONPATH."""
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     done = subprocess.run([sys.executable, *TIER1], cwd=os.path.dirname(src),
@@ -148,10 +149,12 @@ def tier1(src: str) -> dict[str, float | int]:
     wall = time.perf_counter() - start
     if done.returncode not in (0, 1):  # 1: some tests failed
         raise SystemExit(f"Tier-1 exited {done.returncode} on {src}:\n{done.stdout}{done.stderr}")
-    # the last line of -q output, e.g. "3 failed, 824 passed in 45.12s"
+    # the last line of -q output, e.g. "3 failed, 824 passed, 1 error in 45.12s"; a
+    # module that fails to import counts as one error, however many tests it holds
     counts = {word: int(n) for n, word in
-              re.findall(r"(\d+) (passed|failed)", done.stdout.splitlines()[-1])}
-    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+              re.findall(r"(\d+) (passed|failed|error)", done.stdout.splitlines()[-1])}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0)}
 
 
 def main(argv: list[str]) -> int:

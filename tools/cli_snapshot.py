@@ -9,27 +9,19 @@ command wrote plus its stdout.txt, stderr.txt and exit.txt.  The commands write
 relative paths only, so two snapshots -- say of a parent commit and of a
 change -- compare with `diff -r`.
 
-The set: every catalog preset under both --rhs values, a drive sweep, a short
-switch-off run, `audit` for every named start, three `zeno` chains, `catalog`,
-two `constants` calls (one of them refused), the custom run of the README, a
-`run --save-config` followed by a `run --config` of the file it saved, a
-`plot --figure fig3a` over a three-row CSV, a `free_eg` run under --rhs
-published at 2,000,001 samples (it fails on its first block, so it should exit
-at once), and fifteen refused inputs: a
-`zeno` and a `zeno_sweep` run whose tau ratio overflows, `--omega0` on a driven
-run, on `zeno`, on `audit` and on the `zeno_sweep` preset (none of which reads
-it), a `constants` distance whose cube underflows, two `run --config` files
-holding an integer past the float range (1 followed by 400 zeros), one as the
-`horizon` and one as a sweep value, a `run --config` file nested 5,000 levels
-deep, an unknown `--rhs` and an unknown `--sweep` parameter (which print the
-variant and sweep-field lists), `--samples` on the `zeno_sweep` preset, and two
-`switch_off` runs: one from the symmetric state, whose trigger lands on t = 0,
-and one cut to 1e-8 s, whose trigger probe finds no rho_ss maximum.  Each
-input file (a config.json, the plot's in.csv) is written into its command's
-own directory, where it stays; the saved config is copied from the directory
-of the command that saved it.  Each command's wall time goes to its console
-line only, so the files under OUTDIR do not depend on it.  Only the standard
-library is used, and the commands run one at a time.
+The commands are those `commands()` returns, the one list of them: every
+catalog preset under both --rhs values, short runs that reach other paths (a
+drive sweep, switch-off runs down to a two-sample grid, the custom run of the
+README), `audit` for every named start, `zeno` chains, `catalog`,
+`constants`, a `run --save-config` followed by a `run --config` of the file
+it saved, a `plot`, a run that fails on its first block (so it should exit at
+once), and refused inputs: bad flag values, flags a command does not read and
+malformed `--config` files.  Each input file (a config.json, the plot's
+in.csv) is written into its command's own directory, where it stays; the
+saved config is copied from the directory of the command that saved it.
+Each command's wall time goes to its console line only, so the files under
+OUTDIR do not depend on it.  Only the standard library is used, and the
+commands run one at a time.
 """
 
 from __future__ import annotations
@@ -96,6 +88,9 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
                                       "--out", "out.csv"]
     cmds["run_switch_off_from_s"] = ["run", "--scenario", "switch_off", "--initial", "s",
                                      "--samples", "11", "--out", "a.csv"]
+    # the head is the t = 0 sample alone: the step to t_off spans the driven segment
+    cmds["run_switch_off_one_sample_head"] = ["run", "--scenario", "switch_off",
+                                              "--samples", "2", "--out", "out.csv"]
     cmds["run_switch_off_probe_cut"] = ["run", "--scenario", "switch_off", "--horizon", "1e-8",
                                         "--out", "out.csv"]
     cmds["run_free_eg_published_doomed"] = ["run", "--scenario", "free_eg", "--rhs",

@@ -9,7 +9,8 @@ lazy import of the CSV writer) stay out of the numbers.  The layers:
 
 * superoperator_s: building the 16x16 generator;
 * walk_s: draining the walk that run_scenario takes (for a switch-off
-  preset, the trigger search and both segments), keeping every state;
+  preset, the trigger search and its three walks: driven up to the trigger,
+  the one-sample step to it, and free), keeping every state;
 * observables_s: each column but C, evaluated on the whole stack at once;
 * C_s: the concurrence column, likewise;
 * run_scenario_s: the whole run, which evaluates the columns block by block;
