@@ -254,7 +254,7 @@ def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenari
             observables=("rho11", "rho22", "rho33", "rho44", "C"),
         )
     # the sweep table has its own start, grid and columns, and runs the derived generator;
-    # its chain reads only J, gamma and the horizon (omega0 drops out of it, see run_zeno)
+    # its chain reads only J, gamma and the horizon (omega0 drops out of it, see ZenoProtocol)
     ignored = [n for n in ("initial", "omega0", "delta_l", "driven", "samples", "observables")
                if n in point]
     if cfg.rhs != "derived":
@@ -470,8 +470,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
         n = _intervals(args.T, args.tau)
         if n is None:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")
-    params = replace(NH3, J=args.J, gamma=args.gamma)
-    protocol = ZenoProtocol(tau=args.tau, n_measurements=n, params=params)
+    protocol = ZenoProtocol(tau=args.tau, n_measurements=n, J=args.J, gamma=args.gamma)
     survival = run_zeno(protocol)
     exact, gauss = analytic_survival(args.J, args.tau, n)
     # the CSV is written before the first line is printed, so a run whose file

@@ -125,6 +125,8 @@ class Scenario:
             if self.params.Omega <= 0.0:
                 raise ValueError("automatic switch-off needs a nonzero drive")
         if self.zeno_taus:
+            if self.params.Omega != 0.0:
+                raise ValueError("zeno protocol requires free evolution (Omega = 0)")
             for tau in self.zeno_taus:
                 _check_positive("zeno_taus", tau)
             self._zeno_schedule  # resolves, and so checks, every tau's schedule
@@ -142,8 +144,8 @@ class Scenario:
                 if counts[-1] is None:
                     raise ValueError(f"zeno tau {tau} does not divide the {label} {total}")
             stride, n = counts
-            # the protocol checks free evolution and the Zeno window
-            schedule.append((stride, ZenoProtocol(tau=tau, n_measurements=n, params=self.params)))
+            # the protocol checks the Zeno window
+            schedule.append((stride, ZenoProtocol(tau, n, self.params.J, self.params.gamma)))
         return tuple(schedule)
 
 
@@ -311,10 +313,8 @@ def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
     columns: list[np.ndarray] = []
     for stride, protocol in scenario._zeno_schedule:
         n_rows = protocol.n_measurements // stride  # the same for every tau
-        exact = np.empty(n_rows + 1)
-        gauss = np.empty(n_rows + 1)
-        for r in range(n_rows + 1):
-            exact[r], gauss[r] = analytic_survival(scenario.params.J, protocol.tau, r * stride)
+        rows = [analytic_survival(protocol.J, protocol.tau, r * stride) for r in range(n_rows + 1)]
+        exact, gauss = np.array(rows).T
         label = f"{protocol.tau * 1e9:g}ns"
         names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
         columns += [run_zeno(protocol)[::stride], exact, gauss]
@@ -329,9 +329,12 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
     The states are evaluated block by block as the propagator yields them,
     and only the table is kept.  The first block that fails, in the walk or
     in an observable, raises, and nothing past it is stepped; without a
-    switch-off, no sample time past it is computed either.
+    switch-off, no sample time past it is computed either.  A Zeno sweep runs
+    the derived generator only.
     """
     if scenario.zeno_taus:
+        if variant != "derived":
+            raise ValueError(f"a Zeno sweep runs only the derived generator, not {_shown(variant)}")
         return _zeno_sweep_table(scenario)
     grid = UniformGrid(scenario.horizon, scenario.samples)
     data = np.empty((grid.size, len(scenario.observables)))

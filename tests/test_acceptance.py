@@ -83,8 +83,7 @@ def test_criterion_02_circular_state_and_zeno():
     ff = np.array([population(rho, named_state("f")) for rho in states])
     err_ff = np.max(np.abs(ff - np.cos(J_REF * t) ** 2))
 
-    params = SystemParams(omega0=OMEGA0, J=J_REF, gamma=0.0)
-    survival = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, params=params))
+    survival = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, J=J_REF, gamma=0.0))
     p1 = np.cos(J_REF * 1e-11) ** 2
     err_zeno = max(
         abs(survival[k] - p1**k) for k in range(survival.size)
@@ -97,7 +96,7 @@ def test_criterion_02_circular_state_and_zeno():
         gauss_gap = max(gauss_gap, abs(gauss - exact) / exact)
 
     finals = [
-        run_zeno(ZenoProtocol(tau=tau, n_measurements=n, params=params))[-1]
+        run_zeno(ZenoProtocol(tau=tau, n_measurements=n, J=J_REF, gamma=0.0))[-1]
         for tau, n in ((1e-10, 10), (1e-11, 100), (5e-12, 200))
     ]
     elapsed = time.perf_counter() - start

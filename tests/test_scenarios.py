@@ -83,7 +83,8 @@ def test_scenario_validation():
         Scenario(**{**ok, "params": DRIVE_S, "field_off_time": "later"})
     with pytest.raises(ValueError, match="nonzero drive"):
         Scenario(**{**ok, "params": replace(DRIVE_S, Omega=0.0), "field_off_time": "auto"})
-    with pytest.raises(ValueError, match="free evolution"):
+    # the Zeno protocol takes only J and gamma, so the sweep refuses a drive itself
+    with pytest.raises(ValueError, match=r"^zeno protocol requires free evolution \(Omega = 0\)$"):
         Scenario(**{**ok, "params": DRIVE_S, "zeno_taus": (1e-10,)})
     with pytest.raises(ValueError, match="Zeno window"):
         Scenario(**{**ok, "params": replace(FREE, J=3e10), "zeno_taus": (1e-10,)})
@@ -534,6 +535,14 @@ def test_zeno_sweep_table():
         # dephasing at gamma = 1e6 costs a little survival on top of the swap
         assert np.all(sim[1:] < exact[1:])
         assert np.max(exact[1:] - sim[1:]) < 1e-3
+
+
+@pytest.mark.parametrize("variant", ["published", "bogus"])
+def test_zeno_sweep_refuses_a_generator_it_does_not_run(variant):
+    # the sweep once ran the derived generator whatever variant it was given
+    with pytest.raises(ValueError, match=f"^a Zeno sweep runs only the derived generator, "
+                                         f"not '{variant}'$"):
+        run_scenario(preset("zeno_sweep"), variant=variant)
 
 
 def test_unknown_initial_raises_at_run_time():

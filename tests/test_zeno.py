@@ -14,8 +14,8 @@ from qdimer.integrate import closed_form_free
 from qdimer.states import named_state, population, pure_density
 from qdimer.zeno import ZenoProtocol, analytic_survival, run_zeno
 
-FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
-FREE_DEPH = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
+FREE = {"J": 4.0e9, "gamma": 0.0}
+FREE_DEPH = {"J": 4.0e9, "gamma": 1.0e6}
 
 
 # ---------------------------------------------------------------------------
@@ -23,38 +23,32 @@ FREE_DEPH = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
 
 def test_protocol_validation():
     with pytest.raises(ValueError):
-        ZenoProtocol(tau=0.0, n_measurements=5, params=FREE)
+        ZenoProtocol(tau=0.0, n_measurements=5, **FREE)
     with pytest.raises(ValueError):
-        ZenoProtocol(tau=1e-11, n_measurements=0, params=FREE)
-    driven = SystemParams(
-        omega0=1.5e11, J=4e9, gamma=0.0, Omega=1e7, delta_l=0.0, driven=True
-    )
-    with pytest.raises(ValueError):
-        ZenoProtocol(tau=1e-11, n_measurements=5, params=driven)
+        ZenoProtocol(tau=1e-11, n_measurements=0, **FREE)
     with pytest.raises(ValueError):  # outside the Zeno window tau < 1/J
-        ZenoProtocol(tau=3e-10, n_measurements=5, params=FREE)
+        ZenoProtocol(tau=3e-10, n_measurements=5, **FREE)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, True])
 def test_protocol_rejects_non_finite_tau(bad):
-    params = SystemParams(omega0=1.5e11, J=0.0, gamma=0.0)  # no Zeno window
     with pytest.raises(ValueError, match="tau"):
-        ZenoProtocol(tau=bad, n_measurements=5, params=params)
+        ZenoProtocol(tau=bad, n_measurements=5, J=0.0, gamma=0.0)  # no Zeno window
 
 
 @pytest.mark.parametrize("bad", [2.5, 5.0, np.nan, True])
 def test_protocol_n_measurements_must_be_integer(bad):
     with pytest.raises(ValueError, match="n_measurements must be an integer"):
-        ZenoProtocol(tau=1e-11, n_measurements=bad, params=FREE)
+        ZenoProtocol(tau=1e-11, n_measurements=bad, **FREE)
 
 
 def test_protocol_caps_the_measurement_count():
     # run_zeno allocates the whole survival curve, so the count is refused
     # before anything is allocated; constructing the protocol allocates nothing
-    assert ZenoProtocol(tau=1e-11, n_measurements=MAX_SAMPLES, params=FREE)
+    assert ZenoProtocol(tau=1e-11, n_measurements=MAX_SAMPLES, **FREE)
     for n, count in [(MAX_SAMPLES + 1, "10000001"), (10**291, "1.000e+291")]:
         with pytest.raises(ValueError) as err:
-            ZenoProtocol(tau=1e-11, n_measurements=n, params=FREE)
+            ZenoProtocol(tau=1e-11, n_measurements=n, **FREE)
         assert str(err.value) == (
             f"tau = 1.000e-11 s asks for {count} measurements, above the cap of 10000000"
         )
@@ -71,11 +65,36 @@ def test_protocol_refuses_an_int_past_the_float_range(field, bad, message):
     # math.isfinite(10**400) raises OverflowError, which once escaped the tau check
     args = {"tau": 1e-11, "n_measurements": 5, field: bad}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ZenoProtocol(**args, params=FREE)
+        ZenoProtocol(**args, **FREE)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-1.0, "must be >= 0, got -1.0"),
+    (np.nan, "must be a finite number, got nan"),
+    (np.inf, "must be a finite number, got inf"),
+    (-np.inf, "must be a finite number, got -inf"),
+    (True, "must be a finite number, got True"),
+    ("a", "must be a finite number, got 'a'"),
+    (10**400, "must be a finite number, got 1.000e+400"),
+], ids=["negative", "nan", "inf", "minus-inf", "bool", "str", "int-past-float-range"])
+@pytest.mark.parametrize("field", ["J", "gamma"])
+def test_protocol_refuses_a_bad_rate_by_its_name(field, bad, message):
+    args = {**FREE, field: bad}
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {message}')}$"):
+        ZenoProtocol(tau=1e-11, n_measurements=5, **args)
+
+
+def test_protocol_checks_the_rates_before_tau():
+    # the rates are checked first, as SystemParams checked them when the
+    # protocol took one, so `zeno --tau 0 --N 5 --J -1` names J
+    with pytest.raises(ValueError, match=r"^J must be >= 0, got -1.0$"):
+        ZenoProtocol(tau=0.0, n_measurements=5, J=-1.0, gamma=0.0)
+    with pytest.raises(ValueError, match=r"^gamma must be >= 0, got -1.0$"):
+        ZenoProtocol(tau=0.0, n_measurements=0, J=4e9, gamma=-1.0)
 
 
 def test_protocol_records_total_time():
-    proto = ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE)
+    proto = ZenoProtocol(tau=1e-11, n_measurements=100, **FREE)
     assert proto.total_time == pytest.approx(1e-9)
 
 
@@ -153,14 +172,27 @@ def test_analytic_survival_names_the_negative_input():
 # protocol runs
 
 def test_single_measurement_is_cos_squared():
-    proto = ZenoProtocol(tau=1e-10, n_measurements=1, params=FREE)
+    proto = ZenoProtocol(tau=1e-10, n_measurements=1, **FREE)
     survival = run_zeno(proto)
     assert survival[0] == 1.0
     assert survival[1] == pytest.approx(np.cos(4e9 * 1e-10) ** 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("tau, n, first, last", [
+    (1e-10, 10, "0x1.b250edf3675b4p-1", "0x1.8b159eae2a007p-3"),
+    (1e-11, 100, "0x1.ff2d16b5d7aa0p-1", "0x1.b3d7da0e95f79p-1"),
+    (5e-12, 200, "0x1.ffcaec55b6ccbp-1", "0x1.d82924aa2d8f8p-1"),
+], ids=["0.1ns", "0.01ns", "0.005ns"])
+def test_run_keeps_its_bytes_at_the_preset_rates(tau, n, first, last):
+    # the zeno_sweep intervals at J = 4e9, gamma = 1e6: the curve the protocol
+    # gave when it took a whole SystemParams, bit for bit
+    survival = run_zeno(ZenoProtocol(tau=tau, n_measurements=n, J=4.0e9, gamma=1.0e6))
+    assert (survival[1].hex(), survival[-1].hex()) == (first, last)
+    assert survival.tobytes() == (survival[1] ** np.arange(n + 1)).tobytes()
+
+
 def test_run_matches_exact_law_at_every_step():
-    proto = ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE)
+    proto = ZenoProtocol(tau=1e-11, n_measurements=100, **FREE)
     survival = run_zeno(proto)
     p1 = np.cos(4e9 * 1e-11) ** 2
     for k in range(101):
@@ -185,7 +217,7 @@ def test_long_interval_chain_carries_no_splitting_rounding(tmp_path, capsys):
 
 def test_times_grid(tmp_path):
     # run_zeno returns the curve alone; `zeno --out` writes it against k * tau
-    proto = ZenoProtocol(tau=2e-11, n_measurements=5, params=FREE)
+    proto = ZenoProtocol(tau=2e-11, n_measurements=5, **FREE)
     survival = run_zeno(proto)
     assert survival.shape == (6,)
     out = tmp_path / "z.csv"
@@ -215,7 +247,7 @@ def test_report_lines_precede_the_wrote_line(tmp_path, capsys):
 
 
 def test_survival_monotone_in_step_count():
-    proto = ZenoProtocol(tau=1e-11, n_measurements=50, params=FREE_DEPH)
+    proto = ZenoProtocol(tau=1e-11, n_measurements=50, **FREE_DEPH)
     survival = run_zeno(proto)
     assert np.all(np.diff(survival) <= 0.0)
 
@@ -224,22 +256,20 @@ def test_more_frequent_measurement_preserves_better():
     # fixed T = 1 ns
     finals = []
     for tau, n in ((1e-10, 10), (1e-11, 100), (5e-12, 200)):
-        proto = ZenoProtocol(tau=tau, n_measurements=n, params=FREE)
+        proto = ZenoProtocol(tau=tau, n_measurements=n, **FREE)
         finals.append(run_zeno(proto)[-1])
     assert finals[0] < finals[1] < finals[2]
 
 
 def test_dephasing_lowers_survival():
-    params_hot = SystemParams(omega0=1.5e11, J=4.0e9, gamma=5.0e7)
-    cold = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, params=FREE))
-    hot = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, params=params_hot))
+    cold = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, **FREE))
+    hot = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, J=4.0e9, gamma=5.0e7))
     assert np.all(hot[1:] < cold[1:])
     assert np.all(hot <= cold + 1e-15)
 
 
 def test_no_coupling_means_no_decay():
-    params = SystemParams(omega0=1.5e11, J=0.0, gamma=0.0)
-    proto = ZenoProtocol(tau=1e-10, n_measurements=20, params=params)
+    proto = ZenoProtocol(tau=1e-10, n_measurements=20, J=0.0, gamma=0.0)
     assert np.allclose(run_zeno(proto), 1.0, atol=1e-12)
 
 
@@ -264,7 +294,7 @@ def test_step_probability_stays_above_the_window_floor(window):
     # gamma = 0.0435 J as J tau -> 1: weak dephasing takes p below its gamma = 0
     # value cos^2(J tau), which is >= cos^2(1) = 0.2919
     params, tau = window
-    p = run_zeno(ZenoProtocol(tau=tau, n_measurements=1, params=params))[1]
+    p = run_zeno(ZenoProtocol(tau=tau, n_measurements=1, J=params.J, gamma=params.gamma))[1]
     assert p > 0.2915
     f = named_state("f")
     exact = population(closed_form_free(pure_density(f), params, tau), f)

@@ -15,8 +15,9 @@ drive sweep, switch-off runs down to a two-sample grid, the custom run of the
 README), `audit` for every named start, `zeno` chains, `catalog`,
 `constants`, a `run --save-config` followed by a `run --config` of the file
 it saved, a `plot`, a run that fails on its first block (so it should exit at
-once), and refused inputs: bad flag values, flags a command does not read and
-malformed `--config` files.  Each input file (a config.json, the plot's
+once), and refused inputs: bad flag values (among them `zeno` with a negative
+J or gamma, a tau outside the Zeno window or a --T that is no whole number of
+tau intervals), flags a command does not read and malformed `--config` files.  Each input file (a config.json, the plot's
 in.csv) is written into its command's own directory, where it stays; the
 saved config is copied from the directory of the command that saved it.
 Each command's wall time goes to its console line only, so the files under
@@ -96,6 +97,12 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["run_free_eg_published_doomed"] = ["run", "--scenario", "free_eg", "--rhs",
                                             "published", "--samples", "2000001",
                                             "--out", "out.csv"]
+    # refusals whose lines must keep their text however the protocol checks its inputs
+    cmds["zeno_negative_J"] = ["zeno", "--tau", "1e-11", "--N", "5", "--J", "-1"]
+    cmds["zeno_negative_gamma"] = ["zeno", "--tau", "1e-11", "--N", "5", "--gamma", "-1"]
+    cmds["zeno_outside_window"] = ["zeno", "--tau", "1e-9", "--N", "5"]
+    cmds["zeno_T_not_whole"] = ["zeno", "--tau", "1e-11", "--T", "1.5e-11"]
+    cmds["zeno_zero_tau_negative_J"] = ["zeno", "--tau", "0", "--N", "5", "--J", "-1"]
     cmds["zeno_omega0"] = ["zeno", "--tau", "0.01ns", "--N", "10", "--omega0", "1e9"]
     cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
     cmds["run_zeno_sweep_omega0"] = ["run", "--scenario", "zeno_sweep", "--omega0", "1e9",
