@@ -16,7 +16,7 @@ _EXPORTS = {
     "liouville": ("SystemParams", "dephasing_rates", "hamiltonian", "superoperator"),
     "physics": ("DEBYE", "EPSILON_0", "HBAR", "SPEED_OF_LIGHT", "MolecularConstants",
                 "dipole_coupling", "einstein_a", "rabi_frequency"),
-    "scenarios": ("OBSERVABLES", "ObservableTable", "Scenario", "catalog",
+    "scenarios": ("OBSERVABLES", "ObservableTable", "Scenario", "ZenoSweep", "catalog",
                   "find_first_maximum", "run_scenario"),
     "states": ("named_state", "population", "pure_density"),
     "zeno": ("ZenoProtocol", "analytic_survival", "run_zeno"),

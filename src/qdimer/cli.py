@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
-from .scenarios import NH3, ObservableTable, Scenario, catalog, run_scenario
+from .scenarios import NH3, ObservableTable, Scenario, ZenoSweep, catalog, run_scenario
 from .states import blocks, named_state, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
 
@@ -113,7 +113,7 @@ class RunConfig:
     fully custom (initial + J + horizon required, a swept field counting as
     set).  None means "not set".  Building a config resolves each of its
     points once, so a bad value raises here; the run values are checked by
-    the SystemParams and Scenario they set.
+    the SystemParams and Scenario, or the ZenoSweep, they set.
     """
 
     out: str
@@ -161,8 +161,8 @@ class RunConfig:
         self.points  # resolves, and so checks, every point and its path
 
     @functools.cached_property
-    def points(self) -> list[tuple[float | None, Scenario, str]]:
-        """Each point's swept value (None without a sweep), Scenario and CSV path."""
+    def points(self) -> list[tuple[float | None, Scenario | ZenoSweep, str]]:
+        """Each point's swept value (None without a sweep), run and CSV path."""
         if self.sweep_param is None:
             return [(None, _scenario_from_config(self), self.out)]
         points = []
@@ -232,7 +232,7 @@ def _set_fields(source: object, names: Iterable[str]) -> dict[str, object]:
     return {n: getattr(source, n) for n in names if getattr(source, n, None) is not None}
 
 
-def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenario:
+def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenario | ZenoSweep:
     """The named preset, or the custom template, with the set fields and `value` applied."""
     point = _set_fields(cfg, _field_names(RunConfig))
     if cfg.sweep_param is not None:
@@ -253,18 +253,19 @@ def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenari
             horizon=point["horizon"],
             observables=("rho11", "rho22", "rho33", "rho44", "C"),
         )
-    # the sweep table has its own start, grid and columns, and runs the derived generator;
-    # its chain reads only J, gamma and the horizon (omega0 drops out of it, see ZenoProtocol)
-    ignored = [n for n in ("initial", "omega0", "delta_l", "driven", "samples", "observables")
-               if n in point]
-    if cfg.rhs != "derived":
-        ignored.append("rhs")
-    if sc.zeno_taus and ignored:
-        raise ValueError(f"the {sc.name} preset takes no "
-                         + ", ".join(f"--{n.replace('_', '-')}" for n in ignored))
     # each set field goes to the SystemParams or Scenario field of the same name
     params = {n: point[n] for n in _field_names(SystemParams) if n in point}
     fields = {n: point[n] for n in _field_names(Scenario) if n in point}
+    if isinstance(sc, ZenoSweep):
+        # the sweep holds only what its chains read, and they run the derived generator
+        run = {**params, **fields}
+        ignored = [n for n in _field_names(RunConfig) if n in run and n not in _field_names(sc)]
+        if cfg.rhs != "derived":
+            ignored.append("rhs")
+        if ignored:
+            raise ValueError(f"the {sc.name} preset takes no "
+                             + ", ".join(f"--{n.replace('_', '-')}" for n in ignored))
+        return replace(sc, **run)
     sc = replace(sc, params=replace(sc.params, **params), **fields)
     if sc.params.driven and "omega0" in point:
         raise ValueError("a driven run's rotating frame reads delta_l, so it takes no omega0")
@@ -408,7 +409,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     tables = []
     for value, scenario, path in cfg.points:
         try:
-            tables.append((run_scenario(scenario, variant=cfg.rhs), path))
+            table = (scenario.table() if isinstance(scenario, ZenoSweep)
+                     else run_scenario(scenario, variant=cfg.rhs))
+            tables.append((table, path))
         except ValueError as err:
             if cfg.sweep_param is None:
                 raise
@@ -432,7 +435,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def describe_scenario(sc: Scenario) -> str:
+def describe_scenario(sc: Scenario | ZenoSweep) -> str:
+    if isinstance(sc, ZenoSweep):
+        return (f"{sc.name}: J={sc.J:g} gamma={sc.gamma:g} horizon={sc.horizon:g} zeno_taus="
+                + ",".join(f"{t:g}" for t in sc.zeno_taus))
     p = sc.params
     parts = [
         f"{sc.name}:",
@@ -448,10 +454,7 @@ def describe_scenario(sc: Scenario) -> str:
     ]
     if sc.field_off_time is not None:
         parts.append(f"field_off={sc.field_off_time}")
-    if sc.zeno_taus:
-        parts.append("zeno_taus=" + ",".join(f"{t:g}" for t in sc.zeno_taus))
-    if sc.observables:
-        parts.append("observables=" + ",".join(sc.observables))
+    parts.append("observables=" + ",".join(sc.observables))
     return " ".join(parts)
 
 

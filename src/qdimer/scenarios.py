@@ -14,7 +14,6 @@ what makes microsecond horizons affordable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
@@ -23,7 +22,8 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import UniformGrid, integrate_blocks
-from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples, _shown
+from .liouville import (RhsVariant, SystemParams, _check_nonnegative, _check_positive,
+                        _check_samples, _shown)
 from .states import _checked_populations, named_state, population, pure_density
 from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
 
@@ -31,6 +31,7 @@ __all__ = [
     "OBSERVABLES",
     "ObservableTable",
     "Scenario",
+    "ZenoSweep",
     "catalog",
     "find_first_maximum",
     "run_scenario",
@@ -84,9 +85,10 @@ class Scenario:
 
     field_off_time is None (no switching) or "auto", which means "suppress
     the drive at the first maximum of the symmetric population" -- the
-    trigger is computed from a probe run, never hard-coded.  zeno_taus turns
-    the scenario into a measurement-interval sweep handled by the projection
-    protocol instead of the integrator.
+    trigger is computed from a probe run, never hard-coded.  A driven run
+    lives in the rotating frame of its drive, so it cannot record rho_pp or
+    rho_qq: both read Re rho14, which that frame turns at twice the drive
+    frequency.
     """
 
     name: str
@@ -96,7 +98,6 @@ class Scenario:
     observables: tuple[str, ...]
     samples: int = 2001
     field_off_time: str | None = None
-    zeno_taus: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.initial, str):
@@ -106,7 +107,7 @@ class Scenario:
         if not isinstance(self.observables, tuple):
             raise ValueError(
                 f"observables must be a tuple of names, got {_shown(self.observables)}")
-        if not (self.observables or self.zeno_taus):
+        if not self.observables:
             raise ValueError(f"observables must list at least one name, got {self.observables!r}")
         unknown = [n for n in self.observables if not (isinstance(n, str) and n in OBSERVABLES)]
         if unknown:
@@ -124,29 +125,10 @@ class Scenario:
                     f"field_off_time must be 'auto', got {_shown(self.field_off_time)}")
             if self.params.Omega <= 0.0:
                 raise ValueError("automatic switch-off needs a nonzero drive")
-        if self.zeno_taus:
-            if self.params.Omega != 0.0:
-                raise ValueError("zeno protocol requires free evolution (Omega = 0)")
-            for tau in self.zeno_taus:
-                _check_positive("zeno_taus", tau)
-            self._zeno_schedule  # resolves, and so checks, every tau's schedule
-
-    @functools.cached_property
-    def _zeno_schedule(self) -> tuple[tuple[int, ZenoProtocol], ...]:
-        """Each zeno tau's stride on the grid of the widest one, and its
-        protocol over the horizon."""
-        grid = max(self.zeno_taus)
-        schedule = []
-        for tau in self.zeno_taus:
-            counts = []
-            for label, total in (("grid interval", grid), ("horizon", self.horizon)):
-                counts.append(_intervals(total, tau))
-                if counts[-1] is None:
-                    raise ValueError(f"zeno tau {tau} does not divide the {label} {total}")
-            stride, n = counts
-            # the protocol checks the Zeno window
-            schedule.append((stride, ZenoProtocol(tau, n, self.params.J, self.params.gamma)))
-        return tuple(schedule)
+        for name in ("rho_pp", "rho_qq"):
+            if self.params.driven and name in self.observables:
+                raise ValueError(f"{name} reads Re rho14, whose phase turns in the rotating "
+                                 "frame of a driven run; only a free run records it")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +145,55 @@ class ObservableTable:
         return self.data[:, self.names.index(name)]
 
 
-def catalog() -> list[Scenario]:
+@dataclass(frozen=True)
+class ZenoSweep:
+    """For each tau in zeno_taus, the chain of projections onto |f> every tau over the horizon."""
+
+    name: str
+    J: float
+    gamma: float
+    horizon: float
+    zeno_taus: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _check_nonnegative(J=self.J, gamma=self.gamma)
+        _check_positive("horizon", self.horizon)
+        if not (isinstance(self.zeno_taus, tuple) and self.zeno_taus):
+            raise ValueError(f"zeno_taus must list at least one tau, got {_shown(self.zeno_taus)}")
+        for tau in self.zeno_taus:
+            _check_positive("zeno_taus", tau)
+        list(self._schedule())  # checks every tau's schedule
+
+    def _schedule(self) -> Iterator[tuple[int, ZenoProtocol]]:
+        """Each tau's stride on the grid of the widest tau, and its protocol over the horizon."""
+        grid = max(self.zeno_taus)
+        for tau in self.zeno_taus:
+            counts = []
+            for label, total in (("grid interval", grid), ("horizon", self.horizon)):
+                counts.append(_intervals(total, tau))
+                if counts[-1] is None:
+                    raise ValueError(f"zeno tau {tau} does not divide the {label} {total}")
+            stride, n = counts
+            # the protocol checks the Zeno window
+            yield stride, ZenoProtocol(tau, n, self.J, self.gamma)
+
+    def table(self) -> ObservableTable:
+        """Per tau, on the grid of the widest tau: the dephasing run's survival, the
+        coherence-free closed form and its gaussian frequent-measurement approximation."""
+        names: list[str] = []
+        columns: list[np.ndarray] = []
+        for stride, protocol in self._schedule():
+            n_rows = protocol.n_measurements // stride  # the same for every tau
+            rows = [analytic_survival(self.J, protocol.tau, r * stride) for r in range(n_rows + 1)]
+            exact, gauss = np.array(rows).T
+            label = f"{protocol.tau * 1e9:g}ns"
+            names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
+            columns += [run_zeno(protocol)[::stride], exact, gauss]
+        times = max(self.zeno_taus) * np.arange(n_rows + 1)
+        return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
+
+
+def catalog() -> list[Scenario | ZenoSweep]:
     """The preset list, one entry per named case (plus the slow-dephasing
     switch-off variant, which differs only in gamma)."""
     drive_s = replace(NH3, Omega=4.0e7, delta_l=4.0e9, driven=True)
@@ -207,12 +237,11 @@ def catalog() -> list[Scenario]:
         replace(detuned_s, name="driven_detuned_a", params=replace(drive_s, delta_l=-4.0e9)),
         switch_off,
         replace(switch_off, name="switch_off_gamma1e5", params=replace(drive_s, gamma=1.0e5)),
-        Scenario(
+        ZenoSweep(
             name="zeno_sweep",
-            initial="f",
-            params=NH3,
+            J=NH3.J,
+            gamma=NH3.gamma,
             horizon=1e-9,
-            observables=(),
             zeno_taus=(1e-10, 1e-11, 5e-12),
         ),
     ]
@@ -283,8 +312,7 @@ def _walk(
     before the trigger t_off; a one-sample driven walk from its last state
     to t_off (a step of 0 when t_off is on the grid); and the free walk
     from that state with the drive removed, its rows shifted into the full
-    grid.  The rotating-frame diagonal is kept for the free segment, so
-    only frame-invariant observables should be read off afterwards.
+    grid.  The free segment stays in the rotating frame.
     """
     rho0 = pure_density(named_state(scenario.initial))
     params = scenario.params
@@ -303,25 +331,6 @@ def _walk(
         yield slice(rows.start + n_head, rows.stop + n_head), states
 
 
-def _zeno_sweep_table(scenario: Scenario) -> ObservableTable:
-    """Survival curves on the shared grid set by the widest interval.
-
-    Per interval: the dephasing run, the coherence-free closed form, and its
-    gaussian frequent-measurement approximation.
-    """
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    for stride, protocol in scenario._zeno_schedule:
-        n_rows = protocol.n_measurements // stride  # the same for every tau
-        rows = [analytic_survival(protocol.J, protocol.tau, r * stride) for r in range(n_rows + 1)]
-        exact, gauss = np.array(rows).T
-        label = f"{protocol.tau * 1e9:g}ns"
-        names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
-        columns += [run_zeno(protocol)[::stride], exact, gauss]
-    times = max(scenario.zeno_taus) * np.arange(n_rows + 1)
-    return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
-
-
 def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> ObservableTable:
     """Run one preset and evaluate its observables at its `samples` evenly
     spaced times over [0, horizon].
@@ -329,13 +338,8 @@ def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> Obse
     The states are evaluated block by block as the propagator yields them,
     and only the table is kept.  The first block that fails, in the walk or
     in an observable, raises, and nothing past it is stepped; without a
-    switch-off, no sample time past it is computed either.  A Zeno sweep runs
-    the derived generator only.
+    switch-off, no sample time past it is computed either.
     """
-    if scenario.zeno_taus:
-        if variant != "derived":
-            raise ValueError(f"a Zeno sweep runs only the derived generator, not {_shown(variant)}")
-        return _zeno_sweep_table(scenario)
     grid = UniformGrid(scenario.horizon, scenario.samples)
     data = np.empty((grid.size, len(scenario.observables)))
     _evaluate(scenario.observables, _walk(scenario, variant, grid), data)

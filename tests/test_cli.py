@@ -564,6 +564,8 @@ def test_custom_run_with_a_presets_inputs_matches_the_preset(tmp_path, capsys):
     ["--rhs", "published"],
     # the chain reads only J, gamma and the horizon
     ["--omega0", "1e9"], ["--delta-l", "1e9", "--driven"], ["--driven"],
+    # a drive once reached SystemParams, which blamed it on the frame the sweep does not have
+    ["--Omega", "1e7"],
 ])
 def test_zeno_sweep_preset_rejects_the_fields_it_ignores(tmp_path, capsys, flags):
     # the sweep table keeps its own start, grid, columns and frame, so these
@@ -578,7 +580,8 @@ def test_zeno_sweep_preset_rejects_the_fields_it_ignores(tmp_path, capsys, flags
 @pytest.mark.parametrize("flags, named", [
     (["--sweep", "omega0=1e9,2e9"], "--omega0"),
     (["--driven", "--sweep", "delta_l=1e9,2e9"], "--delta-l, --driven"),
-], ids=["omega0", "delta_l"])
+    (["--sweep", "Omega=1e7,2e7"], "--Omega"),
+], ids=["omega0", "delta_l", "Omega"])
 def test_zeno_sweep_preset_rejects_a_sweep_of_a_field_it_ignores(tmp_path, capsys, flags,
                                                                   named):
     assert main(["run", "--scenario", "zeno_sweep", *flags,
@@ -587,12 +590,28 @@ def test_zeno_sweep_preset_rejects_a_sweep_of_a_field_it_ignores(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, column", [
+    (["--scenario", "driven_resonant", "--observables", "rho_pp,rho_qq"], "rho_pp"),
+    (["--scenario", "switch_off", "--observables", "rho_ss,rho_qq"], "rho_qq"),
+    (["--initial", "e1e2", "--J", "4e9", "--horizon", "1ns", "--driven", "--Omega", "1e7",
+      "--observables", "rho_qq"], "rho_qq"),
+], ids=["driven", "switch_off", "custom"])
+def test_driven_run_refuses_a_column_of_the_lab_frame(tmp_path, capsys, flags, column):
+    # a driven run once wrote its rotating-frame Re rho14 under the lab-frame column names
+    assert main(["run", *flags, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: {column} reads Re rho14, whose phase turns in "
+                                       "the rotating frame of a driven run; only a free run "
+                                       "records it\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zeno_sweep_config_rejects_samples(tmp_path, capsys):
     path = tmp_path / "zeno.json"
     # the sweep table runs the derived generator whatever rhs says, and its
     # chain reads neither the splitting nor the frame
     for field, value in [("samples", "5"), ("rhs", '"published"'), ("omega0", "1e9"),
-                         ("delta_l", "1e9"), ("driven", "true"), ("driven", "false")]:
+                         ("delta_l", "1e9"), ("driven", "true"), ("driven", "false"),
+                         ("Omega", "1e7")]:
         path.write_text('{"out": "%s", "scenario": "zeno_sweep", "%s": %s}'
                         % (tmp_path / "z.csv", field, value))
         assert main(["run", "--config", str(path)]) == 2
@@ -1154,7 +1173,8 @@ def test_catalog_listing(capsys):
     assert lines[0].startswith("free_eg: initial=e1g2 omega0=1.5e+11 J=4e+09")
     assert "observables=rho11,rho22,rho33,rho44,rho_ff,rho_kk,C" in lines[0]
     assert any("field_off=auto" in line for line in lines)
-    assert any("zeno_taus=1e-10,1e-11,5e-12" in line for line in lines)
+    # the sweep lists only what its chains read
+    assert lines[-1] == "zeno_sweep: J=4e+09 gamma=1e+06 horizon=1e-09 zeno_taus=1e-10,1e-11,5e-12"
 
 
 def parse_report(out):

@@ -18,7 +18,7 @@ from qdimer import integrate as integrate_mod
 from qdimer import states as states_mod
 from qdimer.integrate import UniformGrid, _exponential, closed_form_free, integrate_blocks
 from qdimer.liouville import SystemParams, superoperator
-from qdimer.scenarios import NH3, catalog
+from qdimer.scenarios import NH3, Scenario, catalog
 from qdimer.states import BLOCK, blocks, named_state, population, pure_density
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
@@ -129,7 +129,7 @@ def test_oracle_equivalence_free(initial):
 
 
 def test_free_presets_match_closed_form():
-    free = [sc for sc in catalog() if not sc.params.driven and not sc.zeno_taus]
+    free = [sc for sc in catalog() if isinstance(sc, Scenario) and not sc.params.driven]
     assert len(free) == 3
     for sc in free:
         rho0 = pure_density(named_state(sc.initial))
@@ -140,7 +140,7 @@ def test_free_presets_match_closed_form():
 
 
 @pytest.mark.parametrize(
-    "name", [sc.name for sc in catalog() if sc.params.driven]
+    "name", [sc.name for sc in catalog() if isinstance(sc, Scenario) and sc.params.driven]
 )
 def test_driven_presets_match_oracle(name):
     # each driven preset's parameters on its own sample grid and full

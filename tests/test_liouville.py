@@ -8,7 +8,7 @@ from oracles import fastest_rate, published_superoperator_table
 from qdimer.liouville import (
     SystemParams, _is_finite_number, _shown, dephasing_rates, hamiltonian, superoperator
 )
-from qdimer.scenarios import catalog
+from qdimer.scenarios import Scenario, catalog
 from qdimer.states import NAMED_STATES, named_state, pure_density
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
@@ -302,7 +302,7 @@ def _random_rate_sets(seed, count):
 
 
 ORACLE_RATE_SETS = [
-    *(sc.params for sc in catalog()),
+    *(sc.params for sc in catalog() if isinstance(sc, Scenario)),
     SystemParams(omega0=0.0, J=0.7, gamma=0.3, Omega=0.2, delta_l=-0.4, driven=True),
     *_random_rate_sets(29, 100),
 ]

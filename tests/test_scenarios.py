@@ -12,6 +12,7 @@ from qdimer.scenarios import (
     OBSERVABLES,
     ObservableTable,
     Scenario,
+    ZenoSweep,
     catalog,
     find_first_maximum,
     run_scenario,
@@ -56,8 +57,9 @@ def test_catalog_names_and_shapes():
     assert sw.field_off_time == "auto"
     assert sw.params.driven and sw.params.delta_l == 4.0e9
     zs = preset("zeno_sweep")
+    assert isinstance(zs, ZenoSweep)
+    assert (zs.J, zs.gamma, zs.horizon) == (4.0e9, 1.0e6, 1e-9)
     assert zs.zeno_taus == (1e-10, 1e-11, 5e-12)
-    assert zs.observables == ()
 
 
 def test_scenario_validation():
@@ -83,23 +85,23 @@ def test_scenario_validation():
         Scenario(**{**ok, "params": DRIVE_S, "field_off_time": "later"})
     with pytest.raises(ValueError, match="nonzero drive"):
         Scenario(**{**ok, "params": replace(DRIVE_S, Omega=0.0), "field_off_time": "auto"})
-    # the Zeno protocol takes only J and gamma, so the sweep refuses a drive itself
-    with pytest.raises(ValueError, match=r"^zeno protocol requires free evolution \(Omega = 0\)$"):
-        Scenario(**{**ok, "params": DRIVE_S, "zeno_taus": (1e-10,)})
+    sweep = dict(name="x", J=4.0e9, gamma=1.0e6, horizon=1e-9, zeno_taus=(1e-10,))
     with pytest.raises(ValueError, match="Zeno window"):
-        Scenario(**{**ok, "params": replace(FREE, J=3e10), "zeno_taus": (1e-10,)})
+        ZenoSweep(**{**sweep, "J": 3e10})
     with pytest.raises(ValueError, match="does not divide"):
-        Scenario(**{**ok, "zeno_taus": (1e-10, 3e-11)})  # 3e-11 vs grid 1e-10
+        ZenoSweep(**{**sweep, "zeno_taus": (1e-10, 3e-11)})  # 3e-11 vs grid 1e-10
     with pytest.raises(ValueError, match="does not divide"):
-        Scenario(**{**ok, "horizon": 2.5e-10, "zeno_taus": (1e-10,)})
+        ZenoSweep(**{**sweep, "horizon": 2.5e-10})
     # a bool or a string once passed for a number, and a list for a name
     for field, bad, message in [
         ("horizon", True, "horizon"), ("horizon", "1e-9", "horizon"),
         ("initial", ["e1g2"], "initial"), ("observables", "C", "observables"),
-        ("observables", (["C"],), "observables"), ("zeno_taus", ("a",), "zeno_taus"),
+        ("observables", (["C"],), "observables"),
     ]:
         with pytest.raises(ValueError, match=message):
             Scenario(**{**ok, field: bad})
+    with pytest.raises(ValueError, match="zeno_taus"):
+        ZenoSweep(**{**sweep, "zeno_taus": ("a",)})
 
 
 @pytest.mark.parametrize("field, bad, message", [
@@ -111,9 +113,33 @@ def test_scenario_validation():
 ], ids=["horizon-plus", "horizon-minus", "samples-plus", "zeno_taus-str", "zeno_taus-plus"])
 def test_scenario_names_the_one_bad_value(field, bad, message):
     # a horizon of 10**400 once raised OverflowError; zeno_taus once printed every tau
-    ok = dict(name="x", initial="f", params=FREE, horizon=1e-9, observables=("rho11",))
+    if field == "zeno_taus":
+        build, ok = ZenoSweep, dict(name="x", J=4.0e9, gamma=1.0e6, horizon=1e-9,
+                                    zeno_taus=(1e-10,))
+    else:
+        build, ok = Scenario, dict(name="x", initial="f", params=FREE, horizon=1e-9,
+                                   observables=("rho11",))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Scenario(**{**ok, field: bad})
+        build(**{**ok, field: bad})
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"J": -1.0}, "J must be >= 0, got -1.0"),
+    ({"gamma": float("nan")}, "gamma must be a finite number, got nan"),
+    ({"horizon": 0.0}, "horizon must be > 0, got 0.0"),
+    # an empty zeno_taus once raised from max() instead of naming the field
+    ({"zeno_taus": ()}, "zeno_taus must list at least one tau, got ()"),
+    ({"zeno_taus": 1e-10}, "zeno_taus must list at least one tau, got 1e-10"),
+    ({"zeno_taus": (1e-10, 0.0)}, "zeno_taus must be > 0, got 0.0"),
+    # the rates first, with SystemParams' text, then the horizon, then each tau
+    ({"J": -1.0, "gamma": -1.0, "horizon": 0.0, "zeno_taus": (0.0,)}, "J must be >= 0, got -1.0"),
+    ({"horizon": 0.0, "zeno_taus": (0.0,)}, "horizon must be > 0, got 0.0"),
+    ({"horizon": 2.5e-10, "zeno_taus": (1e-10, 0.0)}, "zeno_taus must be > 0, got 0.0"),
+])
+def test_zeno_sweep_names_the_first_bad_value(bad, message):
+    ok = dict(name="x", J=4.0e9, gamma=1.0e6, horizon=1e-9, zeno_taus=(1e-10,))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ZenoSweep(**{**ok, **bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -129,6 +155,33 @@ def test_scenario_samples_must_be_an_integer(bad):
     with pytest.raises(ValueError, match="samples must be an integer"):
         Scenario(name="x", initial="e1g2", params=FREE, horizon=1e-9,
                  observables=("rho11",), samples=bad)
+
+
+def test_driven_runs_refuse_exactly_the_columns_the_frame_changes():
+    # the lab frame multiplies rho_ij by exp(-i (k_i - k_j) phi), k counting
+    # excitations; a column that changes under it has no value in a driven run
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+    states = a @ a.conj().transpose(0, 2, 1)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    k = np.array([0, 1, 1, 2])
+    phase = np.exp(-1j * (k[:, None] - k[None, :]) * rng.uniform(0.0, 2.0 * np.pi, (200, 1, 1)))
+    changed = set()
+    for name, observable in OBSERVABLES.items():
+        lab, rotating = observable(states * phase), observable(states)
+        if not np.allclose(lab, rotating, rtol=0.0, atol=1e-13):
+            changed.add(name)
+    assert changed == {"rho_pp", "rho_qq"}
+    for params, off in [(FREE, None), (DRIVE_S, None), (DRIVE_S, "auto")]:
+        for name in OBSERVABLES:
+            run = dict(name="x", initial="e1e2", params=params, horizon=1e-9,
+                       observables=(name,), field_off_time=off)
+            if params.driven and name in changed:
+                with pytest.raises(ValueError, match=f"^{name} reads Re rho14, whose phase "
+                                                     "turns in the rotating frame"):
+                    Scenario(**run)
+            else:
+                Scenario(**run)
 
 
 def test_table_column_lookup():
@@ -243,7 +296,7 @@ def direct_states(sc, times):
 def test_run_matches_direct_integration():
     # every preset the integrator runs, each state evaluated on its own
     for sc in catalog():
-        if sc.zeno_taus:
+        if not isinstance(sc, Scenario):
             continue
         times = np.linspace(0.0, sc.horizon, 201)
         table = run_scenario(replace(sc, samples=201))
@@ -516,7 +569,7 @@ def test_switch_off_with_off_grid_time(monkeypatch):
 
 
 def test_zeno_sweep_table():
-    table = run_scenario(preset("zeno_sweep"))
+    table = preset("zeno_sweep").table()
     assert np.allclose(table.times, 1e-10 * np.arange(11))
     assert table.names == (
         "survival_tau0.1ns", "exact_tau0.1ns", "gauss_tau0.1ns",
@@ -535,14 +588,6 @@ def test_zeno_sweep_table():
         # dephasing at gamma = 1e6 costs a little survival on top of the swap
         assert np.all(sim[1:] < exact[1:])
         assert np.max(exact[1:] - sim[1:]) < 1e-3
-
-
-@pytest.mark.parametrize("variant", ["published", "bogus"])
-def test_zeno_sweep_refuses_a_generator_it_does_not_run(variant):
-    # the sweep once ran the derived generator whatever variant it was given
-    with pytest.raises(ValueError, match=f"^a Zeno sweep runs only the derived generator, "
-                                         f"not '{variant}'$"):
-        run_scenario(preset("zeno_sweep"), variant=variant)
 
 
 def test_unknown_initial_raises_at_run_time():

@@ -21,7 +21,7 @@ from qdimer.audit import consistency_report
 from qdimer.concurrence import ConcurrenceError, concurrence_stack
 from qdimer.integrate import integrate_blocks
 from qdimer.liouville import SystemParams
-from qdimer.scenarios import OBSERVABLES, catalog, run_scenario
+from qdimer.scenarios import OBSERVABLES, Scenario, catalog, run_scenario
 from qdimer.states import (
     BLOCK,
     NAMED_STATES,
@@ -100,12 +100,12 @@ def test_clamped_states_are_drawn_clamped():
 
 @pytest.fixture(scope="module")
 def preset_states():
-    """The states run_scenario evaluates, for every non-Zeno preset."""
+    """The states run_scenario evaluates, for every Scenario preset."""
     captured = {}
     evaluate = scenarios_mod._evaluate
     with pytest.MonkeyPatch.context() as mp:
         for sc in catalog():
-            if sc.zeno_taus:
+            if not isinstance(sc, Scenario):
                 continue
             seen = []
 

@@ -17,9 +17,10 @@ README), `audit` for every named start, `zeno` chains, `catalog`,
 it saved, a `plot`, a run that fails on its first block (so it should exit at
 once), and refused inputs: bad flag values (among them `zeno` with a negative
 J or gamma, a tau outside the Zeno window or a --T that is no whole number of
-tau intervals), flags a command does not read and malformed `--config` files.  Each input file (a config.json, the plot's
-in.csv) is written into its command's own directory, where it stays; the
-saved config is copied from the directory of the command that saved it.
+tau intervals), flags a command does not read, columns a driven run cannot
+record and malformed `--config` files.  Each input file (a config.json, the
+plot's in.csv) is written into its command's own directory, where it stays;
+the saved config is copied from the directory of the command that saved it.
 Each command's wall time goes to its console line only, so the files under
 OUTDIR do not depend on it.  Only the standard library is used, and the
 commands run one at a time.
@@ -107,6 +108,13 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
     cmds["run_zeno_sweep_omega0"] = ["run", "--scenario", "zeno_sweep", "--omega0", "1e9",
                                      "--out", "out.csv"]
+    cmds["run_zeno_sweep_Omega"] = ["run", "--scenario", "zeno_sweep", "--Omega", "1e7",
+                                    "--out", "out.csv"]
+    # Re rho14 turns with the rotating frame, so a driven run cannot record it
+    cmds["run_driven_rho_pp"] = ["run", "--scenario", "driven_resonant", "--observables",
+                                 "rho_pp,rho_qq", "--out", "out.csv"]
+    cmds["run_switch_off_rho_qq"] = ["run", "--scenario", "switch_off", "--observables",
+                                     "rho_ss,rho_qq", "--out", "out.csv"]
     cmds["run_config_big_horizon"] = ["run", "--config", "config.json"]
     cmds["run_config_big_sweep_value"] = ["run", "--config", "config.json"]
     cmds["run_config_nested"] = ["run", "--config", "config.json"]

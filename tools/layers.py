@@ -16,8 +16,9 @@ lazy import of the CSV writer) stay out of the numbers.  The layers:
 * run_scenario_s: the whole run, which evaluates the columns block by block;
 * emit_csv_s: writing the run's table into a temporary directory.
 
-The zeno_sweep preset has no walk, and reports run_scenario_s and emit_csv_s
-only.  tools/bench.py runs this script once per tree and round.
+The zeno_sweep preset is a ZenoSweep, which has no walk: it reports only
+run_scenario_s, which times its table(), and emit_csv_s.  tools/bench.py runs
+this script once per tree and round.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ def walk(sc: scenarios.Scenario) -> list:
             scenarios._walk(sc, "derived", UniformGrid(sc.horizon, sc.samples))]
 
 
-def layers(sc: scenarios.Scenario, out: str) -> dict[str, object]:
+def layers(sc: scenarios.Scenario | scenarios.ZenoSweep, out: str) -> dict[str, object]:
     row: dict[str, object] = {}
-    if not sc.zeno_taus:
+    if isinstance(sc, scenarios.ZenoSweep):
+        row["run_scenario_s"], table = timed(sc.table)
+    else:
         row["superoperator_s"], _ = timed(lambda: superoperator("derived", sc.params))
         row["walk_s"], stack = timed(lambda: walk(sc))
         stack = np.concatenate(stack)
@@ -61,7 +64,7 @@ def layers(sc: scenarios.Scenario, out: str) -> dict[str, object]:
                 row["C_s"] = seconds
             else:
                 row["observables_s"][name] = seconds
-    row["run_scenario_s"], table = timed(lambda: scenarios.run_scenario(sc))
+        row["run_scenario_s"], table = timed(lambda: scenarios.run_scenario(sc))
     row["emit_csv_s"], _ = timed(lambda: emit_csv(table, out))
     return row
 
