@@ -6,8 +6,11 @@ equations whose row for the second single-excitation population carries
 the opposite sign in every term; its trace row is then forced by
 closure.  This module quantifies what that discrepancy does to
 populations, coherences and entanglement for a given initial state, and
-also runs the published rows *without* the closure row to expose the
-trace growth the closure is hiding.
+also reports the trace the published rows would leak *without* the closure
+row.  On undriven rates that leak is read from rho33 alone: the derived
+population rows sum to zero, so with the rho33 row negated
+d tr/dt = 2 drho33/dt, and rho44 feeds no other entry, so the closed and the
+unclosed rows share rho33.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import UniformGrid, integrate_blocks
-from .liouville import SystemParams
+from .liouville import SystemParams, _shown
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -33,9 +36,10 @@ class ConsistencyReport:
     sample.  concurrence_skipped counts samples where the published state was
     too unphysical to score; if any was skipped, max_concurrence_deviation is
     NaN, since the largest deviation is then unknown.
-    published_trace_drift_no_closure is the worst trace error of the raw
-    published rows (closure row replaced by the transcribed population
-    equation).  published_pop23_diff_drift tracks the difference of the two
+    published_trace_drift_no_closure is the worst trace error of the
+    published rows without the closure row (rho44 left to the derived
+    equation): 2 |rho33(t) - rho33(0)| of the published run.
+    published_pop23_diff_drift tracks the difference of the two
     single-excitation populations, which the published rows freeze at its
     initial value; derived_pop23_diff_range shows how much the same
     quantity actually moves.
@@ -57,32 +61,31 @@ def consistency_report(
     *,
     samples: int = 501,
 ) -> ConsistencyReport:
-    """Walk the derived, published and raw published runs side by side and
-    reduce each block as it arrives, so no trajectory, and no grid of times,
-    is held.
+    """Walk the derived and published runs side by side and reduce each block
+    as it arrives, so no trajectory, and no grid of times, is held.
 
-    The runs leave omega0 out, as no field depends on it: its part of L is a
-    diagonal phase that commutes with both variants and leaves the
-    populations, rho23 and C alone.
+    The rates must be undriven (Omega = 0), on which the unclosed trace leak
+    is read from rho33.  The runs leave omega0 out, as no field depends on
+    it: its part of L is a diagonal phase that commutes with both variants
+    and leaves the populations, rho23 and C alone.
     """
+    if params.Omega != 0.0:
+        raise ValueError(f"the audit runs undriven rates only, got Omega = {_shown(params.Omega)}")
     times = UniformGrid(horizon, samples)  # refuses a bad sample count or horizon
     params = replace(params, omega0=0.0)
     # in this order, so that within a block the derived walk's error comes first
     walks = zip(
         integrate_blocks("derived", rho0, params, times),
         integrate_blocks("published", rho0, params, times),
-        # raw published rows: trace is no longer conserved, so the walk is unguarded
-        integrate_blocks("published", rho0, params, times, closure=False),
     )
 
-    # np.maximum and np.minimum keep a NaN (the raw run can overflow), as the
-    # maximum over the whole run would
+    # np.maximum and np.minimum keep a NaN, as the maximum over the whole run would
     max_pop = max_rho = max_conc = trace_drift = pop23_drift = 0.0
-    pop23_start = None
+    rho33_start = pop23_start = None
     low, high = math.inf, -math.inf
     skipped = 0
     # an unscorable published state is skipped; a derived one is an error
-    for (_, derived), (_, published), (_, raw) in walks:
+    for (_, derived), (_, published) in walks:
         c_d = concurrence_stack(derived)
         c_d.check()
         c_p = concurrence_stack(published)
@@ -95,13 +98,12 @@ def consistency_report(
         max_pop = np.maximum(max_pop, np.max(np.abs(pops_d - pops_p)))
         max_rho = np.maximum(max_rho, np.max(np.abs(derived - published)))
 
-        traces = np.trace(raw, axis1=1, axis2=2).real
-        trace_drift = np.maximum(trace_drift, np.max(np.abs(traces - 1.0)))
-
         diff_p = pops_p[:, 2] - pops_p[:, 1]
         diff_d = pops_d[:, 2] - pops_d[:, 1]
         if pop23_start is None:
-            pop23_start = diff_p[0]
+            rho33_start, pop23_start = pops_p[0, 2], diff_p[0]
+        # the unclosed rows' trace error, tr - 1 = 2 (rho33 - rho33(0))
+        trace_drift = np.maximum(trace_drift, np.max(2.0 * np.abs(pops_p[:, 2] - rho33_start)))
         pop23_drift = np.maximum(pop23_drift, np.max(np.abs(diff_p - pop23_start)))
         low = np.minimum(low, np.min(diff_d))
         high = np.maximum(high, np.max(diff_d))

@@ -7,7 +7,7 @@ the Taylor series of L dt / 2**s by matrix Horner, then s squarings
 (Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33:488) -- and walks the
 samples with one product S @ rho each.  Neither step needs an
 eigendecomposition, so the non-diagonalizable generators at the exceptional
-point gamma = 2J and the raw published rows are handled like any other.
+point gamma = 2J and the published rows are handled like any other.
 No trace renormalization is ever applied: trace drift is an error signal,
 not something to hide.
 
@@ -91,8 +91,6 @@ def integrate_blocks(
     rho0: np.ndarray,
     params: SystemParams,
     times: np.ndarray | UniformGrid,
-    *,
-    closure: bool = True,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Propagate rho0 under the chosen generator, one block of samples at a time.
 
@@ -111,11 +109,6 @@ def integrate_blocks(
     on every state the run reaches, but exp(L dt) is built from all of L, so
     their trajectories agree to rounding, not bit for bit; the published
     generator's growing mode amplifies that rounding over the run.
-
-    closure=False selects the audit form of the published generator whose
-    last diagonal row is not tied to the others.  Its trace drifts by design,
-    so that walk runs unguarded: it yields every block and raises no drift or
-    overflow error.
     """
     if not isinstance(times, UniformGrid):
         times = np.asarray(times, dtype=float)
@@ -127,7 +120,7 @@ def integrate_blocks(
     if not np.all(np.isfinite(rho0)):
         raise ValueError("rho0 must be finite")
 
-    lv = superoperator(variant, params, closure=closure)
+    lv = superoperator(variant, params)
     # exact float keys: a uniform grid has only a handful of distinct spacings
     steps: dict[float, np.ndarray] = {}
     y = rho0.reshape(16)
@@ -154,13 +147,11 @@ def integrate_blocks(
                     y = steps[dt] @ y
                 out[k] = y
             states = out.reshape(-1, 4, 4)
-            if closure:
-                drift = float(np.max(np.abs(np.einsum("kii->k", states).real - 1.0)))
-                if not math.isfinite(drift):
-                    raise ValueError(
-                        f"the state overflowed during integration (trace drift {drift})")
-                if drift > 1e-6:
-                    raise ValueError(f"trace drifted by {drift:.3e} during integration")
+            drift = float(np.max(np.abs(np.einsum("kii->k", states).real - 1.0)))
+        if not math.isfinite(drift):
+            raise ValueError(f"the state overflowed during integration (trace drift {drift})")
+        if drift > 1e-6:
+            raise ValueError(f"trace drifted by {drift:.3e} during integration")
         yield rows, states
 
 

@@ -12,10 +12,10 @@ Two interchangeable right-hand sides are provided:
                   over this with the closure drho44 = -(drho11 + drho22 +
                   drho33).  Those are its only differences from ``derived``,
                   so it is built as the derived matrix with row 10 (rho33)
-                  negated and, under closure, row 15 (rho44) rebuilt from the
-                  other population rows (without closure row 15 stays the
-                  derived row, and the flip shows as raw trace drift).  The
-                  error is kept for audit.consistency_report; the verbatim
+                  negated and row 15 (rho44) rebuilt from the other
+                  population rows.  The error is kept for
+                  audit.consistency_report, which reads the trace the rows
+                  would leak without the closure from rho33; the verbatim
                   term table it is checked against is in tests/oracles.py.
 
 Both variants are linear and time independent for fixed parameters, so they
@@ -194,7 +194,7 @@ def dephasing_rates(gamma: float) -> np.ndarray:
     return rate
 
 
-def superoperator(variant: RhsVariant, params: SystemParams, *, closure: bool = True) -> np.ndarray:
+def superoperator(variant: RhsVariant, params: SystemParams) -> np.ndarray:
     """16x16 matrix L with d vec(rho)/dt = L vec(rho) (row-major vec)."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown rhs variant {variant!r}; expected one of {_VARIANTS}")
@@ -204,6 +204,5 @@ def superoperator(variant: RhsVariant, params: SystemParams, *, closure: bool = 
     lv -= np.diag(dephasing_rates(params.gamma).reshape(16).astype(complex))
     if variant == "published":
         lv[10] = -lv[10]  # the tabulated rho33 line, every term sign-flipped
-        if closure:  # drho44 = -(drho11 + drho22 + drho33)
-            lv[15] = -(lv[0] + lv[5] + lv[10])
+        lv[15] = -(lv[0] + lv[5] + lv[10])  # the closure drho44 = -(drho11 + drho22 + drho33)
     return lv

@@ -139,11 +139,6 @@ class ObservableTable:
     names: tuple[str, ...]
     data: np.ndarray
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.names:
-            raise KeyError(f"no column {name!r}; have {self.names}")
-        return self.data[:, self.names.index(name)]
-
 
 @dataclass(frozen=True)
 class ZenoSweep:

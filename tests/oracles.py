@@ -46,12 +46,10 @@ def integrate(
     rho0: np.ndarray,
     params: SystemParams,
     times: np.ndarray,
-    *,
-    closure: bool = True,
 ) -> np.ndarray:
     """The whole (len(times), 4, 4) stack of `integrate_blocks`, which documents
     the arguments and the errors; states[k] is rho at times[k]."""
-    walk = integrate_blocks(variant, rho0, params, times, closure=closure)
+    walk = integrate_blocks(variant, rho0, params, times)
     return np.concatenate([states for _, states in walk])
 
 
@@ -378,7 +376,6 @@ def dopri5(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
     max_step: float | None = None,
-    closure: bool = True,
 ) -> tuple[np.ndarray, StepStats]:
     """Sample rho at `times` (increasing, >= 0) with DP5(4) dense output.
 
@@ -396,7 +393,7 @@ def dopri5(
     rate = fastest_rate(params)
     if rate <= 0.0:
         rate = 1.0 / t_end
-    lv = superoperator(variant, params, closure=closure) / rate
+    lv = superoperator(variant, params) / rate
     s_samples = times * rate
     s_end = t_end * rate
     if max_step is not None:

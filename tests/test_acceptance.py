@@ -226,25 +226,25 @@ def fit_decay_rate(times, values):
 def test_criterion_06_detuned_resonance_and_switch_off():
     start = time.perf_counter()
     table = run_scenario(preset("driven_detuned_s"))
-    t_max, _ = find_first_maximum(table.times, table.column("rho_ss"))
-    c_at_max = float(np.interp(t_max, table.times, table.column("C")))
+    detuned = dict(zip(table.names, table.data.T))
+    t_max, _ = find_first_maximum(table.times, detuned["rho_ss"])
+    c_at_max = float(np.interp(t_max, table.times, detuned["C"]))
 
     identity_dev = 0.0
     rate_errors = {}
     for name, gamma in (("switch_off", 1e6), ("switch_off_gamma1e5", 1e5)):
         sw = run_scenario(preset(name))
-        recon = 0.5 * (sw.column("rho22") + sw.column("rho33")) + sw.column("re_rho23")
+        off = dict(zip(sw.names, sw.data.T))
+        recon = 0.5 * (off["rho22"] + off["rho33"]) + off["re_rho23"]
         identity_dev = max(
-            identity_dev, np.max(np.abs(sw.column("rho_ss") - recon))
+            identity_dev, np.max(np.abs(off["rho_ss"] - recon))
         )
-        t_off, _ = find_first_maximum(sw.times, sw.column("rho_ss"))
+        t_off, _ = find_first_maximum(sw.times, off["rho_ss"])
         tail = sw.times > t_off + 2e-8
-        rate = fit_decay_rate(sw.times[tail], sw.column("re_rho23")[tail])
+        rate = fit_decay_rate(sw.times[tail], off["re_rho23"][tail])
         rate_errors[name] = abs(rate - 2.0 * gamma) / (2.0 * gamma)
-    recon_d = 0.5 * (table.column("rho22") + table.column("rho33")) + table.column(
-        "re_rho23"
-    )
-    identity_dev = max(identity_dev, np.max(np.abs(table.column("rho_ss") - recon_d)))
+    recon_d = 0.5 * (detuned["rho22"] + detuned["rho33"]) + detuned["re_rho23"]
+    identity_dev = max(identity_dev, np.max(np.abs(detuned["rho_ss"] - recon_d)))
     elapsed = time.perf_counter() - start
     report(6, "detuned resonance and switch-off", [
         (f"first rho_ss maximum at {t_max * 1e6:.4f} us, want 0.028 +/- 10%",
@@ -265,7 +265,7 @@ def test_criterion_06_detuned_resonance_and_switch_off():
 def test_criterion_07_forbidden_transition():
     start = time.perf_counter()
     table = run_scenario(preset("driven_detuned_a"))
-    c_max = float(np.max(table.column("C")))
+    c_max = float(np.max(table.data[:, table.names.index("C")]))
     elapsed = time.perf_counter() - start
     report(7, "forbidden antisymmetric transition", [
         (f"max concurrence over 0.2 us is {c_max:.4f} < 0.05", c_max < 0.05),

@@ -575,17 +575,7 @@ def test_closed_form_matches_integrator_with_dephasing():
 
 
 # ---------------------------------------------------------------------------
-# the raw published rows
-
-def test_raw_published_trace_grows_quadratically():
-    rho0 = pure_density(named_state("e1g2"))
-    times = np.linspace(0.0, 5e-10, 11)
-    states = integrate("published", rho0, FREE_NODEPH, times, closure=False)
-    j = FREE_NODEPH.J
-    for t, state in zip(times, states):
-        expected = 1.0 + 2.0 * (j * t) ** 2
-        assert abs(np.trace(state).real - expected) < 1e-6 * expected
-
+# the published rows
 
 def test_published_with_closure_from_excited_state():
     # the closed published system freezes rho33 - rho22 at its initial value

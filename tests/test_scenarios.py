@@ -10,7 +10,6 @@ from qdimer import scenarios as scenarios_mod
 from qdimer.liouville import SystemParams
 from qdimer.scenarios import (
     OBSERVABLES,
-    ObservableTable,
     Scenario,
     ZenoSweep,
     catalog,
@@ -184,17 +183,6 @@ def test_driven_runs_refuse_exactly_the_columns_the_frame_changes():
                 Scenario(**run)
 
 
-def test_table_column_lookup():
-    table = ObservableTable(
-        times=np.array([0.0, 1.0]),
-        names=("a", "b"),
-        data=np.array([[1.0, 2.0], [3.0, 4.0]]),
-    )
-    assert np.array_equal(table.column("b"), [2.0, 4.0])
-    with pytest.raises(KeyError):
-        table.column("c")
-
-
 def test_observable_registry_on_known_states():
     rho_s = pure_density(named_state("s"))
     assert OBSERVABLES["rho_ss"](rho_s) == pytest.approx(1.0, abs=1e-12)
@@ -304,7 +292,7 @@ def test_run_matches_direct_integration():
         for name in sc.observables:
             fn = OBSERVABLES[name]
             direct = np.array([fn(rho) for rho in states])
-            assert np.array_equal(table.column(name), direct), (sc.name, name)
+            assert np.array_equal(table.data[:, table.names.index(name)], direct), (sc.name, name)
         assert np.array_equal(table.times, times)
 
 
@@ -335,8 +323,8 @@ def test_switch_off_walk_matches_direct_integration(t_off, monkeypatch):
     states = direct_states(sc, table.times)
     t_off = scenarios_mod._switch_trigger(sc, "derived")
     assert np.count_nonzero(table.times <= t_off) > BLOCK
-    for name in sc.observables:
-        assert np.array_equal(table.column(name), OBSERVABLES[name](states)), name
+    for name, column in zip(table.names, table.data.T):
+        assert np.array_equal(column, OBSERVABLES[name](states)), name
 
 
 @pytest.mark.parametrize("name", ["switch_off", "switch_off_gamma1e5"])
@@ -447,12 +435,13 @@ def test_free_LL_closed_forms():
     t = table.times
     gamma = sc.params.gamma
     decay = 0.25 * np.exp(-2.0 * gamma * t)
-    assert np.max(np.abs(table.column("re_rho23") - decay)) < 1e-7
-    assert np.max(np.abs(table.column("rho_ss") - (0.25 + decay))) < 1e-7
-    assert np.max(np.abs(table.column("rho_aa") - (0.25 - decay))) < 1e-7
-    total = sum(table.column(n) for n in ("rho_pp", "rho_qq", "rho_ss", "rho_aa"))
+    column = dict(zip(table.names, table.data.T))
+    assert np.max(np.abs(column["re_rho23"] - decay)) < 1e-7
+    assert np.max(np.abs(column["rho_ss"] - (0.25 + decay))) < 1e-7
+    assert np.max(np.abs(column["rho_aa"] - (0.25 - decay))) < 1e-7
+    total = sum(column[n] for n in ("rho_pp", "rho_qq", "rho_ss", "rho_aa"))
     assert np.max(np.abs(total - 1.0)) < 1e-8
-    c = table.column("C")
+    c = column["C"]
     assert c[0] == 0.0
     assert np.all(c >= 0.0)
 
@@ -483,15 +472,14 @@ def test_variants_agree_on_free_preset_grids(name, samples):
 
 def test_detuned_drive_reaches_symmetric_state():
     table = run_scenario(preset("driven_detuned_s"))
-    t_max, v_max = find_first_maximum(table.times, table.column("rho_ss"))
+    column = dict(zip(table.names, table.data.T))
+    t_max, v_max = find_first_maximum(table.times, column["rho_ss"])
     assert t_max == pytest.approx(np.pi / (2.0 * np.sqrt(2.0) * 4.0e7), rel=0.01)
     assert v_max > 0.9
-    assert np.max(table.column("C")) > 0.95
+    assert np.max(column["C"]) > 0.95
     # rho_ss decomposes into the (2,3) block populations and coherence
-    recon = 0.5 * (table.column("rho22") + table.column("rho33")) + table.column(
-        "re_rho23"
-    )
-    assert np.max(np.abs(table.column("rho_ss") - recon)) < 1e-9
+    recon = 0.5 * (column["rho22"] + column["rho33"]) + column["re_rho23"]
+    assert np.max(np.abs(column["rho_ss"] - recon)) < 1e-9
 
 
 def test_switch_off_freezes_corner_populations(monkeypatch):
@@ -507,13 +495,14 @@ def test_switch_off_freezes_corner_populations(monkeypatch):
     )
     table = run_scenario(sc)
     after = table.times > 3e-8
-    r44 = table.column("rho44")
+    column = dict(zip(table.names, table.data.T))
+    r44 = column["rho44"]
     # the drive pumps |4> down, then the free generator leaves it untouched
     assert np.ptp(r44[~after]) > 0.1
     assert np.ptp(r44[after]) < 1e-6
-    assert np.ptp(table.column("rho11")[after]) < 1e-6
+    assert np.ptp(column["rho11"][after]) < 1e-6
     # no glitch at the seam: the symmetric population is continuous
-    seam = np.abs(np.diff(table.column("rho_ss")))
+    seam = np.abs(np.diff(column["rho_ss"]))
     assert np.max(seam) < 0.05
 
 
@@ -528,12 +517,12 @@ def test_switch_off_auto_trigger():
         field_off_time="auto",
     )
     table = run_scenario(sc)
-    rho_ss = table.column("rho_ss")
+    rho_ss, rho_aa, c = table.data.T
     # trigger fires at the first maximum (~27.8 ns), so the tail stays high
     assert np.max(rho_ss) > 0.9
     assert np.all(rho_ss[table.times > 3e-8] > 0.85)
-    assert np.all(table.column("rho_aa")[table.times > 3e-8] < 0.05)
-    assert np.max(table.column("C")) > 0.95
+    assert np.all(rho_aa[table.times > 3e-8] < 0.05)
+    assert np.max(c) > 0.95
 
 
 def test_switch_off_trigger_without_a_peak_in_a_full_swap_period():
@@ -577,13 +566,14 @@ def test_zeno_sweep_table():
         "survival_tau0.005ns", "exact_tau0.005ns", "gauss_tau0.005ns",
     )
     assert table.data.shape == (11, 9)
+    column = dict(zip(table.names, table.data.T))
     for tau, label in ((1e-10, "0.1ns"), (1e-11, "0.01ns"), (5e-12, "0.005ns")):
         stride = round(1e-10 / tau)
         exact = np.array([analytic_survival(4.0e9, tau, r * stride)[0] for r in range(11)])
         gauss = np.array([analytic_survival(4.0e9, tau, r * stride)[1] for r in range(11)])
-        assert np.allclose(table.column(f"exact_tau{label}"), exact, atol=1e-12)
-        assert np.allclose(table.column(f"gauss_tau{label}"), gauss, atol=1e-12)
-        sim = table.column(f"survival_tau{label}")
+        assert np.allclose(column[f"exact_tau{label}"], exact, atol=1e-12)
+        assert np.allclose(column[f"gauss_tau{label}"], gauss, atol=1e-12)
+        sim = column[f"survival_tau{label}"]
         assert sim[0] == 1.0
         # dephasing at gamma = 1e6 costs a little survival on top of the swap
         assert np.all(sim[1:] < exact[1:])

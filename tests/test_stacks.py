@@ -11,10 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import integrate, random_density, random_pure
+from oracles import integrate, published_superoperator_table, random_density, random_pure
 from qdimer import scenarios as scenarios_mod
 from qdimer import states as states_mod
 from qdimer.audit import consistency_report
@@ -212,7 +213,6 @@ def per_sample_audit(params, rho0, horizon, samples):
     times = np.linspace(0.0, horizon, samples)
     derived = integrate("derived", rho0, params, times)
     published = integrate("published", rho0, params, times)
-    raw = integrate("published", rho0, params, times, closure=False)
     pops_d = np.array([np.diag(rho).real for rho in derived])
     pops_p = np.array([np.diag(rho).real for rho in published])
     max_conc, skipped = 0.0, 0
@@ -224,7 +224,8 @@ def per_sample_audit(params, rho0, horizon, samples):
             skipped += 1
             continue
         max_conc = max(max_conc, abs(c_d - c_p))
-    traces = np.array([np.trace(rho).real for rho in raw])
+    # the trace error of the published rows without their closure row
+    leak = 2.0 * np.abs(pops_p[:, 2] - pops_p[0, 2])
     diff_p = pops_p[:, 2] - pops_p[:, 1]
     diff_d = pops_d[:, 2] - pops_d[:, 1]
     return {
@@ -233,7 +234,7 @@ def per_sample_audit(params, rho0, horizon, samples):
         # with a skipped sample the largest deviation is unknown
         "max_concurrence_deviation": math.nan if skipped else max_conc,
         "concurrence_skipped": skipped,
-        "published_trace_drift_no_closure": float(np.max(np.abs(traces - 1.0))),
+        "published_trace_drift_no_closure": float(np.max(leak)),
         "published_pop23_diff_drift": float(np.max(np.abs(diff_p - diff_p[0]))),
         "derived_pop23_diff_range": float(np.max(diff_d) - np.min(diff_d)),
     }
@@ -317,6 +318,53 @@ def test_audit_agrees_to_rounding_where_the_variants_agree():
                         report.published_pop23_diff_drift)
     assert all(rho <= 1e-14 and trace <= 1e-15 and gap <= 1e-15
                for rho, trace, gap in worst.values()), worst
+
+
+@pytest.mark.parametrize("horizon, samples", [(5e-9, 501), (1e-9, 41)], ids=["5ns", "1ns"])
+@pytest.mark.parametrize("J, gamma", [(4.0e9, 1.0e6), (4.0e9, 0.0), (4.0e9, 8.0e9), (0.0, 1.0e6)],
+                         ids=["audit", "gamma0", "exceptional", "J0"])
+def test_audit_reads_the_unclosed_trace_leak_from_rho33(J, gamma, horizon, samples):
+    # the published rows without their closure row, propagated from rho0 by
+    # scipy's expm at each sample: the audit's 2 |rho33 - rho33(0)| must be
+    # the worst trace error of that run, from every named start
+    params = SystemParams(omega0=0.0, J=J, gamma=gamma)
+    raw = published_superoperator_table(params, closure=False)
+    times = np.linspace(0.0, horizon, samples)
+    # trace_rows[i] maps vec(rho0) to the trace at times[i]
+    trace_rows = np.stack([scipy.linalg.expm(raw * t)[[0, 5, 10, 15]].sum(axis=0)
+                           for t in times])
+    for start in sorted(NAMED_STATES):
+        rho0 = pure_density(named_state(start))
+        reference = float(np.max(np.abs((trace_rows @ rho0.reshape(16)).real - 1.0)))
+        report = consistency_report(params, rho0, horizon, samples=samples)
+        error = abs(report.published_trace_drift_no_closure - reference)
+        assert error <= 1e-10 * max(1.0, reference), (start, reference, error)
+
+
+def test_audit_trace_leak_is_twice_the_squared_exchange_phase():
+    # README's law: from e1g2 without dephasing rho33 = 1 + (J t)^2, so the
+    # unclosed rows leak 2 (J t)^2 of trace by t
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
+    rho0 = pure_density(named_state("e1g2"))
+    for horizon in np.linspace(5e-11, 5e-10, 10):
+        report = consistency_report(params, rho0, float(horizon), samples=2)
+        law = 2.0 * (params.J * horizon) ** 2
+        assert report.published_trace_drift_no_closure == pytest.approx(law, rel=1e-12), horizon
+
+
+def test_audit_refuses_a_drive_first():
+    # the leak is read from rho33 only on undriven rates
+    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6, Omega=4.0e7, driven=True)
+    rho0 = pure_density(named_state("L1L2"))
+    message = "the audit runs undriven rates only, got Omega = 40000000.0"
+    for horizon in (5e-9, -1.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            consistency_report(params, rho0, horizon)
+    # a driven frame with no drive is undriven rates
+    undriven = replace(params, Omega=0.0)
+    report = consistency_report(undriven, rho0, 5e-9, samples=41)
+    free = consistency_report(replace(undriven, driven=False), rho0, 5e-9, samples=41)
+    assert bits(list(vars(report).values())) == bits(list(vars(free).values()))
 
 
 def test_audit_trace_guard_error_comes_before_a_concurrence_error():

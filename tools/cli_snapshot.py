@@ -15,7 +15,7 @@ drive sweep, switch-off runs down to a two-sample grid, the custom run of the
 README), `audit` for every named start, `zeno` chains, `catalog`,
 `constants`, a `run --save-config` followed by a `run --config` of the file
 it saved, a `plot`, a run that fails on its first block (so it should exit at
-once), and refused inputs: bad flag values (among them `zeno` with a negative
+once), audits whose published walk overflows or drifts, and refused inputs: bad flag values (among them `zeno` with a negative
 J or gamma, a tau outside the Zeno window or a --T that is no whole number of
 tau intervals), flags a command does not read, columns a driven run cannot
 record and malformed `--config` files.  Each input file (a config.json, the
@@ -106,6 +106,9 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["zeno_zero_tau_negative_J"] = ["zeno", "--tau", "0", "--N", "5", "--J", "-1"]
     cmds["zeno_omega0"] = ["zeno", "--tau", "0.01ns", "--N", "10", "--omega0", "1e9"]
     cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
+    # audits whose published walk fails its trace guard: by overflow, and by drift
+    cmds["audit_long_horizon"] = ["audit", "--horizon", "1e-3"]
+    cmds["audit_e1g2_1us"] = ["audit", "--initial", "e1g2", "--horizon", "1e-6"]
     cmds["run_zeno_sweep_omega0"] = ["run", "--scenario", "zeno_sweep", "--omega0", "1e9",
                                      "--out", "out.csv"]
     cmds["run_zeno_sweep_Omega"] = ["run", "--scenario", "zeno_sweep", "--Omega", "1e7",
