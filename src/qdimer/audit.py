@@ -7,22 +7,22 @@ the opposite sign in every term; its trace row is then forced by
 closure.  This module quantifies what that discrepancy does to
 populations, coherences and entanglement for a given initial state, and
 also reports the trace the published rows would leak *without* the closure
-row.  On undriven rates that leak is read from rho33 alone: the derived
-population rows sum to zero, so with the rho33 row negated
-d tr/dt = 2 drho33/dt, and rho44 feeds no other entry, so the closed and the
-unclosed rows share rho33.
+row.  The audit runs a free pair, given by its exchange and dephasing rates,
+so that leak is read from rho33 alone: the derived population rows sum to
+zero, so with the rho33 row negated d tr/dt = 2 drho33/dt, and rho44 feeds no
+other entry, so the closed and the unclosed rows share rho33.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import UniformGrid, integrate_blocks
-from .liouville import SystemParams, _shown
+from .liouville import SystemParams
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -55,24 +55,22 @@ class ConsistencyReport:
 
 
 def consistency_report(
-    params: SystemParams,
+    J: float,
+    gamma: float,
     rho0: np.ndarray,
     horizon: float,
     *,
     samples: int = 501,
 ) -> ConsistencyReport:
-    """Walk the derived and published runs side by side and reduce each block
-    as it arrives, so no trajectory, and no grid of times, is held.
+    """Walk the derived and published runs of a free pair with exchange rate J
+    and dephasing rate gamma side by side, and reduce each block as it
+    arrives, so no trajectory, and no grid of times, is held.
 
-    The rates must be undriven (Omega = 0), on which the unclosed trace leak
-    is read from rho33.  The runs leave omega0 out, as no field depends on
-    it: its part of L is a diagonal phase that commutes with both variants
-    and leaves the populations, rho23 and C alone.
+    omega0 drops out: its part of L is a diagonal phase that commutes with
+    both variants and leaves the populations, rho23 and C alone.
     """
-    if params.Omega != 0.0:
-        raise ValueError(f"the audit runs undriven rates only, got Omega = {_shown(params.Omega)}")
+    params = SystemParams(omega0=0.0, J=J, gamma=gamma)  # refuses a bad rate by name
     times = UniformGrid(horizon, samples)  # refuses a bad sample count or horizon
-    params = replace(params, omega0=0.0)
     # in this order, so that within a block the derived walk's error comes first
     walks = zip(
         integrate_blocks("derived", rho0, params, times),

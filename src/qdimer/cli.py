@@ -496,9 +496,8 @@ def cmd_zeno(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     from .audit import ConsistencyReport, consistency_report
 
-    params = replace(NH3, J=args.J, gamma=args.gamma)
     rho0 = pure_density(named_state(args.initial))
-    report = consistency_report(params, rho0, args.horizon, samples=args.samples)
+    report = consistency_report(args.J, args.gamma, rho0, args.horizon, samples=args.samples)
     print(f"initial = {args.initial}")
     print(f"horizon_s = {args.horizon:.6e}")
     for name in _field_names(ConsistencyReport):

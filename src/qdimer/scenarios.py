@@ -102,6 +102,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.initial, str):
             raise ValueError(f"initial must be a state name, got {_shown(self.initial)}")
+        named_state(self.initial)  # refuses a name no state has
         _check_positive("horizon", self.horizon)
         _check_samples(self.samples)
         if not isinstance(self.observables, tuple):

@@ -310,10 +310,10 @@ def test_criterion_09_oracles_and_audit():
     )
 
     params = SystemParams(omega0=OMEGA0, J=J_REF, gamma=1e6)
-    divergent = consistency_report(params, pure_density(named_state("e1g2")), 5e-9,
-                                   samples=201)
-    agreeing = consistency_report(params, pure_density(named_state("L1L2")), 5e-9,
-                                  samples=201)
+    divergent = consistency_report(params.J, params.gamma, pure_density(named_state("e1g2")),
+                                   5e-9, samples=201)
+    agreeing = consistency_report(params.J, params.gamma, pure_density(named_state("L1L2")),
+                                  5e-9, samples=201)
     elapsed = time.perf_counter() - start
     report(9, "oracle and generator-audit suite", [
         (f"integrator vs closed form on free presets: {worst_free:.2e} <= 1e-7",

@@ -580,9 +580,11 @@ def test_zeno_sweep_table():
         assert np.max(exact[1:] - sim[1:]) < 1e-3
 
 
-def test_unknown_initial_raises_at_run_time():
-    sc = Scenario(name="x", initial="nope", params=FREE, horizon=1e-9,
-                  observables=("rho11",))
-    with pytest.raises(ValueError):
-        run_scenario(sc)
+def test_unknown_initial_raises_at_construction():
+    # it once raised only inside the walk, so a sweep blamed its first point
+    with pytest.raises(ValueError) as named:
+        named_state("nope")
+    assert str(named.value).startswith("unknown state name 'nope'; valid names: ")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(named.value))}$"):
+        Scenario(name="x", initial="nope", params=FREE, horizon=1e-9, observables=("rho11",))
 

@@ -245,7 +245,7 @@ def test_audit_samples_must_be_integer(bad):
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state("L1L2"))
     with pytest.raises(ValueError, match="samples must be an integer"):
-        consistency_report(params, rho0, 5e-9, samples=bad)
+        consistency_report(params.J, params.gamma, rho0, 5e-9, samples=bad)
 
 
 @pytest.mark.parametrize("horizon, samples, message", [
@@ -258,7 +258,7 @@ def test_audit_rejects_bad_horizon_and_sample_count(horizon, samples, message):
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state("L1L2"))
     with pytest.raises(ValueError, match=message):
-        consistency_report(params, rho0, horizon, samples=samples)
+        consistency_report(params.J, params.gamma, rho0, horizon, samples=samples)
 
 
 @pytest.mark.parametrize("horizon, samples, message", [
@@ -272,7 +272,39 @@ def test_audit_refuses_an_int_past_the_float_range(horizon, samples, message):
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state("L1L2"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        consistency_report(params, rho0, horizon, samples=samples)
+        consistency_report(params.J, params.gamma, rho0, horizon, samples=samples)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-1.0, "must be >= 0, got -1.0"),
+    (np.nan, "must be a finite number, got nan"),
+    (np.inf, "must be a finite number, got inf"),
+    (-np.inf, "must be a finite number, got -inf"),
+    (True, "must be a finite number, got True"),
+    ("a", "must be a finite number, got 'a'"),
+    (10**400, "must be a finite number, got 1.000e+400"),
+], ids=["negative", "nan", "inf", "minus-inf", "bool", "str", "int-past-float-range"])
+@pytest.mark.parametrize("field", ["J", "gamma"])
+def test_audit_refuses_a_bad_rate_by_its_name(field, bad, message):
+    rates = {"J": 4.0e9, "gamma": 1.0e6, field: bad}
+    rho0 = pure_density(named_state("L1L2"))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {message}')}$") as audit:
+        consistency_report(rates["J"], rates["gamma"], rho0, 5e-9)
+    # the text SystemParams gives the same rates
+    with pytest.raises(ValueError) as built:
+        SystemParams(omega0=0.0, **rates)
+    assert str(audit.value) == str(built.value)
+
+
+def test_audit_checks_the_rates_before_the_grid():
+    # J before gamma, and both before the horizon and the sample count
+    rho0 = pure_density(named_state("L1L2"))
+    with pytest.raises(ValueError, match=r"^J must be >= 0, got -1.0$"):
+        consistency_report(-1.0, 1e6, rho0, 0.0)
+    with pytest.raises(ValueError, match=r"^J must be >= 0, got -1.0$"):
+        consistency_report(-1.0, -1.0, rho0, 5e-9, samples=1)
+    with pytest.raises(ValueError, match=r"^gamma must be >= 0, got -1.0$"):
+        consistency_report(4e9, -1.0, rho0, -1e-9, samples=0)
 
 
 AUDIT_CASES = [
@@ -288,13 +320,13 @@ AUDIT_CASES = [
     *(pytest.param(initial, n, 7, id=f"{initial}-{n}-block7") for initial, n in AUDIT_CASES),
 ])
 def test_audit_matches_per_sample_loops(monkeypatch, initial, samples, block):
-    # the audit command's defaults, at a 5 ns horizon; the audit leaves omega0
-    # out, and so does the reference
+    # the audit command's defaults, at a 5 ns horizon; the audit runs without
+    # omega0, and so does the reference
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     rho0 = pure_density(named_state(initial))
     expected = per_sample_audit(replace(params, omega0=0.0), rho0, 5e-9, samples)
     monkeypatch.setattr(states_mod, "BLOCK", block)
-    report = consistency_report(params, rho0, 5e-9, samples=samples)
+    report = consistency_report(params.J, params.gamma, rho0, 5e-9, samples=samples)
     got = {field: getattr(report, field) for field in expected}
     assert bits(list(got.values())) == bits(list(expected.values())), got
     if initial == "g1e2":
@@ -313,7 +345,8 @@ def test_audit_agrees_to_rounding_where_the_variants_agree():
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     worst = {}
     for start in ("g1g2", "e1e2", "s", "a", "p", "q", "L1L2", "R1R2", "L1R2", "R1L2"):
-        report = consistency_report(params, pure_density(named_state(start)), 5e-9)
+        rho0 = pure_density(named_state(start))
+        report = consistency_report(params.J, params.gamma, rho0, 5e-9)
         worst[start] = (report.max_rho_deviation, report.published_trace_drift_no_closure,
                         report.published_pop23_diff_drift)
     assert all(rho <= 1e-14 and trace <= 1e-15 and gap <= 1e-15
@@ -336,7 +369,7 @@ def test_audit_reads_the_unclosed_trace_leak_from_rho33(J, gamma, horizon, sampl
     for start in sorted(NAMED_STATES):
         rho0 = pure_density(named_state(start))
         reference = float(np.max(np.abs((trace_rows @ rho0.reshape(16)).real - 1.0)))
-        report = consistency_report(params, rho0, horizon, samples=samples)
+        report = consistency_report(params.J, params.gamma, rho0, horizon, samples=samples)
         error = abs(report.published_trace_drift_no_closure - reference)
         assert error <= 1e-10 * max(1.0, reference), (start, reference, error)
 
@@ -347,24 +380,9 @@ def test_audit_trace_leak_is_twice_the_squared_exchange_phase():
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=0.0)
     rho0 = pure_density(named_state("e1g2"))
     for horizon in np.linspace(5e-11, 5e-10, 10):
-        report = consistency_report(params, rho0, float(horizon), samples=2)
+        report = consistency_report(params.J, params.gamma, rho0, float(horizon), samples=2)
         law = 2.0 * (params.J * horizon) ** 2
         assert report.published_trace_drift_no_closure == pytest.approx(law, rel=1e-12), horizon
-
-
-def test_audit_refuses_a_drive_first():
-    # the leak is read from rho33 only on undriven rates
-    params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6, Omega=4.0e7, driven=True)
-    rho0 = pure_density(named_state("L1L2"))
-    message = "the audit runs undriven rates only, got Omega = 40000000.0"
-    for horizon in (5e-9, -1.0):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            consistency_report(params, rho0, horizon)
-    # a driven frame with no drive is undriven rates
-    undriven = replace(params, Omega=0.0)
-    report = consistency_report(undriven, rho0, 5e-9, samples=41)
-    free = consistency_report(replace(undriven, driven=False), rho0, 5e-9, samples=41)
-    assert bits(list(vars(report).values())) == bits(list(vars(free).values()))
 
 
 def test_audit_trace_guard_error_comes_before_a_concurrence_error():
@@ -372,8 +390,8 @@ def test_audit_trace_guard_error_comes_before_a_concurrence_error():
     # trace leaves 1e-6 between 0.64 and 0.77 us.  The walks check each block
     # before the audit scores it, so the guard's error comes first when it
     # trips in the first block (201 samples are one block), and the
-    # concurrence error when it trips in a later one.  The audit is handed
-    # omega0 and leaves it out, so the reference runs without it
+    # concurrence error when it trips in a later one.  The audit runs without
+    # omega0, and so does the reference
     params = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
     free = replace(params, omega0=0.0)
     rho0 = pure_density(named_state("g1e2"))
@@ -387,7 +405,7 @@ def test_audit_trace_guard_error_comes_before_a_concurrence_error():
                 yielded += 1
         assert yielded == blocks_before_the_guard
         with pytest.raises(ValueError) as audit:
-            consistency_report(params, rho0, 1e-6, samples=samples)
+            consistency_report(params.J, params.gamma, rho0, 1e-6, samples=samples)
         first = scored if blocks_before_the_guard else guard
         assert type(audit.value) is type(first.value)
         assert str(audit.value) == str(first.value)
@@ -401,7 +419,7 @@ def test_audit_memory_does_not_grow_with_the_sample_count():
     for samples in (2_001, 20_001):
         tracemalloc.start()
         try:
-            consistency_report(params, rho0, 5e-9, samples=samples)
+            consistency_report(params.J, params.gamma, rho0, 5e-9, samples=samples)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

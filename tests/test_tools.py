@@ -5,9 +5,17 @@ import subprocess
 import sys
 
 import qdimer
+from qdimer.scenarios import catalog
 
 SRC = os.path.dirname(os.path.dirname(qdimer.__file__))
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_bench_quick_run_of_a_tree_against_itself(tmp_path):
@@ -75,10 +83,18 @@ def test_bench_counts_a_tier1_run_from_the_tree_root(tmp_path):
     (tmp_path / "tests" / "test_unimportable.py").write_text(
         "import no_such_module_anywhere\n\n\n"
         "def test_hidden():\n    pass\n")
-    spec = importlib.util.spec_from_file_location("bench", os.path.join(TOOLS, "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    result = bench.tier1(str(tmp_path / "src"))
+    result = load_tool("bench").tier1(str(tmp_path / "src"))
     assert sorted(result) == ["errors", "failed", "passed", "wall_s"]
     assert (result["passed"], result["failed"], result["errors"]) == (1, 1, 1)
     assert result["wall_s"] > 0.0
+
+
+def test_snapshot_inputs_name_its_commands():
+    # a misspelt name would skip its input file without a word
+    snapshot = load_tool("cli_snapshot")
+    names = list(snapshot.commands([sc.name for sc in catalog()]))
+    assert set(snapshot.INPUTS) <= set(names)
+    assert set(snapshot.SAVED) <= set(names)
+    # and a saved file is written before the command that reads it runs
+    for name, (source, _) in snapshot.SAVED.items():
+        assert source in names and names.index(source) < names.index(name)

@@ -15,10 +15,11 @@ drive sweep, switch-off runs down to a two-sample grid, the custom run of the
 README), `audit` for every named start, `zeno` chains, `catalog`,
 `constants`, a `run --save-config` followed by a `run --config` of the file
 it saved, a `plot`, a run that fails on its first block (so it should exit at
-once), audits whose published walk overflows or drifts, and refused inputs: bad flag values (among them `zeno` with a negative
-J or gamma, a tau outside the Zeno window or a --T that is no whole number of
-tau intervals), flags a command does not read, columns a driven run cannot
-record and malformed `--config` files.  Each input file (a config.json, the
+once), audits whose published walk overflows or drifts, and refused inputs: bad
+flag values (among them `zeno` and `audit` with a negative J or gamma, a tau
+outside the Zeno window, a --T that is no whole number of tau intervals or a
+sweep from an unknown start), flags a command does not read, columns a driven
+run cannot record and malformed `--config` files.  Each input file (a config.json, the
 plot's in.csv) is written into its command's own directory, where it stays;
 the saved config is copied from the directory of the command that saved it.
 Each command's wall time goes to its console line only, so the files under
@@ -106,6 +107,12 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["zeno_zero_tau_negative_J"] = ["zeno", "--tau", "0", "--N", "5", "--J", "-1"]
     cmds["zeno_omega0"] = ["zeno", "--tau", "0.01ns", "--N", "10", "--omega0", "1e9"]
     cmds["audit_omega0"] = ["audit", "--omega0", "1e9"]
+    cmds["audit_negative_J"] = ["audit", "--J", "-1"]
+    cmds["audit_negative_gamma"] = ["audit", "--gamma", "-1"]
+    # an unknown start is an input of the whole sweep, not of its first point
+    cmds["run_sweep_unknown_initial"] = ["run", "--initial", "bogus", "--J", "4e9",
+                                         "--horizon", "1ns", "--sweep", "J=1e9,2e9",
+                                         "--out", "x.csv"]
     # audits whose published walk fails its trace guard: by overflow, and by drift
     cmds["audit_long_horizon"] = ["audit", "--horizon", "1e-3"]
     cmds["audit_e1g2_1us"] = ["audit", "--initial", "e1g2", "--horizon", "1e-6"]
