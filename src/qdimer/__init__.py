@@ -14,8 +14,8 @@ _EXPORTS = {
     "audit": ("ConsistencyReport", "consistency_report"),
     "concurrence": ("ConcurrenceError", "ConcurrenceStack", "concurrence_stack"),
     "liouville": ("SystemParams", "dephasing_rates", "hamiltonian", "superoperator"),
-    "physics": ("DEBYE", "EPSILON_0", "HBAR", "SPEED_OF_LIGHT", "MolecularConstants",
-                "dipole_coupling", "einstein_a", "rabi_frequency"),
+    "physics": ("DEBYE", "EPSILON_0", "HBAR", "SPEED_OF_LIGHT", "dipole_coupling",
+                "einstein_a", "rabi_frequency"),
     "scenarios": ("OBSERVABLES", "ObservableTable", "Scenario", "ZenoSweep", "catalog",
                   "find_first_maximum", "run_scenario"),
     "states": ("named_state", "population", "pure_density"),

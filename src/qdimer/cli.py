@@ -507,14 +507,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    from .physics import MolecularConstants, dipole_coupling, einstein_a, rabi_frequency
+    from .physics import dipole_coupling, einstein_a, rabi_frequency
 
-    constants = MolecularConstants(d0=args.d0, r=args.r, mu_eg=args.mu_eg)
+    mu_eg = args.d0 if args.mu_eg is None else args.mu_eg
     # every rate is computed, and so checked, before the first line is printed
-    rates = {"J": dipole_coupling(constants),
-             "einstein_a": einstein_a(constants.mu_eg, args.omega0)}
+    rates = {"J": dipole_coupling(args.d0, args.r)}
+    _check_positive("mu_eg", mu_eg)
+    rates["einstein_a"] = einstein_a(mu_eg, args.omega0)
     if args.E_l is not None:
-        rates["Omega"] = rabi_frequency(constants.mu_eg, args.E_l)
+        rates["Omega"] = rabi_frequency(mu_eg, args.E_l)
     for name, value in rates.items():
         print(f"{name} = {value:.6e} s^-1")
     return 0

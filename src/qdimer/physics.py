@@ -1,4 +1,4 @@
-"""Molecular inputs and the rates derived from them.
+"""Physical constants, and the rates each derived from plain molecular numbers.
 
 Everything internal is SI: dipole moments in C*m, distances in m, fields in
 V/m, angular rates in rad/s.  Unit suffixes (Debye, nm, ns, ...) are parsed
@@ -8,17 +8,15 @@ only at the command-line boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .liouville import _check_finite, _check_nonnegative, _is_finite_number, _shown
+from .liouville import _check_finite, _check_nonnegative, _check_positive
 
 __all__ = [
     "HBAR",
     "EPSILON_0",
     "SPEED_OF_LIGHT",
     "DEBYE",
-    "MolecularConstants",
     "dipole_coupling",
     "einstein_a",
     "rabi_frequency",
@@ -29,31 +27,6 @@ HBAR = 1.054571817e-34  # J*s
 EPSILON_0 = 8.8541878128e-12  # F/m
 SPEED_OF_LIGHT = 299792458.0  # m/s
 DEBYE = 3.33564e-30  # C*m per Debye
-
-
-@dataclass(frozen=True)
-class MolecularConstants:
-    """Inputs describing one molecular species.
-
-    d0     permanent dipole moment of the localized wells (C*m)
-    mu_eg  transition dipole moment between doublet levels (C*m); equals d0
-           in magnitude for an ideal inversion doublet
-    r      intermolecular distance (m)
-    """
-
-    d0: float
-    r: float
-    mu_eg: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mu_eg is None:
-            object.__setattr__(self, "mu_eg", self.d0)
-        for name in ("d0", "r", "mu_eg"):
-            value = getattr(self, name)
-            if not _is_finite_number(value):
-                raise ValueError(f"{name} must be finite, got {_shown(value)}")
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {_shown(value)}")
 
 
 def _finite_rate(name: str, rate: Callable[[], float]) -> float:
@@ -67,15 +40,17 @@ def _finite_rate(name: str, rate: Callable[[], float]) -> float:
     return value
 
 
-def dipole_coupling(constants: MolecularConstants) -> float:
+def dipole_coupling(d0: float, r: float) -> float:
     """Dipole-dipole exchange rate J = 2 d0^2 / (4 pi eps0 hbar r^3), in rad/s.
 
-    This is the static interaction of two permanent dipoles d0 at distance r,
-    divided by hbar so it reads directly as the coherent exchange rate between
-    the single-excitation product states.
+    This is the static interaction of two permanent dipoles d0 (C*m) at
+    distance r (m), divided by hbar so it reads directly as the coherent
+    exchange rate between the single-excitation product states.  d0 and then
+    r must each be a finite number > 0.
     """
-    return _finite_rate("J", lambda: 2.0 * constants.d0**2 / (
-        4.0 * math.pi * EPSILON_0 * HBAR * constants.r**3))
+    _check_positive("d0", d0)
+    _check_positive("r", r)
+    return _finite_rate("J", lambda: 2.0 * d0**2 / (4.0 * math.pi * EPSILON_0 * HBAR * r**3))
 
 
 def einstein_a(mu_eg: float, omega0: float) -> float:

@@ -76,17 +76,20 @@ def named_state(name: str) -> np.ndarray:
     return np.array(amps, dtype=complex)
 
 
-def pure_density(psi: np.ndarray) -> np.ndarray:
-    """Density matrix |psi><psi| of a normalized amplitude vector.
-
-    Rejects vectors whose norm deviates from 1 by more than 1e-9.
-    """
+def _checked_state(psi: np.ndarray) -> np.ndarray:
+    """psi as a complex (4,) vector, refused unless its norm is within 1e-9 of 1."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (4,):
         raise ValueError(f"expected shape (4,), got {psi.shape}")
     norm_err = abs(float(np.vdot(psi, psi).real) - 1.0)
     if not norm_err <= 1e-9:  # a NaN fails this too
         raise ValueError(f"state is not normalized: |<psi|psi> - 1| = {norm_err:.3e}")
+    return psi
+
+
+def pure_density(psi: np.ndarray) -> np.ndarray:
+    """Density matrix |psi><psi| of a normalized amplitude vector (`_checked_state`)."""
+    psi = _checked_state(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -116,12 +119,12 @@ def blocks(n: int) -> Iterator[slice]:
 
 
 def population(rho: np.ndarray, psi: np.ndarray) -> float | np.ndarray:
-    """Population <psi| rho |psi> of a pure state in a density matrix.
+    """Population <psi| rho |psi> of a normalized pure state (`_checked_state`).
 
     rho is one (4, 4) state, giving a float, or an (N, 4, 4) stack, giving
     one population per state, checked by `_checked_populations`.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _checked_state(psi)
     amps = np.matmul(np.asarray(rho, dtype=complex), psi[:, None])
     # matmul, unlike einsum, keeps every value bit-identical to np.vdot
     return _checked_populations(np.matmul(psi.conj()[None, :], amps)[..., 0, 0].real)

@@ -16,7 +16,7 @@ from qdimer.audit import consistency_report
 from qdimer.cli import emit_csv
 from qdimer.integrate import closed_form_free
 from qdimer.liouville import SystemParams
-from qdimer.physics import DEBYE, MolecularConstants, dipole_coupling, einstein_a
+from qdimer.physics import DEBYE, dipole_coupling, einstein_a
 from qdimer.scenarios import (
     OBSERVABLES,
     find_first_maximum,
@@ -274,7 +274,7 @@ def test_criterion_07_forbidden_transition():
 
 
 def test_criterion_08_derived_constants():
-    j = dipole_coupling(MolecularConstants(d0=1.46 * DEBYE, r=10e-9))
+    j = dipole_coupling(1.46 * DEBYE, 10e-9)
     a_low = einstein_a(1.46 * DEBYE, 1.5e11)
     a_high = einstein_a(1.46 * DEBYE, 6.78e12)
     ratio_low = max(a_low / 1e-7, 1e-7 / a_low)

@@ -1263,11 +1263,27 @@ def test_constants_without_field_omits_rabi(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--omega0", "-1"], "omega0 must be >= 0, got -1.0"),
     (["--E-l", "-1V/m"], "E_l must be >= 0, got -1.0"),
+    (["--d0", "0D"], "d0 must be > 0, got 0.0"),
+    (["--r", "-1nm"], "r must be > 0, got -1e-09"),
+    (["--mu-eg", "0D"], "mu_eg must be > 0, got 0.0"),
+    (["--mu-eg", "-1D"], "mu_eg must be > 0, got -3.33564e-30"),
 ])
 def test_constants_prints_nothing_before_a_bad_value(capsys, flags, message):
     # J was once printed before the bad value exited 2
     assert main(["constants", "--d0", "1.46D", "--r", "10nm", *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_constants_mu_eg_defaults_to_d0(capsys):
+    base = ["constants", "--d0", "2D", "--r", "10nm", "--E-l", "3V/m"]
+    outputs = []
+    for extra in ([], ["--mu-eg", "2D"], ["--mu-eg", "1D"]):
+        assert main([*base, *extra]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    default, same, other = outputs
+    assert len(default) == 3 and default == same
+    assert [a == b for a, b in zip(default, other)] == [True, False, False]
+    assert [line.split(" = ")[0] for line in other] == ["J", "einstein_a", "Omega"]
 
 
 @pytest.mark.parametrize("flags, rate", [

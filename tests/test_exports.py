@@ -14,7 +14,7 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(qdimer.__path__))
 # the whole public surface: a new name has to be added here on purpose
 PUBLIC = [
     "ConcurrenceError", "ConcurrenceStack", "ConsistencyReport", "DEBYE", "EPSILON_0", "HBAR",
-    "MolecularConstants", "OBSERVABLES", "ObservableTable", "Scenario", "SPEED_OF_LIGHT",
+    "OBSERVABLES", "ObservableTable", "Scenario", "SPEED_OF_LIGHT",
     "SystemParams", "ZenoProtocol", "ZenoSweep", "analytic_survival", "catalog",
     "concurrence_stack", "consistency_report", "dephasing_rates", "dipole_coupling", "einstein_a",
     "find_first_maximum", "hamiltonian", "named_state", "population", "pure_density",

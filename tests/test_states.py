@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,19 @@ def test_population_rejects_non_finite(value):
     stack[1, 1, 1] = value
     with pytest.raises(ValueError, match="is not finite"):
         population(stack, named_state("s"))
+
+
+@pytest.mark.parametrize("psi, message", [
+    ([1, 1, 0, 0], "state is not normalized: |<psi|psi> - 1| = 1.000e+00"),
+    ([0.5, 0, 0, 0], "state is not normalized: |<psi|psi> - 1| = 7.500e-01"),
+    ([np.nan, 0, 0, 0], "state is not normalized: |<psi|psi> - 1| = nan"),
+    ([1, 0, 0], "expected shape (4,), got (3,)"),
+], ids=["norm-2", "norm-quarter", "nan", "shape-3"])
+def test_population_refuses_a_state_that_is_not_normalized(psi, message):
+    # [1, 1, 0, 0] once gave 1.0 and [0.5, 0, 0, 0] gave 0.25
+    rho = pure_density(named_state("g1g2"))
+    for given in (rho, np.stack([rho] * 3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            population(given, psi)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pure_density(psi)

@@ -17,8 +17,9 @@ README), `audit` for every named start, `zeno` chains, `catalog`,
 it saved, a `plot`, a run that fails on its first block (so it should exit at
 once), audits whose published walk overflows or drifts, and refused inputs: bad
 flag values (among them `zeno` and `audit` with a negative J or gamma, a tau
-outside the Zeno window, a --T that is no whole number of tau intervals or a
-sweep from an unknown start), flags a command does not read, columns a driven
+outside the Zeno window, a --T that is no whole number of tau intervals, a
+sweep from an unknown start, and `constants` with a d0, r or mu_eg that is not
+above 0, alone or after a J that is not finite), flags a command does not read, columns a driven
 run cannot record and malformed `--config` files.  Each input file (a config.json, the
 plot's in.csv) is written into its command's own directory, where it stays;
 the saved config is copied from the directory of the command that saved it.
@@ -84,6 +85,18 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["run_driven_omega0"] = ["run", "--scenario", "driven_detuned_s", "--samples", "11",
                                  "--omega0", "1e9", "--out", "out.csv"]
     cmds["constants_tiny_r"] = ["constants", "--d0", "1.46D", "--r", "1e-300m"]
+    # constants refuses a bad d0, r or mu_eg by its name; mu_eg is checked after J
+    cmds["constants_zero_d0"] = ["constants", "--d0", "0D", "--r", "10nm"]
+    cmds["constants_negative_r"] = ["constants", "--d0", "1.46D", "--r", "-1nm"]
+    cmds["constants_zero_mu_eg"] = ["constants", "--d0", "1.46D", "--r", "10nm", "--mu-eg", "0D"]
+    cmds["constants_negative_mu_eg"] = ["constants", "--d0", "1.46D", "--r", "10nm",
+                                        "--mu-eg", "-1D"]
+    cmds["constants_mu_eg_field"] = ["constants", "--d0", "1.46D", "--r", "10nm",
+                                     "--mu-eg", "2D", "--E-l", "3V/m"]
+    cmds["constants_zero_d0_zero_mu_eg"] = ["constants", "--d0", "0D", "--r", "10nm",
+                                            "--mu-eg", "0D"]
+    cmds["constants_tiny_r_zero_mu_eg"] = ["constants", "--d0", "1.46D", "--r", "1e-300m",
+                                           "--mu-eg", "0D"]
     cmds["run_bad_rhs"] = ["run", "--scenario", "free_eg", "--rhs", "bogus"]
     cmds["run_bad_sweep_param"] = ["run", "--scenario", "free_eg", "--sweep", "bogus=1",
                                    "--out", "out.csv"]
