@@ -19,7 +19,7 @@ _EXPORTS = {
     "scenarios": ("OBSERVABLES", "ObservableTable", "Scenario", "ZenoSweep", "catalog",
                   "find_first_maximum", "run_scenario"),
     "states": ("named_state", "population", "pure_density"),
-    "zeno": ("ZenoProtocol", "analytic_survival", "run_zeno"),
+    "zeno": ("analytic_survival", "run_zeno"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 # classes and constants first, then functions, each in case-blind alphabetical order

@@ -29,7 +29,7 @@ import numpy as np
 from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
 from .scenarios import NH3, ObservableTable, Scenario, ZenoSweep, catalog, run_scenario
 from .states import blocks, named_state, pure_density
-from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
+from .zeno import _intervals, analytic_survival, run_zeno
 
 __all__ = ["RunConfig", "emit_csv", "emit_plot_script", "entry", "main"]
 
@@ -158,6 +158,10 @@ class RunConfig:
             raise ValueError(f"sweep parameter must be one of {', '.join(_SWEEP_FIELDS)}")
         elif not self.sweep_values:
             raise ValueError("sweep needs at least one value")
+        elif any(c in self.out for c in ',"\r\n'):
+            # each point's path is a field of the unquoted index CSV
+            raise ValueError(f"a sweep's out path may not hold a comma, a quote or a line "
+                             f"break, got {self.out!r}")
         self.points  # resolves, and so checks, every point and its path
 
     @functools.cached_property
@@ -473,8 +477,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
         n = _intervals(args.T, args.tau)
         if n is None:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")
-    protocol = ZenoProtocol(tau=args.tau, n_measurements=n, J=args.J, gamma=args.gamma)
-    survival = run_zeno(protocol)
+    survival = run_zeno(args.tau, n, args.J, args.gamma)
     exact, gauss = analytic_survival(args.J, args.tau, n)
     # the CSV is written before the first line is printed, so a run whose file
     # cannot be written prints nothing but its error
@@ -484,7 +487,7 @@ def cmd_zeno(args: argparse.Namespace) -> int:
         emit_csv(ObservableTable(times, ("survival",), survival[:, None]), args.out)
     print(f"tau_s = {args.tau:.6e}")
     print(f"n_measurements = {n}")
-    print(f"total_time_s = {protocol.total_time:.6e}")
+    print(f"total_time_s = {n * args.tau:.6e}")
     print(f"survival = {survival[-1]:.6e}")
     print(f"survival_exact_gamma0 = {exact:.6e}")
     print(f"survival_gaussian = {gauss:.6e}")

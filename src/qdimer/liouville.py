@@ -47,7 +47,7 @@ _VARIANTS: tuple[str, ...] = get_args(RhsVariant)
 
 # every series a command holds whole (run_scenario's times and columns, run_zeno's
 # survival curve and the times `zeno --out` adds) takes 8 B per entry, so Scenario and
-# ZenoProtocol refuse more: at most 80 MB a series; the audit's grid shares the cap
+# run_zeno refuse more: at most 80 MB a series; the audit's grid shares the cap
 MAX_SAMPLES = 10**7
 
 

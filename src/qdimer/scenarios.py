@@ -25,7 +25,7 @@ from .integrate import UniformGrid, integrate_blocks
 from .liouville import (RhsVariant, SystemParams, _check_nonnegative, _check_positive,
                         _check_samples, _shown)
 from .states import _checked_populations, named_state, population, pure_density
-from .zeno import ZenoProtocol, _intervals, analytic_survival, run_zeno
+from .zeno import _check_chain, _intervals, analytic_survival, run_zeno
 
 __all__ = [
     "OBSERVABLES",
@@ -160,8 +160,8 @@ class ZenoSweep:
             _check_positive("zeno_taus", tau)
         list(self._schedule())  # checks every tau's schedule
 
-    def _schedule(self) -> Iterator[tuple[int, ZenoProtocol]]:
-        """Each tau's stride on the grid of the widest tau, and its protocol over the horizon."""
+    def _schedule(self) -> Iterator[tuple[float, int, int]]:
+        """Each tau, its stride on the grid of the widest tau, and its count over the horizon."""
         grid = max(self.zeno_taus)
         for tau in self.zeno_taus:
             counts = []
@@ -170,21 +170,21 @@ class ZenoSweep:
                 if counts[-1] is None:
                     raise ValueError(f"zeno tau {tau} does not divide the {label} {total}")
             stride, n = counts
-            # the protocol checks the Zeno window
-            yield stride, ZenoProtocol(tau, n, self.J, self.gamma)
+            _check_chain(tau, n, self.J, self.gamma)  # checks the Zeno window
+            yield tau, stride, n
 
     def table(self) -> ObservableTable:
         """Per tau, on the grid of the widest tau: the dephasing run's survival, the
         coherence-free closed form and its gaussian frequent-measurement approximation."""
         names: list[str] = []
         columns: list[np.ndarray] = []
-        for stride, protocol in self._schedule():
-            n_rows = protocol.n_measurements // stride  # the same for every tau
-            rows = [analytic_survival(self.J, protocol.tau, r * stride) for r in range(n_rows + 1)]
+        for tau, stride, n in self._schedule():
+            n_rows = n // stride  # the same for every tau
+            rows = [analytic_survival(self.J, tau, r * stride) for r in range(n_rows + 1)]
             exact, gauss = np.array(rows).T
-            label = f"{protocol.tau * 1e9:g}ns"
+            label = f"{tau * 1e9:g}ns"
             names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
-            columns += [run_zeno(protocol)[::stride], exact, gauss]
+            columns += [run_zeno(tau, n, self.J, self.gamma)[::stride], exact, gauss]
         times = max(self.zeno_taus) * np.arange(n_rows + 1)
         return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
 
@@ -248,22 +248,32 @@ def find_first_maximum(times: np.ndarray, values: np.ndarray) -> tuple[float, fl
 
     A series that starts by descending returns its boundary sample (t[0] is
     then a genuine maximum).  A constant or monotonically increasing series
-    has no first maximum and raises.  Interior maxima are polished with the
-    parabola through the three bracketing samples, computed in local
-    coordinates so nanosecond-scale abscissas do not lose precision.
+    has no first maximum and raises, as do times that are not finite and
+    strictly increasing and values that are not finite.  Interior maxima are
+    polished with the parabola through the three bracketing samples, computed
+    in local coordinates so nanosecond-scale abscissas do not lose precision.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1 or times.size < 3:
         raise ValueError("need matching 1-d series with at least 3 samples")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    if not np.all(np.diff(times) > 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sampled values must be finite")
     if np.all(values == values[0]):
         raise ValueError("constant series has no maximum")
     if values[0] > values[1]:
         return float(times[0]), float(values[0])
     for i in range(1, times.size - 1):
         if values[i] > values[i - 1] and values[i] >= values[i + 1]:
-            d0 = times[i - 1] - times[i]
-            d2 = times[i + 1] - times[i]
+            # the spacings, scaled exactly by a power of two to near 1, so that
+            # det, their cube, does not underflow on a fine grid
+            _, e = math.frexp(times[i + 1] - times[i])
+            d0 = math.ldexp(times[i - 1] - times[i], -e)
+            d2 = math.ldexp(times[i + 1] - times[i], -e)
             w0 = values[i - 1] - values[i]
             w2 = values[i + 1] - values[i]
             det = d0 * d0 * d2 - d2 * d2 * d0
@@ -272,7 +282,7 @@ def find_first_maximum(times: np.ndarray, values: np.ndarray) -> tuple[float, fl
             if a >= 0.0:  # flat top at sampling resolution
                 return float(times[i]), float(values[i])
             u = min(max(-b / (2.0 * a), d0), d2)
-            return float(times[i] + u), float(values[i] + (a * u + b) * u)
+            return float(times[i] + math.ldexp(u, e)), float(values[i] + (a * u + b) * u)
     raise ValueError("series is monotone; no local maximum")
 
 

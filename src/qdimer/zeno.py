@@ -14,7 +14,6 @@ no integration error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .liouville import (
 )
 from .states import named_state, population, pure_density
 
-__all__ = ["ZenoProtocol", "run_zeno", "analytic_survival"]
+__all__ = ["run_zeno", "analytic_survival"]
 
 
 def _intervals(total: float, tau: float) -> int | None:
@@ -37,48 +36,34 @@ def _intervals(total: float, tau: float) -> int | None:
     return n if n >= 1 and abs(ratio - n) <= 1e-9 * ratio else None
 
 
-@dataclass(frozen=True, eq=False)
-class ZenoProtocol:
-    """N projections onto |f>, spaced tau, of a free pair with exchange rate J
-    and dephasing rate gamma: omega0 drops out, as |f> spans two equal-energy levels.
+def _check_chain(tau: float, n_measurements: int, J: float, gamma: float) -> None:
+    """Refuse a chain run_zeno cannot run, before anything is allocated.
 
-    The protocol only makes sense inside the Zeno window tau < 1/J, where a
-    single interval rotates the state by much less than a full swap; outside
-    it the "measurement" is just sampling an arbitrary phase of the swap
-    oscillation.
+    The chain only makes sense inside the Zeno window tau < 1/J, where a single
+    interval rotates the state by much less than a full swap; outside it the
+    "measurement" is just sampling an arbitrary phase of the swap oscillation.
     """
-
-    tau: float
-    n_measurements: int
-    J: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        _check_nonnegative(J=self.J, gamma=self.gamma)
-        _check_positive("tau", self.tau)
-        if not _is_integer(self.n_measurements):
-            raise ValueError(
-                f"n_measurements must be an integer, got {_shown(self.n_measurements)}")
-        if self.n_measurements < 1:
-            raise ValueError(f"need at least one measurement, got {_shown(self.n_measurements)}")
-        if self.n_measurements > MAX_SAMPLES:
-            raise ValueError(f"tau = {self.tau:.3e} s asks for {_shown(self.n_measurements)} "
-                             f"measurements, above the cap of {MAX_SAMPLES}")
-        if self.J > 0.0 and self.tau >= 1.0 / self.J:
-            raise ValueError(
-                f"tau = {self.tau:.3e} s is outside the Zeno window (need tau < 1/J = "
-                f"{1.0 / self.J:.3e} s)"
-            )
-
-    @property
-    def total_time(self) -> float:
-        return self.n_measurements * self.tau
+    _check_nonnegative(J=J, gamma=gamma)
+    _check_positive("tau", tau)
+    if not _is_integer(n_measurements):
+        raise ValueError(f"n_measurements must be an integer, got {_shown(n_measurements)}")
+    if n_measurements < 1:
+        raise ValueError(f"need at least one measurement, got {_shown(n_measurements)}")
+    if n_measurements > MAX_SAMPLES:
+        raise ValueError(f"tau = {tau:.3e} s asks for {_shown(n_measurements)} "
+                         f"measurements, above the cap of {MAX_SAMPLES}")
+    if J > 0.0 and tau >= 1.0 / J:
+        raise ValueError(
+            f"tau = {tau:.3e} s is outside the Zeno window (need tau < 1/J = {1.0 / J:.3e} s)"
+        )
 
 
-def run_zeno(protocol: ZenoProtocol) -> np.ndarray:
-    """Survival curve of the selective measurement chain started in |f>:
-    survival[k] is the probability that measurements 1..k all found |f>
-    (survival[0] = 1 at t = 0), measurement k taken at k * tau.
+def run_zeno(tau: float, n_measurements: int, J: float, gamma: float) -> np.ndarray:
+    """Survival curve of the selective chain of n_measurements projections onto
+    |f>, spaced tau, of a free pair with exchange rate J and dephasing rate
+    gamma: survival[k] is the probability that measurements 1..k all found |f>
+    (survival[0] = 1 at t = 0), measurement k taken at k * tau.  omega0 drops
+    out, as |f> spans two equal-energy levels.
 
     Each cycle propagates the conditional state for tau, reads
     p = <f|rho|f>, and projects back onto |f>.  The projector has rank 1, so
@@ -87,11 +72,12 @@ def run_zeno(protocol: ZenoProtocol) -> np.ndarray:
     cos^2(J tau) at gamma = 0, and (1 + exp(-2 gamma tau)) / 2 at J = 0), so
     the chain is never extinguished.
     """
+    _check_chain(tau, n_measurements, J, gamma)
     f = named_state("f")
-    params = SystemParams(omega0=0.0, J=protocol.J, gamma=protocol.gamma)
-    [(_, states)] = integrate_blocks("derived", pure_density(f), params, [protocol.tau])
+    params = SystemParams(omega0=0.0, J=J, gamma=gamma)
+    [(_, states)] = integrate_blocks("derived", pure_density(f), params, [tau])
     p = population(states[0], f)
-    return p ** np.arange(protocol.n_measurements + 1)
+    return p ** np.arange(n_measurements + 1)
 
 
 def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:

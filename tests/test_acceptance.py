@@ -24,7 +24,7 @@ from qdimer.scenarios import (
     run_scenario,
 )
 from qdimer.states import named_state, population, pure_density
-from qdimer.zeno import ZenoProtocol, analytic_survival, run_zeno
+from qdimer.zeno import analytic_survival, run_zeno
 
 OMEGA0 = 1.5e11
 J_REF = 4.0e9
@@ -83,7 +83,7 @@ def test_criterion_02_circular_state_and_zeno():
     ff = np.array([population(rho, named_state("f")) for rho in states])
     err_ff = np.max(np.abs(ff - np.cos(J_REF * t) ** 2))
 
-    survival = run_zeno(ZenoProtocol(tau=1e-11, n_measurements=100, J=J_REF, gamma=0.0))
+    survival = run_zeno(1e-11, 100, J_REF, 0.0)
     p1 = np.cos(J_REF * 1e-11) ** 2
     err_zeno = max(
         abs(survival[k] - p1**k) for k in range(survival.size)
@@ -96,7 +96,7 @@ def test_criterion_02_circular_state_and_zeno():
         gauss_gap = max(gauss_gap, abs(gauss - exact) / exact)
 
     finals = [
-        run_zeno(ZenoProtocol(tau=tau, n_measurements=n, J=J_REF, gamma=0.0))[-1]
+        run_zeno(tau, n, J_REF, 0.0)[-1]
         for tau, n in ((1e-10, 10), (1e-11, 100), (5e-12, 200))
     ]
     elapsed = time.perf_counter() - start

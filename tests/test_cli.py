@@ -1016,6 +1016,37 @@ def test_sweep_with_colliding_paths_writes_nothing(tmp_path, capsys, sweep):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["a,b.csv", 'a"b.csv', "n\nl.csv", "c\rr.csv"],
+                         ids=["comma", "quote", "newline", "carriage-return"])
+def test_sweep_out_that_would_break_the_index_writes_nothing(tmp_path, capsys, name):
+    # each path is a field of the unquoted index CSV: a comma once made its rows
+    # read J,1.0000000000000000e+09,a,b.J1e+09.csv, and a line break split them
+    out = str(tmp_path / name)
+    refusal = ("error: a sweep's out path may not hold a comma, a quote or a line break, "
+               f"got {out!r}\n")
+    assert main(["run", "--scenario", "free_eg", "--samples", "3", "--sweep", "J=1e9,2e9",
+                 "--out", out, "--save-config", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == refusal
+    assert list(tmp_path.iterdir()) == []
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out": out, "scenario": "free_eg", "samples": 3,
+                                  "sweep_param": "J", "sweep_values": [1e9, 2e9]}))
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == refusal
+    assert list(tmp_path.iterdir()) == [config]
+    # a run without a sweep writes no index, so its path may hold any of them
+    assert main(["run", "--scenario", "free_eg", "--samples", "3", "--out", out]) == 0
+    capsys.readouterr()
+
+
+def test_switch_off_trigger_survives_a_probe_spacing_near_underflow(tmp_path, capsys):
+    # at Omega = 1e300 the probe spacing is about 8.9e-304 s; the cube of it in the
+    # parabola's determinant once underflowed to 0, and the trigger read nan
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", "switch_off", "--Omega", "1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (3001 rows, 7 columns)\n"
+
+
 def test_bad_sweep_argument(tmp_path, capsys):
     assert main(run_args(tmp_path / "s.csv", "--sweep", "gamma")) == 2
     assert main(run_args(tmp_path / "s.csv", "--sweep", "gamma=a,b")) == 2

@@ -15,7 +15,7 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(qdimer.__path__))
 PUBLIC = [
     "ConcurrenceError", "ConcurrenceStack", "ConsistencyReport", "DEBYE", "EPSILON_0", "HBAR",
     "OBSERVABLES", "ObservableTable", "Scenario", "SPEED_OF_LIGHT",
-    "SystemParams", "ZenoProtocol", "ZenoSweep", "analytic_survival", "catalog",
+    "SystemParams", "ZenoSweep", "analytic_survival", "catalog",
     "concurrence_stack", "consistency_report", "dephasing_rates", "dipole_coupling", "einstein_a",
     "find_first_maximum", "hamiltonian", "named_state", "population", "pure_density",
     "rabi_frequency", "run_scenario", "run_zeno", "superoperator", "__version__",

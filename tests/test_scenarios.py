@@ -259,6 +259,39 @@ def test_first_maximum_boundary_and_errors():
         find_first_maximum(t[:2], t[:2])
 
 
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 1.0], "sample times must be strictly increasing"),
+    ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 1.0], "sample times must be strictly increasing"),
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0], "sample times must be finite"),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0], "sample times must be finite"),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 0.0], "sampled values must be finite"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, -np.inf], "sampled values must be finite"),
+], ids=["unordered", "repeated", "nan-time", "inf-time", "nan-value", "inf-value"])
+def test_first_maximum_refuses_a_series_it_cannot_read(times, values, message):
+    # an unordered grid once returned (1.0, 2.0), a nan time (nan, nan), and a
+    # nan value the error of a monotone series
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_first_maximum(np.array(times), np.array(values))
+
+
+@pytest.mark.parametrize("k, v", [
+    (np.arange(11.0), 3.0 - (np.arange(11.0) - 3.3) ** 2),
+    (np.linspace(0.0, 3001.0, 3001), np.sin(np.linspace(0.0, 3.0, 3001))),
+], ids=["parabola", "sine"])
+def test_first_maximum_scales_exactly_with_a_power_of_two(k, v):
+    # the parabola's determinant is the cube of the spacing, which once
+    # underflowed to 0 on fine grids and made the trigger nan
+    t_max, v_max = find_first_maximum(k, v)
+    assert find_first_maximum(k * 2.0**-1010, v) == (t_max * 2.0**-1010, v_max)
+
+
+def test_switch_off_triggers_keep_their_bits():
+    # the switch-off CSVs and perfbench's reference read these two triggers
+    assert [scenarios_mod._switch_trigger(preset(name), "derived")
+            for name in ("switch_off", "switch_off_gamma1e5")] == [
+        2.7692027809402135e-08, 2.7760235169984184e-08]
+
+
 # ---------------------------------------------------------------------------
 # running presets
 

@@ -11,21 +11,22 @@ change -- compare with `diff -r`.
 
 The commands are those `commands()` returns, the one list of them: every
 catalog preset under both --rhs values, short runs that reach other paths (a
-drive sweep, switch-off runs down to a two-sample grid, the custom run of the
-README), `audit` for every named start, `zeno` chains, `catalog`,
-`constants`, a `run --save-config` followed by a `run --config` of the file
-it saved, a `plot`, a run that fails on its first block (so it should exit at
-once), audits whose published walk overflows or drifts, and refused inputs: bad
-flag values (among them `zeno` and `audit` with a negative J or gamma, a tau
-outside the Zeno window, a --T that is no whole number of tau intervals, a
-sweep from an unknown start, and `constants` with a d0, r or mu_eg that is not
-above 0, alone or after a J that is not finite), flags a command does not read, columns a driven
-run cannot record and malformed `--config` files.  Each input file (a config.json, the
-plot's in.csv) is written into its command's own directory, where it stays;
-the saved config is copied from the directory of the command that saved it.
-Each command's wall time goes to its console line only, so the files under
-OUTDIR do not depend on it.  Only the standard library is used, and the
-commands run one at a time.
+drive sweep, switch-off runs down to a two-sample grid or with a drive of 1e300
+rad/s, the custom run of the README), `audit` for every named start, `zeno`
+chains, `catalog`, `constants`, a `run --save-config` followed by a `run
+--config` of the file it saved, a `plot`, a run that fails on its first block
+(so it should exit at once), audits whose published walk overflows or drifts,
+and refused inputs: bad flag values (among them `zeno` and `audit` with a
+negative J or gamma, a tau outside the Zeno window, a --T that is no whole
+number of tau intervals, a sweep from an unknown start or onto an --out path
+that holds a comma or a line break, and `constants` with a d0, r or mu_eg that
+is not above 0, alone or after a J that is not finite), flags a command does
+not read, columns a driven run cannot record and malformed `--config` files.
+Each input file (a config.json, the plot's in.csv) is written into its
+command's own directory, where it stays; the saved config is copied from the
+directory of the command that saved it.  Each command's wall time goes to its
+console line only, so the files under OUTDIR do not depend on it.  Only the
+standard library is used, and the commands run one at a time.
 """
 
 from __future__ import annotations
@@ -138,6 +139,14 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
                                  "rho_pp,rho_qq", "--out", "out.csv"]
     cmds["run_switch_off_rho_qq"] = ["run", "--scenario", "switch_off", "--observables",
                                      "rho_ss,rho_qq", "--out", "out.csv"]
+    # a sweep's index CSV holds each point's path unquoted
+    cmds["run_sweep_comma_out"] = ["run", "--scenario", "free_eg", "--samples", "3",
+                                   "--sweep", "J=1e9,2e9", "--out", "a,b.csv"]
+    cmds["run_sweep_newline_out"] = ["run", "--scenario", "free_eg", "--samples", "3",
+                                     "--sweep", "J=1e9,2e9", "--out", "n\nl.csv"]
+    # the trigger probe's spacing, about 8.9e-304 s, cubes to below the underflow
+    cmds["run_switch_off_huge_omega"] = ["run", "--scenario", "switch_off", "--Omega", "1e300",
+                                         "--out", "out.csv"]
     cmds["run_config_big_horizon"] = ["run", "--config", "config.json"]
     cmds["run_config_big_sweep_value"] = ["run", "--config", "config.json"]
     cmds["run_config_nested"] = ["run", "--config", "config.json"]
