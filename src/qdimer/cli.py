@@ -14,9 +14,11 @@ the library is SI doubles.  Rates are angular (s^-1).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import os
 import re
@@ -27,11 +29,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
-from .scenarios import NH3, ObservableTable, Scenario, ZenoSweep, catalog, run_scenario
+from .scenarios import NH3, ObservableTable, Scenario, ZenoSweep, _run_blocks, catalog
 from .states import blocks, named_state, pure_density
 from .zeno import _intervals, analytic_survival, run_zeno
 
-__all__ = ["RunConfig", "emit_csv", "emit_plot_script", "entry", "main"]
+__all__ = ["RunConfig", "emit_csv", "entry", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +289,37 @@ def emit_csv(table: ObservableTable, path: str) -> None:
     whole file is never held in memory.  Each cell is the text of
     ``'%.16e' % x``, which `csvtext` writes for a whole block in numpy.
     """
+    rows = ((table.times[block], table.data[block]) for block in blocks(table.times.size))
+    _write_csv(path, table.names, rows)
+
+
+def _write_csv(path: str, names: Sequence[str],
+               rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+    """The CSV of `emit_csv` from blocks of (times, data), each written as it comes."""
     from .csvtext import csv_rows  # loaded only by the commands that write a CSV
 
     with open(path, "wb") as fh:
-        fh.write(("t_s," + ",".join(table.names) + "\n").encode("utf-8"))
-        for block in blocks(table.times.size):
-            fh.write(csv_rows(np.column_stack([table.times[block], table.data[block]])))
+        fh.write(("t_s," + ",".join(names) + "\n").encode("utf-8"))
+        for times, data in rows:
+            fh.write(csv_rows(np.column_stack([times, data])))
+
+
+def _temporary(path: str) -> tuple[str, str]:
+    """A new empty file beside the target of `path` (links resolved), named
+    `<target>.<n>.tmp` with the first n no file holds, and that target.
+
+    It gets the mode a new file of `path` would get, and an error names
+    `path`, as opening `path` itself would.
+    """
+    target = os.path.realpath(path)
+    for n in itertools.count():
+        try:
+            os.close(os.open(f"{target}.{n}.tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except FileExistsError:
+            continue
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, path) from None
+        return f"{target}.{n}.tmp", target
 
 
 def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) -> None:
@@ -301,66 +328,6 @@ def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) ->
     for other in others:
         if os.path.realpath(other) == target:
             raise ValueError(f"{what} {path} would overwrite the {kind} {other}")
-
-
-def _column_indices(path: str, names: Sequence[str]) -> list[int]:
-    """The gnuplot column (1-based) of each name, from one read of the header."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    for name in names:
-        if name not in header:
-            found = ", ".join(header)
-            if len(found) > 200:  # a header of any length makes one short message
-                found = found[:200] + "…"
-            raise ValueError(f"{path} has no column {name!r} (found {found})")
-    return [header.index(name) + 1 for name in names]
-
-
-def emit_plot_script(csv_paths: Sequence[str], figure_id: str, out_path: str) -> None:
-    """Write a gnuplot-dialect script plotting `figure_id` from the CSVs.
-
-    The script is emitted as data and never executed here.  An `out_path`
-    that is one of the CSVs, and a CSV path that a double-quoted gnuplot
-    string cannot hold, are refused before anything is written.
-    """
-    from .figures import FIGURES
-
-    if figure_id not in FIGURES:
-        raise ValueError(
-            f"unknown figure id {figure_id!r}; known: {', '.join(sorted(FIGURES))}"
-        )
-    if not csv_paths:
-        raise ValueError("need at least one CSV path")
-    for path in csv_paths:
-        # in a double-quoted gnuplot string a quote ends it, a backslash escapes,
-        # backquotes run a command and a control character breaks the line
-        if re.search(r'["\\`\x00-\x1f\x7f]', path):
-            raise ValueError(f"CSV path {path!r} has a quote, backslash, backquote or "
-                             "control character, which a gnuplot script cannot hold")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing CSV {path}")
-    _refuse_overwrite("script path", out_path, csv_paths, "input CSV")
-    spec = FIGURES[figure_id]
-    curves = []
-    for path in csv_paths:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        for column, idx in zip(spec.columns, _column_indices(path, spec.columns)):
-            title = column if len(csv_paths) == 1 else f"{column} [{stem}]"
-            curves.append(
-                f'  "{path}" using ($1*{spec.xscale:g}):{idx} with lines title "{title}"'
-            )
-    lines = [
-        f"# {figure_id}: {spec.caption}",
-        'set datafile separator ","',
-        "set termoption noenhanced",
-        "set key top right",
-        f'set xlabel "{spec.xlabel}"',
-        f'set ylabel "{spec.ylabel}"',
-        "plot \\",
-        ", \\\n".join(curves),
-    ]
-    with open(out_path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +375,45 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.config is not None:
         for path in outputs:
             _refuse_overwrite("output", path, [args.config], "--config file")
-    # every point runs before the first file is written, so a point that fails,
-    # even in its switch-off trigger search, leaves no file behind
-    tables = []
-    for value, scenario, path in cfg.points:
-        try:
-            table = (scenario.table() if isinstance(scenario, ZenoSweep)
-                     else run_scenario(scenario, variant=cfg.rhs))
-            tables.append((table, path))
-        except ValueError as err:
+    # each point is written to a temporary file as it is walked, and the files
+    # replace their targets only once every point has succeeded, so a point that
+    # fails, even in its switch-off trigger search, leaves no file behind
+    temps: list[tuple[str, str]] = []
+    shapes = []
+    try:
+        for value, scenario, path in cfg.points:
+            temps.append(_temporary(path))
+            temp = temps[-1][0]
+            try:
+                if isinstance(scenario, ZenoSweep):
+                    table = scenario.table()  # built whole
+                    emit_csv(table, temp)
+                    shapes.append(table.data.shape)
+                else:
+                    _write_csv(temp, scenario.observables, _run_blocks(scenario, cfg.rhs))
+                    shapes.append((scenario.samples, len(scenario.observables)))
+            except ValueError as err:
+                if cfg.sweep_param is None:
+                    raise
+                raise ValueError(f"{cfg.sweep_param}={value:g}: {err}") from err
+        if args.save_config is not None:
+            with open(args.save_config, "w", encoding="utf-8") as fh:
+                fh.write(cfg.to_json())
+            print(f"wrote {args.save_config}")
+        for (_, _, path), (rows, columns) in zip(cfg.points, shapes):
+            try:
+                os.replace(*temps[0])
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, path) from None
+            del temps[0]  # renamed: a file of its name now is another run's
             if cfg.sweep_param is None:
-                raise
-            raise ValueError(f"{cfg.sweep_param}={value:g}: {err}") from err
-    if args.save_config is not None:
-        with open(args.save_config, "w", encoding="utf-8") as fh:
-            fh.write(cfg.to_json())
-        print(f"wrote {args.save_config}")
-    for table, path in tables:
-        emit_csv(table, path)
-        if cfg.sweep_param is None:
-            print(f"wrote {path} ({table.times.size} rows, {len(table.names)} columns)")
-        else:
-            print(f"wrote {path}")
+                print(f"wrote {path} ({rows} rows, {columns} columns)")
+            else:
+                print(f"wrote {path}")
+    finally:
+        for temp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
     if index_path is not None:
         lines = ["param,value,path"]
         lines += [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
@@ -525,6 +509,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .figures import emit_plot_script
+
     emit_plot_script(args.csv, args.figure, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -45,9 +45,10 @@ RhsVariant = Literal["derived", "published"]
 _VARIANTS: tuple[str, ...] = get_args(RhsVariant)
 
 
-# every series a command holds whole (run_scenario's times and columns, run_zeno's
-# survival curve and the times `zeno --out` adds) takes 8 B per entry, so Scenario and
-# run_zeno refuse more: at most 80 MB a series; the audit's grid shares the cap
+# a series held whole (run_scenario's times and columns, run_zeno's survival curve and
+# the times `zeno --out` adds) takes 8 B per entry, so Scenario and run_zeno refuse
+# more: at most 80 MB a series; the audit's grid shares the cap.  `run` writes each
+# block as it is walked and holds no series; there the cap bounds its time and file
 MAX_SAMPLES = 10**7
 
 
@@ -187,10 +188,10 @@ def dephasing_rates(gamma: float) -> np.ndarray:
     # sigma_z eigenvalues per molecule in the bare ordering
     z1 = np.array([-1.0, -1.0, 1.0, 1.0])
     z2 = np.array([-1.0, 1.0, -1.0, 1.0])
-    rate = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            rate[i, j] = 0.5 * gamma * (2.0 - z1[i] * z1[j] - z2[i] * z2[j])
+    with np.errstate(over="ignore"):
+        rate = 0.5 * gamma * (2.0 - np.outer(z1, z1) - np.outer(z2, z2))
+    if not np.all(np.isfinite(rate)):
+        raise ValueError(f"the dephasing rates of gamma={gamma:g} s^-1 overflow")
     return rate
 
 
@@ -200,9 +201,15 @@ def superoperator(variant: RhsVariant, params: SystemParams) -> np.ndarray:
         raise ValueError(f"unknown rhs variant {variant!r}; expected one of {_VARIANTS}")
     h = hamiltonian(params)
     eye = np.eye(4, dtype=complex)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    lv -= np.diag(dephasing_rates(params.gamma).reshape(16).astype(complex))
-    if variant == "published":
-        lv[10] = -lv[10]  # the tabulated rho33 line, every term sign-flipped
-        lv[15] = -(lv[0] + lv[5] + lv[10])  # the closure drho44 = -(drho11 + drho22 + drho33)
+    # rates that are finite one by one can still give entries that overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        lv -= np.diag(dephasing_rates(params.gamma).reshape(16).astype(complex))
+        if variant == "published":
+            lv[10] = -lv[10]  # the tabulated rho33 line, every term sign-flipped
+            lv[15] = -(lv[0] + lv[5] + lv[10])  # the closure drho44 = -(drho11 + drho22 + drho33)
+    if not np.all(np.isfinite(lv)):
+        split = "delta_l" if params.driven else "omega0"
+        raise ValueError(f"the {variant} generator overflows at {split}={params.splitting():g}, "
+                         f"J={params.J:g}, Omega={params.Omega:g}, gamma={params.gamma:g} s^-1")
     return lv

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -67,16 +67,6 @@ OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "re_rho23": lambda rho: rho[..., 1, 2].real,
     "C": _concurrence,
 }
-
-
-def _evaluate(
-    names: Sequence[str], walk: Iterator[tuple[slice, np.ndarray]], out: np.ndarray
-) -> None:
-    """Fill out[k, m] = OBSERVABLES[names[m]](state k) from a block walk;
-    the first failing block's first failing column raises."""
-    for rows, states in walk:
-        for m, name in enumerate(names):
-            out[rows, m] = OBSERVABLES[name](states)
 
 
 @dataclass(frozen=True)
@@ -337,16 +327,26 @@ def _walk(
         yield slice(rows.start + n_head, rows.stop + n_head), states
 
 
+def _run_blocks(
+    scenario: Scenario, variant: RhsVariant
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block's times and observables, data[k, m] the m-th at times[k], as the
+    walk reaches it.  The first block that fails, in the walk or in an observable,
+    raises, and nothing past it is stepped; without a switch-off, no sample time
+    past it is computed either."""
+    grid = UniformGrid(scenario.horizon, scenario.samples)
+    for rows, states in _walk(scenario, variant, grid):
+        yield grid[rows], np.column_stack([OBSERVABLES[n](states) for n in scenario.observables])
+
+
 def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> ObservableTable:
     """Run one preset and evaluate its observables at its `samples` evenly
-    spaced times over [0, horizon].
-
-    The states are evaluated block by block as the propagator yields them,
-    and only the table is kept.  The first block that fails, in the walk or
-    in an observable, raises, and nothing past it is stepped; without a
-    switch-off, no sample time past it is computed either.
-    """
-    grid = UniformGrid(scenario.horizon, scenario.samples)
-    data = np.empty((grid.size, len(scenario.observables)))
-    _evaluate(scenario.observables, _walk(scenario, variant, grid), data)
-    return ObservableTable(times=grid[:], names=scenario.observables, data=data)
+    spaced times over [0, horizon]: the blocks of `_run_blocks` in one table."""
+    times = np.empty(scenario.samples)
+    data = np.empty((scenario.samples, len(scenario.observables)))
+    start = 0
+    for block_times, block in _run_blocks(scenario, variant):
+        rows = slice(start, start + block_times.size)
+        times[rows], data[rows] = block_times, block
+        start = rows.stop
+    return ObservableTable(times=times, names=scenario.observables, data=data)

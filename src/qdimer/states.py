@@ -97,18 +97,13 @@ _POP_TOL = 1e-9
 
 # Trajectories are propagated, evaluated and written this many states at a
 # time: one batched call per block keeps the per-call overhead low, and a
-# block (64 KiB of states) is all of the trajectory a run holds.  Measured on
-# a 2-vCPU x86-64 host: the traced peak of run_scenario(free_LL) above its
-# table is 447 KiB (778 at 512 states, 282 at 128, 197 at 64) and that of
-# emit_csv is 126 KiB (247 at 512); `qdimer run` peaks at 32.09 MB of RSS on
-# free_LL and free_LR (32.47 at 512) and 31.94 MB on free_eg (32.37).  256 is
-# the largest block at that floor: 128 gives the same peak RSS, and 64 raises
-# both the peak RSS and the run time of free_LL (run times from 128 to 512 lie
-# within the host's spread).
-# Taking each block's time steps as the walk reaches it brings free_LL's
-# figure to 410 KiB; a 50,001-sample free_LR run traces 65 B per sample and
-# 200,001 samples peak at 43.1 MB of RSS.  Formatting each block in numpy
-# (`csvtext`) brings emit_csv's figure to 138 KiB.
+# block (64 KiB of states) is all of the trajectory a run holds; `run` keeps
+# no table either, as it writes each block as it is walked.  Measured on a
+# 2-vCPU x86-64 host: the traced peak of free_LL's run is 443 KiB (801 at 512
+# states, 264 at 128) at any length, and that of emit_csv is 137 KiB (267 at
+# 512); `qdimer run` peaks at 31.5-31.7 MB of RSS on free_LL and free_eg, and
+# at 300,000 and 10**7 samples alike.  256 is the largest block at that
+# floor: 64 and 128 give the same peak, and 512 raises it by 0.1-0.3 MB.
 BLOCK = 256
 
 

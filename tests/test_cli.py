@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 import qdimer
 import qdimer.csvtext  # noqa: F401 -- compiled here, with cli, not inside a traced test
-from qdimer import cli, states
+from qdimer import cli, figures, states
 from qdimer.audit import ConsistencyReport
 from qdimer.cli import (
     RunConfig,
     build_parser,
     dipole_quantity,
     emit_csv,
-    emit_plot_script,
     field_quantity,
     length_quantity,
     main,
@@ -30,6 +29,7 @@ from qdimer.cli import (
     rate_quantity,
     time_quantity,
 )
+from qdimer.figures import emit_plot_script
 from qdimer.liouville import MAX_SAMPLES
 from qdimer.physics import DEBYE
 from qdimer.scenarios import OBSERVABLES, ObservableTable, catalog, run_scenario
@@ -476,7 +476,7 @@ def test_plot_reads_each_csv_header_once(tmp_path, monkeypatch):
         opened.append(os.fspath(file))
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    monkeypatch.setattr(figures, "open", counted_open, raising=False)
     script = str(tmp_path / "fig.gp")
     emit_plot_script(paths, "fig4a", script)
     assert sorted(opened) == sorted([*paths, script])
@@ -766,26 +766,72 @@ def test_overflowing_run_exits_2_without_numpy_warnings(tmp_path):
         assert not out.exists()
 
 
-def test_doomed_long_run_builds_no_grid_past_its_first_block(tmp_path):
-    # the run fails in its first block; its 10**7 sample times alone are 80 MB,
-    # and building them up front peaked the process at 106 MB of RSS.  A small
-    # spawner reads the run's peak RSS: Linux starts a child's ru_maxrss at the
-    # resident set of whatever spawned it, and this process holds numpy
+def peak_rss(argv, cwd):
+    """Exit code, peak RSS (MB) and stderr of `python -m qdimer.cli *argv` in `cwd`.
+
+    A small spawner of the standard library alone reads the run's peak RSS:
+    Linux starts a child's ru_maxrss at the resident set of whatever spawned
+    it, and this process holds numpy.
+    """
     spawner = ("import os, subprocess, sys\n"
                "proc = subprocess.Popen(sys.argv[1:])\n"
                "_, status, usage = os.wait4(proc.pid, 0)\n"
                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0)\n")
     src = os.path.dirname(os.path.dirname(qdimer.__file__))
-    out = tmp_path / "r.csv"
     run = subprocess.run([sys.executable, "-c", spawner, sys.executable, "-m", "qdimer.cli",
-                          "run", "--scenario", "free_eg", "--rhs", "published",
-                          "--samples", "10000000", "--out", str(out)],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
-    code, peak_mb = run.stdout.split()
-    assert code == "2"
-    assert run.stderr == "error: population 1.000000e+00 above 1 beyond tolerance\n"
-    assert float(peak_mb) < 50.0
-    assert not out.exists()
+                          *argv], cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    code, peak_mb = run.stdout.split()[-2:]
+    return int(code), float(peak_mb), run.stderr
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["audit", "--gamma", "1e308"], "the dephasing rates of gamma=1e+308 s^-1 overflow"),
+    (["zeno", "--tau", "1e6", "--T", "1e6", "--J", "1e-9", "--gamma", "1e308",
+      "--out", "z.csv"], "the dephasing rates of gamma=1e+308 s^-1 overflow"),
+    (["run", "--scenario", "free_eg", "--omega0", "1e308", "--out", "r.csv"],
+     "the derived generator overflows at omega0=1e+308, J=4e+09, Omega=0, gamma=1e+06 s^-1"),
+    (["run", "--scenario", "switch_off", "--Omega", "1e9", "--delta-l", "1e308",
+      "--samples", "11", "--out", "r.csv"],
+     "the derived generator overflows at delta_l=1e+308, J=4e+09, Omega=1e+09, "
+     "gamma=1e+06 s^-1"),
+    (["audit", "--horizon", "1e-308", "--J", "1e308", "--gamma", "1e-10"],
+     "the published generator overflows at omega0=0, J=1e+308, Omega=0, gamma=1e-10 s^-1"),
+], ids=["audit-gamma", "zeno-gamma", "run-omega0", "switch-off-delta-l", "audit-closure"])
+def test_generator_that_overflows_is_refused_by_its_rates(tmp_path, monkeypatch, capsys,
+                                                         argv, line):
+    # rates that are finite one by one once gave a generator entry that
+    # overflowed: numpy's two-line RuntimeWarning, then "generator times time
+    # step is not finite" at the first step.  Any warning raises here.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_doomed_long_run_builds_no_grid_past_its_first_block(tmp_path):
+    # the run fails in its first block; its 10**7 sample times alone are 80 MB,
+    # and building them up front peaked the process at 106 MB of RSS
+    out = tmp_path / "r.csv"
+    code, peak_mb, err = peak_rss(["run", "--scenario", "free_eg", "--rhs", "published",
+                                   "--samples", "10000000", "--out", str(out)], tmp_path)
+    assert code == 2
+    assert err == "error: population 1.000000e+00 above 1 beyond tolerance\n"
+    assert peak_mb < 50.0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_peak_rss_does_not_grow_with_its_points(tmp_path):
+    # every point's table was once held until the last point had run: three
+    # points of 50,000 samples peaked 6.1 MB above one point, and three of
+    # 300,000 at 86.5 MB against 49.7 for one
+    peaks = {}
+    for values in ("1e9", "1e9,2e9,3e9"):
+        code, peaks[values], err = peak_rss(["run", "--scenario", "free_eg", "--samples",
+                                             "50000", "--sweep", f"J={values}",
+                                             "--out", "s.csv"], tmp_path)
+        assert (code, err) == (0, "")
+    assert peaks["1e9,2e9,3e9"] - peaks["1e9"] < 1.0, peaks
 
 
 def test_guard_error_wins_over_observable_error(tmp_path, capsys):
@@ -858,6 +904,118 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(run_args(out)) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("out, line", [
+    ("no/x.csv", "[Errno 2] No such file or directory: 'no/x.csv'"),
+    ("d", "[Errno 21] Is a directory: 'd'"),
+    ("d/", "[Errno 21] Is a directory: 'd/'"),
+], ids=["missing-directory", "directory", "directory-slash"])
+def test_out_that_cannot_be_written_exits_4_with_its_line(tmp_path, monkeypatch, capsys,
+                                                          out, line):
+    # each point is written beside its target and renamed onto it, and the
+    # error still names the path given, as opening it would
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out", out]) == 4
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+def test_missing_directory_fails_before_a_failing_walk(tmp_path, capsys):
+    # each point's file is made before its walk starts, so of the two faults
+    # the output path's is reported
+    out = tmp_path / "no" / "x.csv"
+    assert main(["run", "--scenario", "free_eg", "--rhs", "published", "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
+def test_sweep_whose_second_point_fails_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the first point is written whole before the second fails in its trigger search
+    monkeypatch.chdir(tmp_path)
+    made = []
+    temporary = cli._temporary
+
+    def recorded(path):
+        made.append(temporary(path))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_temporary", recorded)
+    assert main(["run", "--scenario", "switch_off", "--samples", "11",
+                 "--sweep", "horizon=500ns,10ns", "--out", "s.csv"]) == 2
+    assert capsys.readouterr() == ("", "error: horizon=1e-08: switch-off trigger found no "
+                                   "rho_ss maximum in the probe window [0, 1.000e-08] s "
+                                   "(series is monotone; no local maximum); a longer horizon "
+                                   "(--horizon) widens it\n")
+    assert [os.path.basename(temp) for temp, _ in made] == [
+        "s.horizon5e-07.csv.0.tmp", "s.horizon1e-08.csv.0.tmp"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "free_eg", "--rhs", "published", "--out", "s.csv"],
+    ["--scenario", "switch_off", "--samples", "11", "--sweep", "horizon=500ns,10ns",
+     "--out", "s.csv"],
+], ids=["run", "sweep"])
+def test_failed_run_leaves_an_existing_target_unchanged(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    targets = ["s.csv", "s.horizon5e-07.csv", "s.horizon1e-08.csv"]
+    for name in targets:
+        (tmp_path / name).write_text(f"kept {name}\n")
+    assert main(["run", *argv]) == 2
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(targets)
+    assert all((tmp_path / name).read_text() == f"kept {name}\n" for name in targets)
+
+
+def test_run_never_replaces_a_file_of_its_temporary_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv.0.tmp").write_text("someone's\n")
+    assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out", "s.csv"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.0.tmp"]
+    assert (tmp_path / "s.csv.0.tmp").read_text() == "someone's\n"
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 12
+
+
+def test_run_leaves_a_file_made_under_a_renamed_temporary_name(tmp_path, monkeypatch, capsys):
+    # once a point's file is renamed, its temporary name is free: another run
+    # writing the same target takes it, and this run must not remove that file
+    monkeypatch.chdir(tmp_path)
+
+    def other_run(*args, **kwargs):
+        (tmp_path / "s.csv.0.tmp").write_text("another run's\n")
+
+    monkeypatch.setattr(cli, "print", other_run, raising=False)
+    assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out", "s.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.0.tmp"]
+    assert (tmp_path / "s.csv.0.tmp").read_text() == "another run's\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_new_csv_takes_the_mode_the_umask_leaves(tmp_path, capsys, umask):
+    # as open(path, "wb") makes it: 0o666 less the umask, not mkstemp's 0o600
+    old = os.umask(umask)
+    try:
+        assert main(run_args(tmp_path / "a.csv", "--sweep", "gamma=0,1e6")) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for name in ("a.gamma0.csv", "a.gamma1e+06.csv", "a.index.csv"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_out_that_is_a_symlink_updates_its_target(tmp_path, capsys):
+    (tmp_path / "data").mkdir()
+    link, target = tmp_path / "link.csv", tmp_path / "data" / "real.csv"
+    link.symlink_to(target)
+    assert main(run_args(link)) == 0
+    assert main(run_args(tmp_path / "plain.csv")) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["real.csv"]
 
 
 def test_sweep_writes_points_and_index(tmp_path, capsys):

@@ -190,6 +190,14 @@ def test_dephasing_rates_reject_an_int_past_the_float_range(gamma, shown):
         dephasing_rates(gamma)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.5, 1e5, 1e6, 1e7, 3e300, 8.9e307])
+def test_dephasing_rates_equal_the_element_loop_bit_for_bit(gamma):
+    z1, z2 = (-1.0, -1.0, 1.0, 1.0), (-1.0, 1.0, -1.0, 1.0)
+    loop = [[0.5 * gamma * (2.0 - z1[i] * z1[j] - z2[i] * z2[j]) for j in range(4)]
+            for i in range(4)]
+    assert np.array_equal(dephasing_rates(gamma), np.array(loop))
+
+
 def test_dephasing_leaves_diagonal_alone():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert np.allclose(-dephasing_rates(3.0) * rho, 0.0)
@@ -264,6 +272,33 @@ def test_published_closure_keeps_trace_zero():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         superoperator("verbatim", FREE)
+
+
+def test_dephasing_rates_that_overflow_are_refused():
+    # 2 * gamma passes the float range just above 8.99e307
+    assert dephasing_rates(8.9e307)[0, 3] == 2 * 8.9e307
+    with pytest.raises(ValueError, match=r"^the dephasing rates of gamma=9e\+307 s\^-1 overflow$"):
+        dephasing_rates(9e307)
+
+
+@pytest.mark.parametrize("variant, params, named", [
+    ("derived", SystemParams(omega0=1e308, J=4e9, gamma=1e6), "omega0=1e+308, J=4e+09"),
+    ("published", SystemParams(omega0=1e308, J=4e9, gamma=1e6), "omega0=1e+308, J=4e+09"),
+    ("derived", SystemParams(omega0=1.5e11, J=4e9, gamma=1e6, Omega=1e9, delta_l=-1e308,
+                             driven=True), "delta_l=-1e+308, J=4e+09"),
+    # only the published closure row sums two entries of J
+    ("published", SystemParams(omega0=0.0, J=1e308, gamma=0.0), "omega0=0, J=1e+308"),
+], ids=["derived-omega0", "published-omega0", "driven-delta_l", "published-closure"])
+def test_generator_that_overflows_is_refused(variant, params, named):
+    # finite rates once gave an L with infinite or NaN entries and numpy's warnings
+    message = re.escape(f"the {variant} generator overflows at {named}, ")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        superoperator(variant, params)
+
+
+def test_generator_of_the_largest_rates_that_fit_is_built():
+    params = SystemParams(omega0=0.0, J=1e308, gamma=0.0)
+    assert np.all(np.isfinite(superoperator("derived", params)))
 
 
 # ---------------------------------------------------------------------------

@@ -101,48 +101,45 @@ def test_clamped_states_are_drawn_clamped():
 
 @pytest.fixture(scope="module")
 def preset_states():
-    """The states run_scenario evaluates, for every Scenario preset."""
+    """The states run_scenario evaluates, and its table, for every Scenario preset."""
     captured = {}
-    evaluate = scenarios_mod._evaluate
+    walk = scenarios_mod._walk
     with pytest.MonkeyPatch.context() as mp:
         for sc in catalog():
             if not isinstance(sc, Scenario):
                 continue
             seen = []
 
-            def record(names, walk, out, sc=sc, seen=seen):
-                def tap():
-                    for rows, states in walk:
-                        # the switch-off trigger probe evaluates rho_ss alone
-                        if names == sc.observables:
-                            seen.append(states)
-                        yield rows, states
+            def record(scenario, variant, grid, sc=sc, seen=seen):
+                for rows, states in walk(scenario, variant, grid):
+                    # the switch-off trigger probe evaluates rho_ss alone
+                    if scenario.observables == sc.observables:
+                        seen.append(states)
+                    yield rows, states
 
-                return evaluate(names, tap(), out)
-
-            mp.setattr(scenarios_mod, "_evaluate", record)
-            run_scenario(sc)
-            captured[sc.name] = np.concatenate(seen)
-            assert len(captured[sc.name]) == sc.samples
+            mp.setattr(scenarios_mod, "_walk", record)
+            table = run_scenario(sc)
+            captured[sc.name] = np.concatenate(seen), table
+            assert len(captured[sc.name][0]) == sc.samples
     return captured
 
 
 def test_preset_states_span_blocks(preset_states):
     assert len(preset_states) == 8
-    assert all(len(states) > BLOCK for states in preset_states.values())
+    assert all(len(states) > BLOCK for states, _ in preset_states.values())
 
 
 @pytest.mark.parametrize("name", sorted(OBSERVABLES))
 def test_observables_stack_matches_single_states_on_presets(preset_states, name):
     fn = OBSERVABLES[name]
-    for preset, states in preset_states.items():
+    for preset, (states, table) in preset_states.items():
         single = [fn(rho) for rho in states]
         assert bits(fn(states)) == bits(single), preset
-        # and the block-wise table of run_scenario
-        walk = ((rows, states[rows]) for rows in blocks(len(states)))
-        table = np.empty((len(states), 1))
-        scenarios_mod._evaluate((name,), walk, table)
-        assert bits(table[:, 0]) == bits(single), preset
+        # and block by block, as run_scenario evaluates it, and in its table
+        by_block = np.concatenate([fn(states[rows]) for rows in blocks(len(states))])
+        assert bits(by_block) == bits(single), preset
+        if name in table.names:
+            assert bits(table.data[:, table.names.index(name)]) == bits(single), preset
 
 
 NEGATIVE = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)

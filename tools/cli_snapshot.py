@@ -15,13 +15,15 @@ drive sweep, switch-off runs down to a two-sample grid or with a drive of 1e300
 rad/s, the custom run of the README), `audit` for every named start, `zeno`
 chains, `catalog`, `constants`, a `run --save-config` followed by a `run
 --config` of the file it saved, a `plot`, a run that fails on its first block
-(so it should exit at once), audits whose published walk overflows or drifts,
-and refused inputs: bad flag values (among them `zeno` and `audit` with a
+(so it should exit at once), a sweep whose second point fails, audits whose
+published walk overflows or drifts, and refused inputs: bad flag values (among them `zeno` and `audit` with a
 negative J or gamma, a tau outside the Zeno window, a --T that is no whole
 number of tau intervals, a sweep from an unknown start or onto an --out path
-that holds a comma or a line break, and `constants` with a d0, r or mu_eg that
-is not above 0, alone or after a J that is not finite), flags a command does
-not read, columns a driven run cannot record and malformed `--config` files.
+that holds a comma or a line break or lies in a missing directory, rates whose
+dephasing rates or generator overflow, and `constants` with a d0, r or mu_eg
+that is not above 0, alone or after a J that is not finite), flags a command
+does not read, columns a driven run cannot record and malformed `--config`
+files.
 Each input file (a config.json, the plot's in.csv) is written into its
 command's own directory, where it stays; the saved config is copied from the
 directory of the command that saved it.  Each command's wall time goes to its
@@ -147,6 +149,24 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     # the trigger probe's spacing, about 8.9e-304 s, cubes to below the underflow
     cmds["run_switch_off_huge_omega"] = ["run", "--scenario", "switch_off", "--Omega", "1e300",
                                          "--out", "out.csv"]
+    # a sweep whose second point fails after its first was written, and an --out
+    # in a directory that does not exist
+    cmds["run_sweep_second_point_fails"] = ["run", "--scenario", "switch_off", "--samples",
+                                            "11", "--sweep", "horizon=500ns,10ns",
+                                            "--out", "s.csv"]
+    cmds["run_out_missing_directory"] = ["run", "--scenario", "free_eg", "--samples", "11",
+                                         "--out", "no/x.csv"]
+    # rates that are finite one by one, whose dephasing rates or generator overflow
+    cmds["audit_gamma_overflow"] = ["audit", "--gamma", "1e308"]
+    cmds["zeno_gamma_overflow"] = ["zeno", "--tau", "1e6", "--T", "1e6", "--J", "1e-9",
+                                   "--gamma", "1e308"]
+    cmds["run_omega0_overflow"] = ["run", "--scenario", "free_eg", "--omega0", "1e308",
+                                   "--out", "out.csv"]
+    cmds["run_switch_off_delta_l_overflow"] = ["run", "--scenario", "switch_off", "--Omega",
+                                               "1e9", "--delta-l", "1e308", "--samples", "11",
+                                               "--out", "out.csv"]
+    cmds["audit_closure_overflow"] = ["audit", "--horizon", "1e-308", "--J", "1e308",
+                                      "--gamma", "1e-10"]
     cmds["run_config_big_horizon"] = ["run", "--config", "config.json"]
     cmds["run_config_big_sweep_value"] = ["run", "--config", "config.json"]
     cmds["run_config_nested"] = ["run", "--config", "config.json"]
