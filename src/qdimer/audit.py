@@ -22,7 +22,7 @@ import numpy as np
 
 from .concurrence import concurrence_stack
 from .integrate import UniformGrid, integrate_blocks
-from .liouville import SystemParams
+from .liouville import SystemParams, superoperator
 
 __all__ = ["ConsistencyReport", "consistency_report"]
 
@@ -73,8 +73,8 @@ def consistency_report(
     times = UniformGrid(horizon, samples)  # refuses a bad sample count or horizon
     # in this order, so that within a block the derived walk's error comes first
     walks = zip(
-        integrate_blocks("derived", rho0, params, times),
-        integrate_blocks("published", rho0, params, times),
+        integrate_blocks(superoperator("derived", params), rho0, times),
+        integrate_blocks(superoperator("published", params), rho0, times),
     )
 
     # np.maximum and np.minimum keep a NaN, as the maximum over the whole run would

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import gc
 import itertools
@@ -308,18 +309,30 @@ def _temporary(path: str) -> tuple[str, str]:
     """A new empty file beside the target of `path` (links resolved), named
     `<target>.<n>.tmp` with the first n no file holds, and that target.
 
-    It gets the mode a new file of `path` would get, and an error names
-    `path`, as opening `path` itself would.
+    The target's name is cut on a character boundary, as far as needed for
+    the temporary name to fit the directory's name limit; a name past that
+    limit is refused, as no rename could make it.  The file gets the mode a
+    new file of `path` would get, and an error names `path`, as opening
+    `path` itself would.
     """
     target = os.path.realpath(path)
-    for n in itertools.count():
-        try:
-            os.close(os.open(f"{target}.{n}.tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        except FileExistsError:
-            continue
-        except OSError as err:
-            raise OSError(err.errno, err.strerror, path) from None
-        return f"{target}.{n}.tmp", target
+    directory, name = os.path.split(target)
+    try:
+        name_max = os.pathconf(directory, "PC_NAME_MAX")  # -1: no limit
+        if 0 < name_max < len(os.fsencode(name)):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
+        for n in itertools.count():
+            cut = name
+            while 0 < name_max < len(os.fsencode(f"{cut}.{n}.tmp")):
+                cut = cut[:-1]
+            temp = os.path.join(directory, f"{cut}.{n}.tmp")
+            try:
+                os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                continue
+            return temp, target
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
 
 
 def _refuse_overwrite(what: str, path: str, others: Iterable[str], kind: str) -> None:

@@ -1,7 +1,8 @@
 """Exact propagation of the master equation and its analytic free limit.
 
 For fixed parameters the generator L is a constant 16x16 matrix, so
-rho(t + dt) = exp(L dt) rho(t) holds exactly.  `integrate_blocks` builds
+rho(t + dt) = exp(L dt) rho(t) holds exactly.  `integrate_blocks` takes L
+as its callers build it with `liouville.superoperator`, builds
 S = exp(L dt) as a 16x16 matrix once per distinct spacing dt of the grid --
 the Taylor series of L dt / 2**s by matrix Horner, then s squarings
 (Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33:488) -- and walks the
@@ -23,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .liouville import RhsVariant, SystemParams, _check_positive, _check_samples, superoperator
+from .liouville import SystemParams, _check_positive, _check_samples
 from .states import blocks
 
 __all__ = ["UniformGrid", "integrate_blocks", "closed_form_free"]
@@ -65,11 +66,13 @@ _SCALED_NORM = 2.0
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _exponential(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix; ValueError if its 1-norm is not finite."""
+def _exponential(lv: np.ndarray, dt: float) -> np.ndarray:
+    """exp(lv * dt) of a square matrix lv; ValueError if lv * dt is not finite."""
+    a = lv * dt
     norm = float(np.linalg.norm(a, 1))
     if not math.isfinite(norm):
-        raise ValueError("generator times time step is not finite")
+        raise ValueError(f"generator times time step is not finite (1-norm of the generator "
+                         f"{float(np.linalg.norm(lv, 1)):g} s^-1, step {dt:g} s)")
     squarings = 0 if norm <= _SCALED_NORM else math.ceil(math.log2(norm / _SCALED_NORM))
     a = a / 2.0**squarings
     x = norm / 2.0**squarings
@@ -87,29 +90,35 @@ def _exponential(a: np.ndarray) -> np.ndarray:
 
 
 def integrate_blocks(
-    variant: RhsVariant,
+    lv: np.ndarray,
     rho0: np.ndarray,
-    params: SystemParams,
     times: np.ndarray | UniformGrid,
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Propagate rho0 under the chosen generator, one block of samples at a time.
+    """Propagate rho0 under the generator lv, one block of samples at a time.
 
-    Yields (rows, states) for consecutive blocks of at most `states.BLOCK`
-    samples, where states[k] is rho at times[rows][k].  times must be finite,
-    strictly increasing and start at >= 0 (seconds); a UniformGrid gives
-    each block's times as the walk reaches it.  Each sample is
-    exp(L dt) applied to the previous one (to rho0 for the first, with
-    dt = times[0]); a sample at t = 0 is rho0 itself.  Raises ValueError for
-    a non-finite rho0 at once, and for a bad grid or a sampled trace that
+    lv is the 16x16 matrix L of d vec(rho)/dt = L vec(rho) (row-major vec), as
+    `liouville.superoperator` builds it.  Yields (rows, states) for
+    consecutive blocks of at most `states.BLOCK` samples, where states[k] is
+    rho at times[rows][k].  times must be finite, strictly increasing and
+    start at >= 0 (seconds); a UniformGrid gives each block's times as the
+    walk reaches it.  Each sample is exp(L dt) applied to the previous one (to
+    rho0 for the first, with dt = times[0]); a sample at t = 0 is rho0
+    itself.  Raises ValueError for an lv that is not a finite (16, 16) matrix
+    or a non-finite rho0 at once, and for a bad grid or a sampled trace that
     drifted from 1 by more than 1e-6 or overflowed (either means the run
     cannot be trusted) at the first block that holds one; that block is not
     yielded and nothing past it is stepped.
 
-    From symmetric starts such as L1L2 the two generator variants act alike
-    on every state the run reaches, but exp(L dt) is built from all of L, so
-    their trajectories agree to rounding, not bit for bit; the published
-    generator's growing mode amplifies that rounding over the run.
+    From symmetric starts such as L1L2 the derived and published generators
+    act alike on every state the run reaches, but exp(L dt) is built from all
+    of L, so their trajectories agree to rounding, not bit for bit; the
+    published generator's growing mode amplifies that rounding over the run.
     """
+    lv = np.asarray(lv, dtype=complex)
+    if lv.shape != (16, 16):
+        raise ValueError(f"expected lv shape (16, 16), got {lv.shape}")
+    if not np.all(np.isfinite(lv)):
+        raise ValueError("lv must be finite")
     if not isinstance(times, UniformGrid):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
@@ -120,7 +129,6 @@ def integrate_blocks(
     if not np.all(np.isfinite(rho0)):
         raise ValueError("rho0 must be finite")
 
-    lv = superoperator(variant, params)
     # exact float keys: a uniform grid has only a handful of distinct spacings
     steps: dict[float, np.ndarray] = {}
     y = rho0.reshape(16)
@@ -143,7 +151,7 @@ def integrate_blocks(
             for k, dt in enumerate(dts.tolist()):
                 if dt != 0.0:
                     if dt not in steps:
-                        steps[dt] = _exponential(lv * dt)
+                        steps[dt] = _exponential(lv, dt)
                     y = steps[dt] @ y
                 out[k] = y
             states = out.reshape(-1, 4, 4)

@@ -23,7 +23,7 @@ import numpy as np
 from .concurrence import concurrence_stack
 from .integrate import UniformGrid, integrate_blocks
 from .liouville import (RhsVariant, SystemParams, _check_nonnegative, _check_positive,
-                        _check_samples, _shown)
+                        _check_samples, _shown, superoperator)
 from .states import _checked_populations, named_state, population, pure_density
 from .zeno import _check_chain, _intervals, analytic_survival, run_zeno
 
@@ -311,19 +311,19 @@ def _walk(
     grid.  The free segment stays in the rotating frame.
     """
     rho0 = pure_density(named_state(scenario.initial))
-    params = scenario.params
+    lv = superoperator(variant, scenario.params)
     if scenario.field_off_time is None:
-        yield from integrate_blocks(variant, rho0, params, grid)
+        yield from integrate_blocks(lv, rho0, grid)
         return
     t_off = _switch_trigger(scenario, variant)
     times = grid[:]
     # 0 = times[0] <= t_off < horizon = times[-1], so 1 <= n_head < times.size
     n_head = int(np.searchsorted(times, t_off, side="right"))
-    for rows, states in integrate_blocks(variant, rho0, params, times[:n_head]):
+    for rows, states in integrate_blocks(lv, rho0, times[:n_head]):
         yield rows, states
-    [(_, at_off)] = integrate_blocks(variant, states[-1], params, [t_off - times[n_head - 1]])
-    free = replace(params, Omega=0.0)
-    for rows, states in integrate_blocks(variant, at_off[0], free, times[n_head:] - t_off):
+    [(_, at_off)] = integrate_blocks(lv, states[-1], [t_off - times[n_head - 1]])
+    free = superoperator(variant, replace(scenario.params, Omega=0.0))
+    for rows, states in integrate_blocks(free, at_off[0], times[n_head:] - t_off):
         yield slice(rows.start + n_head, rows.stop + n_head), states
 
 

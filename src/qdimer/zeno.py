@@ -19,7 +19,8 @@ import numpy as np
 
 from .integrate import integrate_blocks
 from .liouville import (
-    MAX_SAMPLES, SystemParams, _check_nonnegative, _check_positive, _is_integer, _shown
+    MAX_SAMPLES, SystemParams, _check_nonnegative, _check_positive, _is_integer, _shown,
+    superoperator
 )
 from .states import named_state, population, pure_density
 
@@ -74,8 +75,8 @@ def run_zeno(tau: float, n_measurements: int, J: float, gamma: float) -> np.ndar
     """
     _check_chain(tau, n_measurements, J, gamma)
     f = named_state("f")
-    params = SystemParams(omega0=0.0, J=J, gamma=gamma)
-    [(_, states)] = integrate_blocks("derived", pure_density(f), params, [tau])
+    lv = superoperator("derived", SystemParams(omega0=0.0, J=J, gamma=gamma))
+    [(_, states)] = integrate_blocks(lv, pure_density(f), [tau])
     p = population(states[0], f)
     return p ** np.arange(n_measurements + 1)
 

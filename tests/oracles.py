@@ -49,7 +49,7 @@ def integrate(
 ) -> np.ndarray:
     """The whole (len(times), 4, 4) stack of `integrate_blocks`, which documents
     the arguments and the errors; states[k] is rho at times[k]."""
-    walk = integrate_blocks(variant, rho0, params, times)
+    walk = integrate_blocks(superoperator(variant, params), rho0, times)
     return np.concatenate([states for _, states in walk])
 
 

@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -809,6 +811,17 @@ def test_generator_that_overflows_is_refused_by_its_rates(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_step_that_overflows_names_its_numbers(tmp_path, monkeypatch, capsys):
+    # the generator is finite, but a step of 5e8 s times it is not; the line
+    # once named neither.  Any warning raises here.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", "free_eg", "--omega0", "1e307", "--horizon", "1e12",
+                 "--out", "r.csv"]) == 2
+    assert capsys.readouterr() == ("", "error: generator times time step is not finite "
+                                   "(1-norm of the generator 2e+307 s^-1, step 5e+08 s)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_doomed_long_run_builds_no_grid_past_its_first_block(tmp_path):
     # the run fails in its first block; its 10**7 sample times alone are 80 MB,
     # and building them up front peaked the process at 106 MB of RSS
@@ -991,6 +1004,47 @@ def test_run_leaves_a_file_made_under_a_renamed_temporary_name(tmp_path, monkeyp
     assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out", "s.csv"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.0.tmp"]
     assert (tmp_path / "s.csv.0.tmp").read_text() == "another run's\n"
+
+
+@pytest.mark.parametrize("name", ["a" * 246 + ".csv", "a" * 251 + ".csv", "\u00e9" * 125 + ".csv"],
+                         ids=["250-bytes", "255-bytes", "utf-8-254-bytes"])
+def test_long_out_name_is_written(tmp_path, monkeypatch, capsys, name):
+    # `<target>.<n>.tmp` once went past the name limit of 255 bytes, so a
+    # name of 250 bytes and more exited 4 with "File name too long"
+    if os.pathconf(tmp_path, "PC_NAME_MAX") != 255:
+        pytest.skip("the names are sized for a 255-byte name limit")
+    monkeypatch.chdir(tmp_path)
+    made = []
+    temporary = cli._temporary
+
+    def recorded(path):
+        made.append(temporary(path))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_temporary", recorded)
+    assert main(["run", "--scenario", "free_eg", "--samples", "5", "--out", name]) == 0
+    assert capsys.readouterr() == (f"wrote {name} (5 rows, 7 columns)\n", "")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert len((tmp_path / name).read_text().splitlines()) == 6
+    # the longest prefix of the target's name, in whole characters, that fits
+    [(temp, _)] = made
+    cut = os.path.basename(temp).removesuffix(".0.tmp")
+    assert name.startswith(cut) and cut != name
+    assert len(os.fsencode(f"{cut}.0.tmp")) <= 255
+    assert len(os.fsencode(f"{name[:len(cut) + 1]}.0.tmp")) > 255
+
+
+def test_out_name_past_the_limit_is_refused_before_its_walk(tmp_path, monkeypatch, capsys):
+    # a 256-byte name can never be made, so the run stops before it walks,
+    # as it did when the temporary name held the whole target name
+    if os.pathconf(tmp_path, "PC_NAME_MAX") != 255:
+        pytest.skip("the name is sized for a 255-byte name limit")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_run_blocks", None)  # a walk would raise TypeError
+    name = "a" * 252 + ".csv"
+    assert main(["run", "--scenario", "free_eg", "--samples", "5", "--out", name]) == 4
+    assert capsys.readouterr() == ("", f"error: [Errno 36] File name too long: '{name}'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
@@ -1597,6 +1651,65 @@ def test_no_config_document_escapes_main(tmp_path, monkeypatch, fields):
         doc["samples"] = 11
     (tmp_path / "c.json").write_text(json.dumps(doc))
     assert main(["run", "--config", "c.json"]) in (0, 2, 4)
+
+
+_ARGV_NUMBERS = st.sampled_from([
+    "0", "1", "-1", "1e-9", "25ns", "1us", "1e6", "4e9", "1e300", "-1e300", "1" + "0" * 400,
+    "nan", "inf", "-inf", "a",
+])
+_ARGV_NAMES = st.sampled_from(["", "a", "e1g2", "s", "L1L2", "C", "rho_ss", "C,rho_ss", "J"])
+_ARGV_FLAGS = st.one_of(
+    st.tuples(st.sampled_from(["--omega0", "--J", "--Omega", "--gamma", "--delta-l",
+                               "--horizon"]), _ARGV_NUMBERS),
+    st.tuples(st.sampled_from(["--initial", "--observables"]), _ARGV_NAMES),
+    st.tuples(st.just("--rhs"), st.sampled_from(["derived", "published"])),
+)
+_ARGV_SCENARIOS = st.sampled_from([sc.name for sc in catalog()] + ["bogus"])
+
+
+@st.composite
+def run_argvs(draw):
+    """A `run` argv over the flags of the config fuzzer: a preset or none,
+    up to three run flags, and each of --samples, --driven and --sweep
+    perhaps.  So that each example stays short, --samples is 2..40 or a bad
+    value and a sweep has 1..3 values: a walked grid holds at most 40
+    samples, past a switch-off point's 3001-sample trigger probe, unless
+    --samples is left out and the preset's own grid (at most 5001) is run."""
+    argv = ["run", "--out", "o.csv"]
+    if draw(st.integers(0, 3)):  # mostly a preset, as a custom run needs three flags
+        argv += ["--scenario", draw(_ARGV_SCENARIOS)]
+    for flag, value in draw(st.lists(_ARGV_FLAGS, max_size=3)):
+        argv += [flag, value]
+    if draw(st.integers(0, 3)):  # mostly bounded, as a preset's grid costs the most
+        argv += ["--samples", draw(st.sampled_from(["0", "1", "-1", "2.5", "a"])
+                                   | st.integers(2, 40).map(str))]
+    if draw(st.booleans()):
+        argv.append("--driven")
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(["omega0", "J", "gamma", "Omega", "delta_l", "horizon"]))
+        values = draw(st.lists(_ARGV_NUMBERS, min_size=1, max_size=3))
+        argv += ["--sweep", f"{field}={','.join(values)}"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_argvs())
+def test_no_run_argv_escapes_main(monkeypatch, capsys, argv):
+    # every run argv either writes its files or exits with one error line,
+    # no warning, and none of its files left behind
+    with tempfile.TemporaryDirectory() as directory:
+        monkeypatch.chdir(directory)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 4)
+        assert caught == []
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, err
+        if code != 0:
+            assert os.listdir(directory) == []
 
 
 # ---------------------------------------------------------------------------

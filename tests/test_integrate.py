@@ -320,7 +320,7 @@ def test_long_walk_matches_expm_at_checkpoints(edge, driven, data):
     grid = UniformGrid(horizon, samples)
     checkpoints = [samples // 10, samples // 2, samples - 1]
     walked = {}
-    for rows, states in integrate_blocks("derived", rho0, params, grid):
+    for rows, states in integrate_blocks(superoperator("derived", params), rho0, grid):
         for k in checkpoints:
             if rows.start <= k < rows.stop:
                 walked[k] = states[k - rows.start]
@@ -345,14 +345,14 @@ def test_determinism_bitwise():
 def test_blocks_concatenate_to_the_stack(monkeypatch):
     rho0 = pure_density(named_state("e1g2"))
     times = np.linspace(0.0, 5e-9, 2 * BLOCK + 7)
-    walk = list(integrate_blocks("derived", rho0, FREE, times))
+    walk = list(integrate_blocks(superoperator("derived", FREE), rho0, times))
     assert [rows for rows, _ in walk] == [
         slice(0, BLOCK), slice(BLOCK, 2 * BLOCK), slice(2 * BLOCK, 2 * BLOCK + 7)
     ]
     stack = np.concatenate([states for _, states in walk])
     # the same states as a walk that takes the whole grid as one block
     monkeypatch.setattr(states_mod, "BLOCK", times.size)
-    [(rows, whole)] = integrate_blocks("derived", rho0, FREE, times)
+    [(rows, whole)] = integrate_blocks(superoperator("derived", FREE), rho0, times)
     assert rows == slice(0, times.size)
     assert np.array_equal(stack, whole)
 
@@ -373,7 +373,7 @@ def test_walk_stops_at_the_first_failing_block_and_reports_its_drift(monkeypatch
     for k, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
         if dt != 0.0:
             if dt not in steps:
-                steps[dt] = _exponential(lv * dt)
+                steps[dt] = _exponential(lv, dt)
             y = steps[dt] @ y
         raw[k] = y.reshape(4, 4)
     drift = np.abs(np.einsum("kii->k", raw).real - 1.0)
@@ -391,7 +391,7 @@ def test_walk_stops_at_the_first_failing_block_and_reports_its_drift(monkeypatch
     monkeypatch.setattr(integrate_mod, "blocks", counted)
     yielded = []
     with pytest.raises(ValueError) as streamed:
-        for rows, states in integrate_blocks("published", rho0, sc.params, times):
+        for rows, states in integrate_blocks(lv, rho0, times):
             yielded.append(rows)
             assert np.array_equal(states, raw[rows])
     assert yielded == clean
@@ -410,8 +410,22 @@ def test_walk_reports_an_overflowed_state():
     sc = next(s for s in catalog() if s.name == "driven_resonant")
     rho0 = pure_density(named_state(sc.initial))
     with pytest.raises(ValueError) as info:
-        list(integrate_blocks("published", rho0, sc.params, np.array([0.0, 1e-5])))
+        list(integrate_blocks(superoperator("published", sc.params), rho0,
+                              np.array([0.0, 1e-5])))
     assert str(info.value) == "the state overflowed during integration (trace drift nan)"
+
+
+@pytest.mark.parametrize("lv, message", [
+    (np.full((16, 16), np.nan), "lv must be finite"),
+    (np.eye(4), r"expected lv shape \(16, 16\), got \(4, 4\)"),
+], ids=["non-finite", "misshapen"])
+def test_walk_refuses_a_bad_generator_before_its_first_step(monkeypatch, lv, message):
+    stepped = []
+    monkeypatch.setattr(integrate_mod, "_exponential", lambda *args: stepped.append(args))
+    walk = integrate_blocks(lv, pure_density(named_state("e1g2")), np.linspace(0.0, 1e-9, 5))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        next(walk)
+    assert stepped == []
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -424,7 +438,8 @@ def test_grid_is_checked_a_block_at_a_time(bad, message):
     # the blocks before it were yielded, at a block edge too
     times = np.linspace(0.0, 1e-9, 3 * BLOCK)
     times[bad] = np.nan if message == "finite" else times[bad - 1]
-    walk = integrate_blocks("derived", pure_density(named_state("e1g2")), FREE, times)
+    walk = integrate_blocks(superoperator("derived", FREE), pure_density(named_state("e1g2")),
+                            times)
     assert next(walk)[0] == slice(0, BLOCK)
     with pytest.raises(ValueError, match=message):
         next(walk)
@@ -474,7 +489,7 @@ def test_walk_holds_no_whole_grid_temporary():
     rho0 = pure_density(named_state("e1g2"))
     tracemalloc.start()
     try:
-        for _ in itertools.islice(integrate_blocks("derived", rho0, FREE, times), 4):
+        for _ in itertools.islice(integrate_blocks(superoperator("derived", FREE), rho0, times), 4):
             pass
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import integrate
 from qdimer import scenarios as scenarios_mod
-from qdimer.liouville import SystemParams
+from qdimer.liouville import SystemParams, superoperator
 from qdimer.scenarios import (
     OBSERVABLES,
     Scenario,
@@ -397,14 +397,16 @@ def test_switch_off_driven_observable_error_stops_before_the_free_walk(monkeypat
         field_off_time="auto",
     )
     walk = scenarios_mod.integrate_blocks
+    free = superoperator("derived", replace(DRIVE_S, Omega=0.0))
     walks = []  # per walk started: its drive and the blocks it yielded
 
-    def free_walk_fails(variant, rho0, params, times, **kwargs):
-        walks.append([params.Omega, 0])
-        for block in walk(variant, rho0, params, times, **kwargs):
+    def free_walk_fails(lv, rho0, times):
+        is_free = np.array_equal(lv, free)
+        walks.append([0.0 if is_free else DRIVE_S.Omega, 0])
+        for block in walk(lv, rho0, times):
             walks[-1][1] += 1
             yield block
-        if params.Omega == 0.0:
+        if is_free:
             raise ValueError("free walk")
 
     monkeypatch.setattr(scenarios_mod, "integrate_blocks", free_walk_fails)
@@ -412,6 +414,22 @@ def test_switch_off_driven_observable_error_stops_before_the_free_walk(monkeypat
         run_scenario(sc)
     assert calls[0] == BLOCK  # it failed on the first driven block
     assert walks == [[DRIVE_S.Omega, 1]]
+
+
+def test_switch_off_run_builds_each_generator_once(monkeypatch):
+    # the driven walk's, shared by the grid walk and the one-sample walk to
+    # t_off, then the trigger probe's, then the free walk's
+    build = scenarios_mod.superoperator
+    built = []
+
+    def counted(variant, params):
+        built.append(params.Omega)
+        return build(variant, params)
+
+    monkeypatch.setattr(scenarios_mod, "superoperator", counted)
+    sc = replace(preset("switch_off"), horizon=6e-8, samples=101)
+    run_scenario(sc)
+    assert built == [sc.params.Omega, sc.params.Omega, 0.0]
 
 
 @pytest.mark.parametrize("name", ["free_eg", "switch_off"])
@@ -422,8 +440,8 @@ def test_doomed_published_run_stops_after_its_first_failing_block(monkeypatch, n
     walk = scenarios_mod.integrate_blocks
     yielded = []
 
-    def counted(*args, **kwargs):
-        for rows, states in walk(*args, **kwargs):
+    def counted(lv, rho0, times):
+        for rows, states in walk(lv, rho0, times):
             yielded.append(rows)
             yield rows, states
 

@@ -21,7 +21,7 @@ from qdimer import states as states_mod
 from qdimer.audit import consistency_report
 from qdimer.concurrence import ConcurrenceError, concurrence_stack
 from qdimer.integrate import integrate_blocks
-from qdimer.liouville import SystemParams
+from qdimer.liouville import SystemParams, superoperator
 from qdimer.scenarios import OBSERVABLES, Scenario, catalog, run_scenario
 from qdimer.states import (
     BLOCK,
@@ -398,7 +398,8 @@ def test_audit_trace_guard_error_comes_before_a_concurrence_error():
     for samples, blocks_before_the_guard in [(201, 0), (2001, 5)]:
         yielded = 0
         with pytest.raises(ValueError, match="^trace drifted by") as guard:
-            for _ in integrate_blocks("published", rho0, free, np.linspace(0.0, 1e-6, samples)):
+            for _ in integrate_blocks(superoperator("published", free), rho0,
+                                      np.linspace(0.0, 1e-6, samples)):
                 yielded += 1
         assert yielded == blocks_before_the_guard
         with pytest.raises(ValueError) as audit:

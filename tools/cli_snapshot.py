@@ -16,7 +16,8 @@ rad/s, the custom run of the README), `audit` for every named start, `zeno`
 chains, `catalog`, `constants`, a `run --save-config` followed by a `run
 --config` of the file it saved, a `plot`, a run that fails on its first block
 (so it should exit at once), a sweep whose second point fails, audits whose
-published walk overflows or drifts, and refused inputs: bad flag values (among them `zeno` and `audit` with a
+published walk overflows or drifts, a run whose step overflows, a run onto a
+250-byte --out name, and refused inputs: bad flag values (among them `zeno` and `audit` with a
 negative J or gamma, a tau outside the Zeno window, a --T that is no whole
 number of tau intervals, a sweep from an unknown start or onto an --out path
 that holds a comma or a line break or lies in a missing directory, rates whose
@@ -167,6 +168,12 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
                                                "--out", "out.csv"]
     cmds["audit_closure_overflow"] = ["audit", "--horizon", "1e-308", "--J", "1e308",
                                       "--gamma", "1e-10"]
+    # a finite generator whose step of 5e8 s is not: the line names both
+    cmds["run_step_overflow"] = ["run", "--scenario", "free_eg", "--omega0", "1e307",
+                                 "--horizon", "1e12", "--out", "out.csv"]
+    # a 250-byte --out name, whose temporary name is cut to fit the name limit
+    cmds["run_long_out_name"] = ["run", "--scenario", "free_eg", "--samples", "5",
+                                 "--out", "a" * 246 + ".csv"]
     cmds["run_config_big_horizon"] = ["run", "--config", "config.json"]
     cmds["run_config_big_sweep_value"] = ["run", "--config", "config.json"]
     cmds["run_config_nested"] = ["run", "--config", "config.json"]
