@@ -315,6 +315,8 @@ def _temporary(path: str) -> tuple[str, str]:
     new file of `path` would get, and an error names `path`, as opening
     `path` itself would.
     """
+    if not path:  # as open("") fails; its real path would be the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     try:
@@ -388,12 +390,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.config is not None:
         for path in outputs:
             _refuse_overwrite("output", path, [args.config], "--config file")
-    # each point is written to a temporary file as it is walked, and the files
-    # replace their targets only once every point has succeeded, so a point that
-    # fails, even in its switch-off trigger search, leaves no file behind
+    # a directory target is refused before any point runs, not at its rename
+    for path in [args.save_config, *outputs]:
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    # each file is written to a temporary file, each point's as it is walked, and
+    # the files replace their targets, in the order printed, only once every point
+    # has succeeded, so a point that fails, even in its trigger search, leaves none
     temps: list[tuple[str, str]] = []
-    shapes = []
+    lines: list[tuple[str, str]] = []  # each file's path and line, in the order of temps
+
+    def write_text(path: str, text: str) -> None:
+        temps.append(_temporary(path))
+        with open(temps[-1][0], "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        lines.append((path, f"wrote {path}"))
+
     try:
+        if args.save_config is not None:
+            write_text(args.save_config, cfg.to_json())
         for value, scenario, path in cfg.points:
             temps.append(_temporary(path))
             temp = temps[-1][0]
@@ -401,38 +416,30 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if isinstance(scenario, ZenoSweep):
                     table = scenario.table()  # built whole
                     emit_csv(table, temp)
-                    shapes.append(table.data.shape)
+                    rows, columns = table.data.shape
                 else:
                     _write_csv(temp, scenario.observables, _run_blocks(scenario, cfg.rhs))
-                    shapes.append((scenario.samples, len(scenario.observables)))
+                    rows, columns = scenario.samples, len(scenario.observables)
             except ValueError as err:
                 if cfg.sweep_param is None:
                     raise
                 raise ValueError(f"{cfg.sweep_param}={value:g}: {err}") from err
-        if args.save_config is not None:
-            with open(args.save_config, "w", encoding="utf-8") as fh:
-                fh.write(cfg.to_json())
-            print(f"wrote {args.save_config}")
-        for (_, _, path), (rows, columns) in zip(cfg.points, shapes):
+            shape = f" ({rows} rows, {columns} columns)" if cfg.sweep_param is None else ""
+            lines.append((path, f"wrote {path}{shape}"))
+        if index_path is not None:
+            index = [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
+            write_text(index_path, "\n".join(["param,value,path", *index]) + "\n")
+        for path, line in lines:
             try:
                 os.replace(*temps[0])
             except OSError as err:
                 raise OSError(err.errno, err.strerror, path) from None
             del temps[0]  # renamed: a file of its name now is another run's
-            if cfg.sweep_param is None:
-                print(f"wrote {path} ({rows} rows, {columns} columns)")
-            else:
-                print(f"wrote {path}")
+            print(line)
     finally:
         for temp, _ in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
-    if index_path is not None:
-        lines = ["param,value,path"]
-        lines += [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
-        with open(index_path, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        print(f"wrote {index_path}")
     return 0
 
 

@@ -57,6 +57,23 @@ class UniformGrid:
         return times
 
 
+@dataclass(frozen=True)
+class _GridRows:
+    """The times grid[start:start + size] - shift, computed a block at a time:
+    each block bit for bit that slice of the whole grid's times, less shift."""
+
+    grid: UniformGrid
+    start: int
+    size: int
+    shift: float = 0.0
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.size)
+        times = self.grid[self.start + start:self.start + stop]
+        times -= self.shift
+        return times
+
+
 # exp(L dt) is the Taylor series of L dt / 2**s, summed as a matrix by
 # Horner's rule and squared s times (Al-Mohy & Higham 2011).  The scaled
 # norm is at most 2, so the largest term is 2**2/2! = 2 and cancellation
@@ -92,7 +109,7 @@ def _exponential(lv: np.ndarray, dt: float) -> np.ndarray:
 def integrate_blocks(
     lv: np.ndarray,
     rho0: np.ndarray,
-    times: np.ndarray | UniformGrid,
+    times: np.ndarray | UniformGrid | _GridRows,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Propagate rho0 under the generator lv, one block of samples at a time.
 
@@ -100,14 +117,14 @@ def integrate_blocks(
     `liouville.superoperator` builds it.  Yields (rows, states) for
     consecutive blocks of at most `states.BLOCK` samples, where states[k] is
     rho at times[rows][k].  times must be finite, strictly increasing and
-    start at >= 0 (seconds); a UniformGrid gives each block's times as the
-    walk reaches it.  Each sample is exp(L dt) applied to the previous one (to
-    rho0 for the first, with dt = times[0]); a sample at t = 0 is rho0
-    itself.  Raises ValueError for an lv that is not a finite (16, 16) matrix
-    or a non-finite rho0 at once, and for a bad grid or a sampled trace that
-    drifted from 1 by more than 1e-6 or overflowed (either means the run
-    cannot be trusted) at the first block that holds one; that block is not
-    yielded and nothing past it is stepped.
+    start at >= 0 (seconds); a UniformGrid or its rows (`_GridRows`) give each
+    block's times as the walk reaches it.  Each sample is exp(L dt) applied to
+    the previous one (to rho0 for the first, with dt = times[0]); a sample at
+    t = 0 is rho0 itself.  Raises ValueError for an lv that is not a finite
+    (16, 16) matrix or a non-finite rho0 at once, and for a bad grid or a
+    sampled trace that drifted from 1 by more than 1e-6 or overflowed (either
+    means the run cannot be trusted) at the first block that holds one; that
+    block is not yielded and nothing past it is stepped.
 
     From symmetric starts such as L1L2 the derived and published generators
     act alike on every state the run reaches, but exp(L dt) is built from all
@@ -119,7 +136,7 @@ def integrate_blocks(
         raise ValueError(f"expected lv shape (16, 16), got {lv.shape}")
     if not np.all(np.isfinite(lv)):
         raise ValueError("lv must be finite")
-    if not isinstance(times, UniformGrid):
+    if not isinstance(times, (UniformGrid, _GridRows)):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("sample_times must be a non-empty 1-d array")

@@ -21,10 +21,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .concurrence import concurrence_stack
-from .integrate import UniformGrid, integrate_blocks
+from .integrate import UniformGrid, _GridRows, integrate_blocks
 from .liouville import (RhsVariant, SystemParams, _check_nonnegative, _check_positive,
                         _check_samples, _shown, superoperator)
-from .states import _checked_populations, named_state, population, pure_density
+from .states import _checked_populations, blocks, named_state, population, pure_density
 from .zeno import _check_chain, _intervals, analytic_survival, run_zeno
 
 __all__ = [
@@ -75,7 +75,7 @@ class Scenario:
 
     field_off_time is None (no switching) or "auto", which means "suppress
     the drive at the first maximum of the symmetric population" -- the
-    trigger is computed from a probe run, never hard-coded.  A driven run
+    trigger is computed from a probe walk, never hard-coded.  A driven run
     lives in the rotating frame of its drive, so it cannot record rho_pp or
     rho_qq: both read Re rho14, which that frame turns at twice the drive
     frequency.
@@ -276,16 +276,18 @@ def find_first_maximum(times: np.ndarray, values: np.ndarray) -> tuple[float, fl
     raise ValueError("series is monotone; no local maximum")
 
 
-def _switch_trigger(scenario: Scenario, variant: RhsVariant) -> float:
+def _switch_trigger(scenario: Scenario, lv: np.ndarray, rho0: np.ndarray) -> float:
     """Time of the first maximum of the symmetric population under the drive,
-    found on a short driven run of the same preset that records rho_ss only."""
+    found by walking the run's driven generator lv from its start rho0 over a
+    3001-sample probe grid."""
     # the |4> <-> |s> exchange runs at sqrt(2)*Omega; one full swap period
     # brackets the first maximum comfortably
     probe_horizon = min(scenario.horizon, 1.2 * math.pi / (math.sqrt(2.0) * scenario.params.Omega))
-    probe = run_scenario(replace(scenario, horizon=probe_horizon, samples=3001,
-                                 observables=("rho_ss",), field_off_time=None), variant=variant)
+    probe = UniformGrid(probe_horizon, 3001)
+    rho_ss = np.concatenate([OBSERVABLES["rho_ss"](states)
+                             for _, states in integrate_blocks(lv, rho0, probe)])
     try:
-        t_off, _ = find_first_maximum(probe.times, probe.data[:, 0])
+        t_off, _ = find_first_maximum(probe[:], rho_ss)
     except ValueError as exc:
         cut = probe_horizon == scenario.horizon
         hint = "; a longer horizon (--horizon) widens it" if cut else ""
@@ -304,26 +306,31 @@ def _walk(
     """The block walk of a run over its grid, from its initial state.
 
     A switch-off run is three plain walks, none of which yields a sample
-    its caller must hide: the driven walk over the grid samples at or
-    before the trigger t_off; a one-sample driven walk from its last state
-    to t_off (a step of 0 when t_off is on the grid); and the free walk
-    from that state with the drive removed, its rows shifted into the full
-    grid.  The free segment stays in the rotating frame.
+    its caller must hide: the driven walk over the grid rows at or before
+    the trigger t_off; a one-sample driven walk from its last state to t_off
+    (a step of 0 when t_off is on the grid); and the free walk from that
+    state with the drive removed, over the later rows less t_off, shifted
+    into the full grid.  Each takes its times a block at a time, as does the
+    search for the first row past t_off.  The free segment stays in the
+    rotating frame.
     """
     rho0 = pure_density(named_state(scenario.initial))
     lv = superoperator(variant, scenario.params)
     if scenario.field_off_time is None:
         yield from integrate_blocks(lv, rho0, grid)
         return
-    t_off = _switch_trigger(scenario, variant)
-    times = grid[:]
-    # 0 = times[0] <= t_off < horizon = times[-1], so 1 <= n_head < times.size
-    n_head = int(np.searchsorted(times, t_off, side="right"))
-    for rows, states in integrate_blocks(lv, rho0, times[:n_head]):
+    t_off = _switch_trigger(scenario, lv, rho0)
+    # 0 = grid[0] <= t_off < horizon = grid[-1], so 1 <= n_head < grid.size
+    for rows in blocks(grid.size):
+        n_head = rows.start + int(np.searchsorted(grid[rows], t_off, side="right"))
+        if n_head < rows.stop:
+            break
+    for rows, states in integrate_blocks(lv, rho0, _GridRows(grid, 0, n_head)):
         yield rows, states
-    [(_, at_off)] = integrate_blocks(lv, states[-1], [t_off - times[n_head - 1]])
+    [(_, at_off)] = integrate_blocks(lv, states[-1], t_off - grid[n_head - 1:n_head])
     free = superoperator(variant, replace(scenario.params, Omega=0.0))
-    for rows, states in integrate_blocks(free, at_off[0], times[n_head:] - t_off):
+    tail = _GridRows(grid, n_head, grid.size - n_head, t_off)
+    for rows, states in integrate_blocks(free, at_off[0], tail):
         yield slice(rows.start + n_head, rows.stop + n_head), states
 
 

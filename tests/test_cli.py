@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qdimer
 import qdimer.csvtext  # noqa: F401 -- compiled here, with cli, not inside a traced test
-from qdimer import cli, figures, states
+from qdimer import cli, figures, scenarios, states
 from qdimer.audit import ConsistencyReport
 from qdimer.cli import (
     RunConfig,
@@ -847,6 +847,17 @@ def test_sweep_peak_rss_does_not_grow_with_its_points(tmp_path):
     assert peaks["1e9,2e9,3e9"] - peaks["1e9"] < 1.0, peaks
 
 
+def test_switch_off_peak_rss_does_not_grow_with_its_samples(tmp_path):
+    # the run's grid was once built whole, twice (to find the switch, and less
+    # it for the free walk): 200,000 samples peaked about 3 MB above 3001
+    peaks = {}
+    for samples in ("3001", "200000"):
+        code, peaks[samples], err = peak_rss(["run", "--scenario", "switch_off", "--samples",
+                                              samples, "--out", "s.csv"], tmp_path)
+        assert (code, err) == (0, "")
+    assert peaks["200000"] - peaks["3001"] < 1.0, peaks
+
+
 def test_guard_error_wins_over_observable_error(tmp_path, capsys):
     # the guard checks a block before any observable sees it: the preset's
     # trace leaves 1e-6 at sample 19, in its first block, and each of its five
@@ -919,6 +930,15 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def counted_walks(monkeypatch):
+    """A list that gets the arguments of each walk a run starts from here on."""
+    walks = []
+    walk = scenarios.integrate_blocks
+    monkeypatch.setattr(scenarios, "integrate_blocks",
+                        lambda *args: walks.append(args) or walk(*args))
+    return walks
+
+
 @pytest.mark.parametrize("out, line", [
     ("no/x.csv", "[Errno 2] No such file or directory: 'no/x.csv'"),
     ("d", "[Errno 21] Is a directory: 'd'"),
@@ -927,11 +947,14 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
 def test_out_that_cannot_be_written_exits_4_with_its_line(tmp_path, monkeypatch, capsys,
                                                           out, line):
     # each point is written beside its target and renamed onto it, and the
-    # error still names the path given, as opening it would
+    # error still names the path given, as opening it would; a directory was
+    # once refused only by the rename, after the whole walk
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
+    walks = counted_walks(monkeypatch)
     assert main(["run", "--scenario", "free_eg", "--samples", "11", "--out", out]) == 4
     assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert walks == []
     assert [p.name for p in tmp_path.iterdir()] == ["d"]
     assert list((tmp_path / "d").iterdir()) == []
 
@@ -942,6 +965,50 @@ def test_missing_directory_fails_before_a_failing_walk(tmp_path, capsys):
     out = tmp_path / "no" / "x.csv"
     assert main(["run", "--scenario", "free_eg", "--rhs", "published", "--out", str(out)]) == 4
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
+def test_sweep_onto_a_directory_index_fails_before_its_first_walk(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the index was once written after both points had been renamed into place,
+    # so this printed two wrote lines, exited 4 and left both point CSVs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.index.csv").mkdir()
+    walks = counted_walks(monkeypatch)
+    assert main(["run", "--scenario", "free_eg", "--samples", "5", "--sweep", "J=1e9,2e9",
+                 "--out", "x.csv"]) == 4
+    assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'x.index.csv'\n")
+    assert walks == []
+    assert [p.name for p in tmp_path.iterdir()] == ["x.index.csv"]
+    assert list((tmp_path / "x.index.csv").iterdir()) == []
+
+
+def test_empty_save_config_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # opening "" fails; its real path is the working directory, beside which a
+    # temporary file must not be made
+    (tmp_path / "w").mkdir()
+    monkeypatch.chdir(tmp_path / "w")
+    assert main(["run", "--scenario", "free_eg", "--samples", "5", "--out", "o.csv",
+                 "--save-config", ""]) == 4
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["w"]
+    assert list((tmp_path / "w").iterdir()) == []
+
+
+def test_sweep_writes_its_config_and_index_through_temporary_files(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the config was once opened in place and the index written after the
+    # temporary files were renamed; the lines keep their order
+    monkeypatch.chdir(tmp_path)
+    made = []
+    temporary = cli._temporary
+    monkeypatch.setattr(cli, "_temporary", lambda path: made.append(path) or temporary(path))
+    assert main(["run", "--scenario", "free_eg", "--samples", "5", "--sweep", "J=1e9,2e9",
+                 "--out", "x.csv", "--save-config", "x.json"]) == 0
+    names = ["x.json", "x.J1e+09.csv", "x.J2e+09.csv", "x.index.csv"]
+    assert capsys.readouterr() == ("".join(f"wrote {name}\n" for name in names), "")
+    assert made == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert json.loads((tmp_path / "x.json").read_text())["sweep_values"] == [1e9, 2e9]
 
 
 def test_sweep_whose_second_point_fails_leaves_no_file(tmp_path, monkeypatch, capsys):

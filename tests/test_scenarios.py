@@ -7,6 +7,7 @@ import pytest
 
 from oracles import integrate
 from qdimer import scenarios as scenarios_mod
+from qdimer.integrate import UniformGrid
 from qdimer.liouville import SystemParams, superoperator
 from qdimer.scenarios import (
     OBSERVABLES,
@@ -285,10 +286,15 @@ def test_first_maximum_scales_exactly_with_a_power_of_two(k, v):
     assert find_first_maximum(k * 2.0**-1010, v) == (t_max * 2.0**-1010, v_max)
 
 
+def trigger(sc):
+    """The switch-off trigger of sc under the derived generator, from its start."""
+    rho0 = pure_density(named_state(sc.initial))
+    return scenarios_mod._switch_trigger(sc, superoperator("derived", sc.params), rho0)
+
+
 def test_switch_off_triggers_keep_their_bits():
     # the switch-off CSVs and perfbench's reference read these two triggers
-    assert [scenarios_mod._switch_trigger(preset(name), "derived")
-            for name in ("switch_off", "switch_off_gamma1e5")] == [
+    assert [trigger(preset(name)) for name in ("switch_off", "switch_off_gamma1e5")] == [
         2.7692027809402135e-08, 2.7760235169984184e-08]
 
 
@@ -297,7 +303,7 @@ def test_switch_off_triggers_keep_their_bits():
 
 def switch_at(monkeypatch, t_off):
     """Place the automatic switch-off at t_off instead of the found maximum."""
-    monkeypatch.setattr(scenarios_mod, "_switch_trigger", lambda scenario, variant: t_off)
+    monkeypatch.setattr(scenarios_mod, "_switch_trigger", lambda scenario, lv, rho0: t_off)
 
 
 def direct_states(sc, times):
@@ -306,7 +312,7 @@ def direct_states(sc, times):
     rho0 = pure_density(named_state(sc.initial))
     if sc.field_off_time is None:
         return integrate("derived", rho0, sc.params, times)
-    t_off = scenarios_mod._switch_trigger(sc, "derived")
+    t_off = trigger(sc)
     head = times[times <= t_off]
     driven = integrate("derived", rho0, sc.params, np.append(head[head < t_off], t_off))
     free = replace(sc.params, Omega=0.0)
@@ -354,7 +360,7 @@ def test_switch_off_walk_matches_direct_integration(t_off, monkeypatch):
     )
     table = run_scenario(sc)
     states = direct_states(sc, table.times)
-    t_off = scenarios_mod._switch_trigger(sc, "derived")
+    t_off = trigger(sc)
     assert np.count_nonzero(table.times <= t_off) > BLOCK
     for name, column in zip(table.names, table.data.T):
         assert np.array_equal(column, OBSERVABLES[name](states)), name
@@ -367,7 +373,7 @@ def test_switch_off_head_is_the_plain_driven_run(name):
     sc = replace(preset(name), horizon=6e-8, samples=1601)
     switched = run_scenario(sc)
     driven = run_scenario(replace(sc, field_off_time=None))
-    head = switched.times <= scenarios_mod._switch_trigger(sc, "derived")
+    head = switched.times <= trigger(sc)
     assert np.count_nonzero(head) > 2 * BLOCK
     assert np.array_equal(switched.times, driven.times)
     assert np.array_equal(switched.data[head], driven.data[head])
@@ -417,8 +423,8 @@ def test_switch_off_driven_observable_error_stops_before_the_free_walk(monkeypat
 
 
 def test_switch_off_run_builds_each_generator_once(monkeypatch):
-    # the driven walk's, shared by the grid walk and the one-sample walk to
-    # t_off, then the trigger probe's, then the free walk's
+    # the driven walk's, shared by the trigger probe, the grid walk and the
+    # one-sample walk to t_off, then the free walk's
     build = scenarios_mod.superoperator
     built = []
 
@@ -429,7 +435,26 @@ def test_switch_off_run_builds_each_generator_once(monkeypatch):
     monkeypatch.setattr(scenarios_mod, "superoperator", counted)
     sc = replace(preset("switch_off"), horizon=6e-8, samples=101)
     run_scenario(sc)
-    assert built == [sc.params.Omega, sc.params.Omega, 0.0]
+    assert built == [sc.params.Omega, 0.0]
+
+
+def test_switch_off_run_asks_its_grid_for_a_block_at_a_time(monkeypatch):
+    # the run's grid was once built whole, twice: to find the switch, and less
+    # it for the free walk; the trigger probe's 3001-sample grid is its own
+    get = UniformGrid.__getitem__
+    asked = []
+
+    def counted(grid, rows):
+        times = get(grid, rows)
+        if grid.size != 3001:
+            asked.append(times.size)
+        return times
+
+    monkeypatch.setattr(UniformGrid, "__getitem__", counted)
+    sc = replace(preset("switch_off"), horizon=6e-8, samples=1601)
+    table = run_scenario(sc)
+    assert max(asked) == BLOCK
+    assert np.count_nonzero(table.times <= trigger(sc)) > BLOCK
 
 
 @pytest.mark.parametrize("name", ["free_eg", "switch_off"])

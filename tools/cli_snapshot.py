@@ -20,14 +20,14 @@ published walk overflows or drifts, a run whose step overflows, a run onto a
 250-byte --out name, and refused inputs: bad flag values (among them `zeno` and `audit` with a
 negative J or gamma, a tau outside the Zeno window, a --T that is no whole
 number of tau intervals, a sweep from an unknown start or onto an --out path
-that holds a comma or a line break or lies in a missing directory, rates whose
-dephasing rates or generator overflow, and `constants` with a d0, r or mu_eg
-that is not above 0, alone or after a J that is not finite), flags a command
-does not read, columns a driven run cannot record and malformed `--config`
-files.
-Each input file (a config.json, the plot's in.csv) is written into its
-command's own directory, where it stays; the saved config is copied from the
-directory of the command that saved it.  Each command's wall time goes to its
+that holds a comma or a line break or lies in a missing directory, an --out or
+a sweep index that is a directory, rates whose dephasing rates or generator
+overflow, and `constants` with a d0, r or mu_eg that is not above 0, alone or
+after a J that is not finite), flags a command does not read, columns a driven
+run cannot record and malformed `--config` files.
+Each input file (a config.json, the plot's in.csv, a directory as a target) is
+written into its command's own directory, where it stays; the saved config is
+copied from the directory of the command that saved it.  Each command's wall time goes to its
 console line only, so the files under OUTDIR do not depend on it.  Only the
 standard library is used, and the commands run one at a time.
 """
@@ -44,6 +44,7 @@ STARTS = ("g1g2", "g1e2", "e1g2", "e1e2", "s", "a", "p", "q", "f", "k",
           "L1L2", "R1R2", "L1R2", "R1L2")
 
 # the input file each command reads, written into its directory before it runs
+# (a text of None makes a directory of that name, for a command to refuse)
 BIG = "1" + "0" * 400
 INPUTS = {
     "run_config_big_horizon": (
@@ -55,6 +56,8 @@ INPUTS = {
         "config.json", '{"scenario": "free_eg", "out": %s1%s}\n' % ("[" * 5000, "]" * 5000)),
     "plot_fig3a": (
         "in.csv", "t_s,C,rho_ff\n0.0,0.0,0.5\n5.0e-10,0.5,0.75\n1.0e-09,1.0,1.0\n"),
+    "run_out_directory": ("d", None),
+    "run_sweep_index_directory": ("x.index.csv", None),
 }
 # the commands that read a file an earlier command wrote: that command and the file
 SAVED = {"run_saved_config": ("run_save_config", "saved.json")}
@@ -157,6 +160,11 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
                                             "--out", "s.csv"]
     cmds["run_out_missing_directory"] = ["run", "--scenario", "free_eg", "--samples", "11",
                                          "--out", "no/x.csv"]
+    # targets that are directories, refused before the first walk
+    cmds["run_out_directory"] = ["run", "--scenario", "free_eg", "--samples", "11",
+                                 "--out", "d"]
+    cmds["run_sweep_index_directory"] = ["run", "--scenario", "free_eg", "--samples", "5",
+                                         "--sweep", "J=1e9,2e9", "--out", "x.csv"]
     # rates that are finite one by one, whose dephasing rates or generator overflow
     cmds["audit_gamma_overflow"] = ["audit", "--gamma", "1e308"]
     cmds["zeno_gamma_overflow"] = ["zeno", "--tau", "1e6", "--T", "1e6", "--J", "1e-9",
@@ -206,8 +214,11 @@ def main(argv: list[str]) -> int:
         os.mkdir(cwd)
         if name in INPUTS:
             filename, text = INPUTS[name]
-            with open(os.path.join(cwd, filename), "w") as fh:
-                fh.write(text)
+            if text is None:
+                os.mkdir(os.path.join(cwd, filename))
+            else:
+                with open(os.path.join(cwd, filename), "w") as fh:
+                    fh.write(text)
         if name in SAVED:
             source, filename = SAVED[name]
             shutil.copy(os.path.join(outdir, source, filename), cwd)
