@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ import numpy as np
 from .liouville import _VARIANTS, SystemParams, _check_positive, _is_integer, _shown
 from .scenarios import NH3, ObservableTable, Scenario, ZenoSweep, _run_blocks, catalog
 from .states import blocks, named_state, pure_density
-from .zeno import _intervals, analytic_survival, run_zeno
+from .zeno import _check_chain, _intervals, _interval_survival, analytic_survival
 
 __all__ = ["RunConfig", "emit_csv", "entry", "main"]
 
@@ -396,13 +397,22 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     # each file is written to a temporary file, each point's as it is walked, and
     # the files replace their targets, in the order printed, only once every point
-    # has succeeded, so a point that fails, even in its trigger search, leaves none
-    temps: list[tuple[str, str]] = []
+    # has succeeded, so a point that fails, even in its trigger search, leaves none.
+    # A target that exists and is no regular file (a FIFO, a terminal) is written
+    # in place: a rename would replace it, or fail, as on /dev/stdout
+    temps: list[tuple[str, str | None]] = []  # (file written, target or None if in place)
     lines: list[tuple[str, str]] = []  # each file's path and line, in the order of temps
 
+    def output(path: str) -> str:
+        try:
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)  # directories are refused above
+        except OSError:  # a new file, or one _temporary names in its error
+            in_place = False
+        temps.append((path, None) if in_place else _temporary(path))
+        return temps[-1][0]
+
     def write_text(path: str, text: str) -> None:
-        temps.append(_temporary(path))
-        with open(temps[-1][0], "wb") as fh:
+        with open(output(path), "wb") as fh:
             fh.write(text.encode("utf-8"))
         lines.append((path, f"wrote {path}"))
 
@@ -410,8 +420,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.save_config is not None:
             write_text(args.save_config, cfg.to_json())
         for value, scenario, path in cfg.points:
-            temps.append(_temporary(path))
-            temp = temps[-1][0]
+            temp = output(path)
             try:
                 if isinstance(scenario, ZenoSweep):
                     table = scenario.table()  # built whole
@@ -430,16 +439,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             index = [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
             write_text(index_path, "\n".join(["param,value,path", *index]) + "\n")
         for path, line in lines:
-            try:
-                os.replace(*temps[0])
-            except OSError as err:
-                raise OSError(err.errno, err.strerror, path) from None
+            temp, target = temps[0]
+            if target is not None:
+                try:
+                    os.replace(temp, target)
+                except OSError as err:
+                    raise OSError(err.errno, err.strerror, path) from None
             del temps[0]  # renamed: a file of its name now is another run's
             print(line)
     finally:
-        for temp, _ in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
+        for temp, target in temps:
+            if target is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(temp)
     return 0
 
 
@@ -481,18 +493,21 @@ def cmd_zeno(args: argparse.Namespace) -> int:
         n = _intervals(args.T, args.tau)
         if n is None:
             raise ValueError(f"--T {args.T:g} s is not a whole number of tau intervals")
-    survival = run_zeno(args.tau, n, args.J, args.gamma)
+    _check_chain(args.tau, n, args.J, args.gamma)
+    # run_zeno's curve is p**k, so a block of it, or its last entry, is computed alone
+    p = _interval_survival(args.tau, args.J, args.gamma)
     exact, gauss = analytic_survival(args.J, args.tau, n)
     # the CSV is written before the first line is printed, so a run whose file
     # cannot be written prints nothing but its error
     if args.out is not None:
-        times = np.arange(n + 1, dtype=float)
-        times *= args.tau  # in place, so the curve and its times are all the run holds
-        emit_csv(ObservableTable(times, ("survival",), survival[:, None]), args.out)
+        rows = ((np.arange(k.start, k.stop, dtype=float) * args.tau,
+                 p ** np.arange(k.start, k.stop)) for k in blocks(n + 1))
+        _write_csv(args.out, ("survival",), rows)
     print(f"tau_s = {args.tau:.6e}")
     print(f"n_measurements = {n}")
     print(f"total_time_s = {n * args.tau:.6e}")
-    print(f"survival = {survival[-1]:.6e}")
+    # the entry as run_zeno's array power gives it, which a scalar p**n need not
+    print(f"survival = {(p ** np.arange(n, n + 1))[0]:.6e}")
     print(f"survival_exact_gamma0 = {exact:.6e}")
     print(f"survival_gaussian = {gauss:.6e}")
     if args.out is not None:

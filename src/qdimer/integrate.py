@@ -6,7 +6,10 @@ as its callers build it with `liouville.superoperator`, builds
 S = exp(L dt) as a 16x16 matrix once per distinct spacing dt of the grid --
 the Taylor series of L dt / 2**s by matrix Horner, then s squarings
 (Al-Mohy & Higham 2011, SIAM J. Sci. Comput. 33:488) -- and walks the
-samples with one product S @ rho each.  Neither step needs an
+samples with one product S @ rho each.  It keeps at most `states.BLOCK`
+steps (1 MiB), emptying the cache when it is full, so a grid of many
+distinct spacings, such as random times, holds no step per sample; every
+grid a command walks has fewer than 30.  Neither step needs an
 eigendecomposition, so the non-diagonalizable generators at the exceptional
 point gamma = 2J and the published rows are handled like any other.
 No trace renormalization is ever applied: trace drift is an error signal,
@@ -25,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .liouville import SystemParams, _check_positive, _check_samples
-from .states import blocks
+from .states import BLOCK, blocks
 
 __all__ = ["UniformGrid", "integrate_blocks", "closed_form_free"]
 
@@ -146,7 +149,8 @@ def integrate_blocks(
     if not np.all(np.isfinite(rho0)):
         raise ValueError("rho0 must be finite")
 
-    # exact float keys: a uniform grid has only a handful of distinct spacings
+    # exact float keys: a uniform grid has only a handful of distinct spacings; a
+    # grid of many (random times) empties the cache at BLOCK steps, 1 MiB of them
     steps: dict[float, np.ndarray] = {}
     y = rho0.reshape(16)
     last = 0.0  # the time of the state y; rho0 sits at t = 0
@@ -168,6 +172,8 @@ def integrate_blocks(
             for k, dt in enumerate(dts.tolist()):
                 if dt != 0.0:
                     if dt not in steps:
+                        if len(steps) == BLOCK:
+                            steps.clear()
                         steps[dt] = _exponential(lv, dt)
                     y = steps[dt] @ y
                 out[k] = y

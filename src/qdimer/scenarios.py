@@ -25,7 +25,7 @@ from .integrate import UniformGrid, _GridRows, integrate_blocks
 from .liouville import (RhsVariant, SystemParams, _check_nonnegative, _check_positive,
                         _check_samples, _shown, superoperator)
 from .states import _checked_populations, blocks, named_state, population, pure_density
-from .zeno import _check_chain, _intervals, analytic_survival, run_zeno
+from .zeno import _check_chain, _intervals, _interval_survival, analytic_survival
 
 __all__ = [
     "OBSERVABLES",
@@ -174,7 +174,9 @@ class ZenoSweep:
             exact, gauss = np.array(rows).T
             label = f"{tau * 1e9:g}ns"
             names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
-            columns += [run_zeno(tau, n, self.J, self.gamma)[::stride], exact, gauss]
+            # run_zeno's curve at every stride-th measurement, without the rest of it
+            p = _interval_survival(tau, self.J, self.gamma)
+            columns += [p ** (stride * np.arange(n_rows + 1)), exact, gauss]
         times = max(self.zeno_taus) * np.arange(n_rows + 1)
         return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
 

@@ -74,11 +74,17 @@ def run_zeno(tau: float, n_measurements: int, J: float, gamma: float) -> np.ndar
     the chain is never extinguished.
     """
     _check_chain(tau, n_measurements, J, gamma)
+    return _interval_survival(tau, J, gamma) ** np.arange(n_measurements + 1)
+
+
+def _interval_survival(tau: float, J: float, gamma: float) -> float:
+    """p = <f|rho(tau)|f> from rho(0) = |f><f|, the survival of one interval,
+    whose powers p**k are `run_zeno`'s curve; tau, J and gamma must have
+    passed `_check_chain`."""
     f = named_state("f")
     lv = superoperator("derived", SystemParams(omega0=0.0, J=J, gamma=gamma))
     [(_, states)] = integrate_blocks(lv, pure_density(f), [tau])
-    p = population(states[0], f)
-    return p ** np.arange(n_measurements + 1)
+    return population(states[0], f)
 
 
 def analytic_survival(j: float, tau: float, n: int) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -858,6 +859,20 @@ def test_switch_off_peak_rss_does_not_grow_with_its_samples(tmp_path):
     assert peaks["200000"] - peaks["3001"] < 1.0, peaks
 
 
+def test_zeno_peak_rss_does_not_grow_with_its_chain(tmp_path):
+    # the survival curve, p**k for k = 0..N, was once built whole to print its
+    # last entry (and its times with it, for --out): 10**7 measurements peaked
+    # at 182.6 MB of RSS, and 182.8 MB with --out, against 30.2 MB at N = 1000
+    peaks = {}
+    for n, out in (("1000", ()), ("10000000", ()), ("10000000", ("--out", "z.csv"))):
+        code, peaks[n, out], err = peak_rss(["zeno", "--tau", "1e-13", "--N", n, *out],
+                                            tmp_path)
+        assert (code, err) == (0, "")
+    assert (tmp_path / "z.csv").stat().st_size == 460_000_059
+    (tmp_path / "z.csv").unlink()
+    assert max(peaks.values()) - peaks["1000", ()] < 1.0, peaks
+
+
 def test_guard_error_wins_over_observable_error(tmp_path, capsys):
     # the guard checks a block before any observable sees it: the preset's
     # trace leaves 1e-6 at sample 19, in its first block, and each of its five
@@ -1485,6 +1500,64 @@ def test_catalog_listing(capsys):
     assert any("field_off=auto" in line for line in lines)
     # the sweep lists only what its chains read
     assert lines[-1] == "zeno_sweep: J=4e+09 gamma=1e+06 horizon=1e-09 zeno_taus=1e-10,1e-11,5e-12"
+
+
+def drained(fd):
+    """Everything a non-blocking reader of a FIFO holds once its writer has closed."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_run_writes_fifos_in_place(tmp_path, monkeypatch, capsys):
+    # a FIFO --out was once written into a temporary file that was then renamed
+    # over it: the FIFO became a regular file and its reader got 0 bytes
+    (tmp_path / "ref").mkdir()
+    monkeypatch.chdir(tmp_path / "ref")
+    argv = ["run", "--scenario", "free_eg", "--samples", "5", "--out", "p",
+            "--save-config", "q"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out
+    (tmp_path / "fifo").mkdir()
+    monkeypatch.chdir(tmp_path / "fifo")
+    for name in ("p", "q"):
+        os.mkfifo(name)
+    # each FIFO has a reader before the run opens it, or the open would block;
+    # the files fit the 64 KiB pipe buffer, so no write waits for a read
+    readers = {name: os.open(name, os.O_RDONLY | os.O_NONBLOCK) for name in ("p", "q")}
+    try:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == lines
+        for name, fd in readers.items():
+            assert drained(fd) == (tmp_path / "ref" / name).read_bytes(), name
+        # a failing run writes its header there too, and leaves each FIFO as it was
+        assert main(["run", "--scenario", "free_eg", "--rhs", "published", "--samples",
+                     "2000001", "--out", "p", "--save-config", "q"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: population 1.000000e+00 above 1 beyond tolerance\n")
+        assert drained(readers["p"]) == b"t_s,rho11,rho22,rho33,rho44,rho_ff,rho_kk,C\n"
+        assert drained(readers["q"]).startswith(b"{")
+    finally:
+        for fd in readers.values():
+            os.close(fd)
+    assert sorted(p.name for p in (tmp_path / "fifo").iterdir()) == ["p", "q"]
+    assert all(stat.S_ISFIFO(os.stat(name).st_mode) for name in ("p", "q"))
+
+
+def test_run_writes_a_piped_stdout_in_place(tmp_path):
+    # /dev/stdout links to the pipe, beside which no temporary file can be
+    # made: the run once exited 4 with "No such file or directory: '/dev/stdout'"
+    src = os.path.dirname(os.path.dirname(qdimer.__file__))
+    run = subprocess.run([sys.executable, "-m", "qdimer.cli", "run", "--scenario", "free_eg",
+                          "--samples", "3", "--out", "/dev/stdout"], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = run.stdout.splitlines()
+    assert lines[0] == "t_s,rho11,rho22,rho33,rho44,rho_ff,rho_kk,C"
+    assert len(lines) == 5
+    assert lines[-1] == "wrote /dev/stdout (3 rows, 7 columns)"
+    assert list(tmp_path.iterdir()) == []
 
 
 def parse_report(out):

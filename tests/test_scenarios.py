@@ -18,7 +18,7 @@ from qdimer.scenarios import (
     run_scenario,
 )
 from qdimer.states import BLOCK, named_state, pure_density
-from qdimer.zeno import analytic_survival
+from qdimer.zeno import analytic_survival, run_zeno
 
 FREE = SystemParams(omega0=1.5e11, J=4.0e9, gamma=1.0e6)
 DRIVE_S = SystemParams(
@@ -654,6 +654,18 @@ def test_zeno_sweep_table():
         # dephasing at gamma = 1e6 costs a little survival on top of the swap
         assert np.all(sim[1:] < exact[1:])
         assert np.max(exact[1:] - sim[1:]) < 1e-3
+
+
+@pytest.mark.parametrize("horizon", [1e-9, 1e-8])
+def test_zeno_sweep_survival_is_run_zenos_curve_bit_for_bit(horizon):
+    # each column takes p**(stride * r) for its rows alone, not run_zeno's whole
+    # curve sliced to every stride-th entry; the bits are the curve's
+    sweep = replace(preset("zeno_sweep"), horizon=horizon)
+    table = sweep.table()
+    for tau, stride, n in sweep._schedule():
+        column = table.data[:, table.names.index(f"survival_tau{tau * 1e9:g}ns")]
+        curve = run_zeno(tau, n, sweep.J, sweep.gamma)[::stride]
+        assert column.tobytes() == curve.tobytes(), tau
 
 
 def test_unknown_initial_raises_at_construction():

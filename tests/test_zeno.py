@@ -11,7 +11,7 @@ from oracles import fastest_rate
 from qdimer.cli import main, time_quantity
 from qdimer.liouville import MAX_SAMPLES, SystemParams
 from qdimer.integrate import closed_form_free
-from qdimer.states import named_state, population, pure_density
+from qdimer.states import BLOCK, named_state, population, pure_density
 from qdimer.zeno import _check_chain, analytic_survival, run_zeno
 
 FREE = {"J": 4.0e9, "gamma": 0.0}
@@ -217,6 +217,19 @@ def test_times_grid(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.allclose(data[:, 0], 2e-11 * np.arange(6))
     assert np.array_equal(data[:, 1], survival)
+
+
+def test_out_is_run_zenos_curve_byte_for_byte(tmp_path, capsys):
+    # `zeno --out` writes p**k a block of k at a time, and prints p**N, without
+    # run_zeno's whole curve; over three blocks and a row, the text is the curve's
+    tau, n = 1e-13, 3 * BLOCK + 1
+    out = tmp_path / "z.csv"
+    assert main(["zeno", "--tau", "1e-13", "--N", str(n), "--gamma", "1e8",
+                 "--out", str(out)]) == 0
+    survival = run_zeno(tau, n, J=4.0e9, gamma=1e8)
+    rows = "".join("%.16e,%.16e\n" % (k * tau, s) for k, s in enumerate(survival))
+    assert out.read_bytes() == ("t_s,survival\n" + rows).encode()
+    assert f"survival = {survival[-1]:.6e}\n" in capsys.readouterr().out
 
 
 def test_unwritable_out_prints_nothing_but_the_error(tmp_path, capsys):

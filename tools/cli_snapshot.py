@@ -15,7 +15,8 @@ drive sweep, switch-off runs down to a two-sample grid or with a drive of 1e300
 rad/s, the custom run of the README), `audit` for every named start, `zeno`
 chains, `catalog`, `constants`, a `run --save-config` followed by a `run
 --config` of the file it saved, a `plot`, a run that fails on its first block
-(so it should exit at once), a sweep whose second point fails, audits whose
+(so it should exit at once), a `zeno` chain at the measurement cap and one whose
+CSV spans three blocks and a row, a sweep whose second point fails, audits whose
 published walk overflows or drifts, a run whose step overflows, a run onto a
 250-byte --out name, and refused inputs: bad flag values (among them `zeno` and `audit` with a
 negative J or gamma, a tau outside the Zeno window, a --T that is no whole
@@ -81,6 +82,10 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["zeno_benchmark_chain"] = ["zeno", "--tau", "1e-13", "--N", "10000", "--J", "4e9",
                                     "--gamma", "0", "--out", "zeno.csv"]
     cmds["zeno_long_interval"] = ["zeno", "--J", "1e3", "--tau", "10us", "--N", "10000"]
+    # a chain at the measurement cap, and a CSV of three blocks of 256 rows and one more
+    cmds["zeno_chain_at_the_cap"] = ["zeno", "--tau", "1e-13", "--N", "10000000"]
+    cmds["zeno_out_past_three_blocks"] = ["zeno", "--tau", "1e-13", "--N", "769",
+                                          "--gamma", "1e8", "--out", "zeno.csv"]
     cmds["catalog"] = ["catalog"]
     cmds["constants_field"] = ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1V/m"]
     cmds["constants_bad_omega0"] = ["constants", "--d0", "1.46D", "--r", "10nm",
