@@ -284,20 +284,17 @@ def _scenario_from_config(cfg: RunConfig, value: float | None = None) -> Scenari
 # output emission
 
 def emit_csv(table: ObservableTable, path: str) -> None:
-    """Deterministic CSV: header `t_s,<names...>`, 17-significant-digit
-    scientific notation, LF newlines, UTF-8 bytes.
-
-    Rows are formatted and written a block at a time, so the text of the
-    whole file is never held in memory.  Each cell is the text of
-    ``'%.16e' % x``, which `csvtext` writes for a whole block in numpy.
-    """
+    """For library callers: the CSV of `_write_csv` from a table held whole."""
     rows = ((table.times[block], table.data[block]) for block in blocks(table.times.size))
     _write_csv(path, table.names, rows)
 
 
 def _write_csv(path: str, names: Sequence[str],
                rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
-    """The CSV of `emit_csv` from blocks of (times, data), each written as it comes."""
+    """Deterministic CSV from blocks of (times, data), each written as it comes, so the
+    whole file's text is never held: header `t_s,<names...>`, 17-significant-digit
+    scientific notation, LF newlines, UTF-8 bytes.  Each cell is the text of
+    ``'%.16e' % x``, which `csvtext` writes for a whole block in numpy."""
     from .csvtext import csv_rows  # loaded only by the commands that write a CSV
 
     with open(path, "wb") as fh:
@@ -419,22 +416,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         if args.save_config is not None:
             write_text(args.save_config, cfg.to_json())
-        for value, scenario, path in cfg.points:
+        for value, point, path in cfg.points:
             temp = output(path)
             try:
-                if isinstance(scenario, ZenoSweep):
-                    table = scenario.table()  # built whole
-                    emit_csv(table, temp)
-                    rows, columns = table.data.shape
-                else:
-                    _write_csv(temp, scenario.observables, _run_blocks(scenario, cfg.rhs))
-                    rows, columns = scenario.samples, len(scenario.observables)
+                _write_csv(temp, point.observables, _run_blocks(point, cfg.rhs))
             except ValueError as err:
                 if cfg.sweep_param is None:
                     raise
                 raise ValueError(f"{cfg.sweep_param}={value:g}: {err}") from err
-            shape = f" ({rows} rows, {columns} columns)" if cfg.sweep_param is None else ""
-            lines.append((path, f"wrote {path}{shape}"))
+            shape = f" ({point.samples} rows, {len(point.observables)} columns)"
+            lines.append((path, f"wrote {path}{shape if cfg.sweep_param is None else ''}"))
         if index_path is not None:
             index = [f"{cfg.sweep_param},{value:.16e},{path}" for value, _, path in cfg.points]
             write_text(index_path, "\n".join(["param,value,path", *index]) + "\n")

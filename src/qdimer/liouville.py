@@ -46,10 +46,10 @@ _VARIANTS: tuple[str, ...] = get_args(RhsVariant)
 
 
 # a series held whole (run_scenario's times and columns, run_zeno's survival curve)
-# takes 8 B per entry, so Scenario and run_zeno refuse more: at most 80 MB a series;
-# the audit's grid shares the cap.  `run` writes each block as it is walked, and no
-# command allocates a Zeno curve (`zeno` computes p**k a block at a time, a Zeno
-# sweep at its rows alone); there the cap bounds each command's time and file
+# takes 8 B per entry, so Scenario, ZenoSweep and run_zeno refuse more: at most 80 MB
+# a series; the audit's grid shares the cap.  No command holds one: `run` writes each
+# block of a walk or a Zeno sweep as it is computed, and `zeno` computes p**k a block
+# at a time; there the cap bounds each command's time and file
 MAX_SAMPLES = 10**7
 
 

@@ -69,6 +69,12 @@ OBSERVABLES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+def _check_listed_once(names: tuple[str, ...]) -> None:
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"observables {repeated} are listed more than once")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One named run: initial state, rates, horizon and recorded columns.
@@ -105,9 +111,7 @@ class Scenario:
             raise ValueError(
                 f"unknown observables {_shown(unknown)}; valid: {sorted(OBSERVABLES)}"
             )
-        repeated = sorted({n for n in self.observables if self.observables.count(n) > 1})
-        if repeated:
-            raise ValueError(f"observables {repeated} are listed more than once")
+        _check_listed_once(self.observables)
         if self.field_off_time is not None:
             if not self.params.driven:
                 raise ValueError("field_off_time requires a driven scenario")
@@ -148,7 +152,18 @@ class ZenoSweep:
             raise ValueError(f"zeno_taus must list at least one tau, got {_shown(self.zeno_taus)}")
         for tau in self.zeno_taus:
             _check_positive("zeno_taus", tau)
+        _check_listed_once(self.observables)  # two taus of one label
         list(self._schedule())  # checks every tau's schedule
+
+    @property
+    def observables(self) -> tuple[str, ...]:
+        return tuple(f"{kind}_tau{tau * 1e9:g}ns"
+                     for tau in self.zeno_taus for kind in ("survival", "exact", "gauss"))
+
+    @property
+    def samples(self) -> int:
+        # the widest tau's count; every tau's count over its stride is the same
+        return _intervals(self.horizon, max(self.zeno_taus)) + 1
 
     def _schedule(self) -> Iterator[tuple[float, int, int]]:
         """Each tau, its stride on the grid of the widest tau, and its count over the horizon."""
@@ -162,23 +177,6 @@ class ZenoSweep:
             stride, n = counts
             _check_chain(tau, n, self.J, self.gamma)  # checks the Zeno window
             yield tau, stride, n
-
-    def table(self) -> ObservableTable:
-        """Per tau, on the grid of the widest tau: the dephasing run's survival, the
-        coherence-free closed form and its gaussian frequent-measurement approximation."""
-        names: list[str] = []
-        columns: list[np.ndarray] = []
-        for tau, stride, n in self._schedule():
-            n_rows = n // stride  # the same for every tau
-            rows = [analytic_survival(self.J, tau, r * stride) for r in range(n_rows + 1)]
-            exact, gauss = np.array(rows).T
-            label = f"{tau * 1e9:g}ns"
-            names += [f"survival_tau{label}", f"exact_tau{label}", f"gauss_tau{label}"]
-            # run_zeno's curve at every stride-th measurement, without the rest of it
-            p = _interval_survival(tau, self.J, self.gamma)
-            columns += [p ** (stride * np.arange(n_rows + 1)), exact, gauss]
-        times = max(self.zeno_taus) * np.arange(n_rows + 1)
-        return ObservableTable(times=times, names=tuple(names), data=np.column_stack(columns))
 
 
 def catalog() -> list[Scenario | ZenoSweep]:
@@ -337,18 +335,35 @@ def _walk(
 
 
 def _run_blocks(
-    scenario: Scenario, variant: RhsVariant
+    point: Scenario | ZenoSweep, variant: RhsVariant
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each block's times and observables, data[k, m] the m-th at times[k], as the
     walk reaches it.  The first block that fails, in the walk or in an observable,
     raises, and nothing past it is stepped; without a switch-off, no sample time
-    past it is computed either."""
-    grid = UniformGrid(scenario.horizon, scenario.samples)
-    for rows, states in _walk(scenario, variant, grid):
-        yield grid[rows], np.column_stack([OBSERVABLES[n](states) for n in scenario.observables])
+    past it is computed either.  A Zeno sweep takes each tau's p, the survival of one
+    interval, before its first block; at row r, on the widest tau's grid, it gives
+    run_zeno's p ** (stride * r) and analytic_survival's coherence-free closed forms."""
+    if isinstance(point, ZenoSweep):
+        if variant != "derived":
+            raise ValueError(f"a Zeno sweep runs the derived generator, not {_shown(variant)}")
+        chains = [(tau, stride, _interval_survival(tau, point.J, point.gamma))
+                  for tau, stride, _ in point._schedule()]
+        for rows in blocks(point.samples):
+            r = np.arange(rows.start, rows.stop)
+            columns = []
+            for tau, stride, p in chains:
+                closed = [analytic_survival(point.J, tau, k) for k in (stride * r).tolist()]
+                columns += [p ** (stride * r), *np.array(closed).T]
+            yield max(point.zeno_taus) * r, np.column_stack(columns)
+        return
+    grid = UniformGrid(point.horizon, point.samples)
+    for rows, states in _walk(point, variant, grid):
+        yield grid[rows], np.column_stack([OBSERVABLES[n](states) for n in point.observables])
 
 
-def run_scenario(scenario: Scenario, *, variant: RhsVariant = "derived") -> ObservableTable:
+def run_scenario(
+    scenario: Scenario | ZenoSweep, *, variant: RhsVariant = "derived"
+) -> ObservableTable:
     """Run one preset and evaluate its observables at its `samples` evenly
     spaced times over [0, horizon]: the blocks of `_run_blocks` in one table."""
     times = np.empty(scenario.samples)

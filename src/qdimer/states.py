@@ -98,12 +98,13 @@ _POP_TOL = 1e-9
 # Trajectories are propagated, evaluated and written this many states at a
 # time: one batched call per block keeps the per-call overhead low, and a
 # block (64 KiB of states) is all of the trajectory a run holds; `run` keeps
-# no table either, as it writes each block as it is walked.  Measured on a
-# 2-vCPU x86-64 host: the traced peak of free_LL's run is 443 KiB (801 at 512
-# states, 264 at 128) at any length, and that of emit_csv is 137 KiB (267 at
-# 512); `qdimer run` peaks at 31.5-31.7 MB of RSS on free_LL and free_eg, and
-# at 300,000 and 10**7 samples alike.  256 is the largest block at that
-# floor: 64 and 128 give the same peak, and 512 raises it by 0.1-0.3 MB.
+# no table either, as it writes each block, a walk's or a Zeno sweep's, as it
+# comes.  Measured on a 2-vCPU x86-64 host: the traced peak of free_LL's run
+# is 443 KiB (801 at 512 states, 264 at 128) at any length, and that of
+# emit_csv is 137 KiB (267 at 512); `qdimer run` peaks at 31.5-31.7 MB of RSS
+# on free_LL and free_eg, and at 300,000 and 10**7 samples alike.  256 is the
+# largest block at that floor: 64 and 128 give the same peak, and 512 raises
+# it by 0.1-0.3 MB.
 BLOCK = 256
 
 

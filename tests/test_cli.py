@@ -873,6 +873,18 @@ def test_zeno_peak_rss_does_not_grow_with_its_chain(tmp_path):
     assert max(peaks.values()) - peaks["1000", ()] < 1.0, peaks
 
 
+def test_zeno_sweep_peak_rss_does_not_grow_with_its_horizon(tmp_path):
+    # the sweep's table was once built whole, with one Python tuple of closed
+    # forms per row: 10**5 rows peaked at 61.9 MB of RSS, against 30.4 MB for
+    # the preset's 11
+    peaks = {}
+    for horizon in ((), ("--horizon", "1e-5")):
+        code, peaks[horizon], err = peak_rss(["run", "--scenario", "zeno_sweep", *horizon,
+                                              "--out", "z.csv"], tmp_path)
+        assert (code, err) == (0, "")
+    assert peaks["--horizon", "1e-5"] - peaks[()] < 1.0, peaks
+
+
 def test_guard_error_wins_over_observable_error(tmp_path, capsys):
     # the guard checks a block before any observable sees it: the preset's
     # trace leaves 1e-6 at sample 19, in its first block, and each of its five

@@ -123,6 +123,10 @@ def test_scenario_names_the_one_bad_value(field, bad, message):
         build(**{**ok, field: bad})
 
 
+REPEATED_LABEL = ("observables ['exact_tau0.1ns', 'gauss_tau0.1ns', 'survival_tau0.1ns'] "
+                  "are listed more than once")
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"J": -1.0}, "J must be >= 0, got -1.0"),
     ({"gamma": float("nan")}, "gamma must be a finite number, got nan"),
@@ -135,6 +139,9 @@ def test_scenario_names_the_one_bad_value(field, bad, message):
     ({"J": -1.0, "gamma": -1.0, "horizon": 0.0, "zeno_taus": (0.0,)}, "J must be >= 0, got -1.0"),
     ({"horizon": 0.0, "zeno_taus": (0.0,)}, "horizon must be > 0, got 0.0"),
     ({"horizon": 2.5e-10, "zeno_taus": (1e-10, 0.0)}, "zeno_taus must be > 0, got 0.0"),
+    # two taus that print as 0.1ns once gave a table of each column name twice
+    ({"zeno_taus": (1e-10, 1e-10)}, REPEATED_LABEL),
+    ({"zeno_taus": (1e-10, 1e-10 * (1 + 1e-10))}, REPEATED_LABEL),
 ])
 def test_zeno_sweep_names_the_first_bad_value(bad, message):
     ok = dict(name="x", J=4.0e9, gamma=1.0e6, horizon=1e-9, zeno_taus=(1e-10,))
@@ -634,7 +641,7 @@ def test_switch_off_with_off_grid_time(monkeypatch):
 
 
 def test_zeno_sweep_table():
-    table = preset("zeno_sweep").table()
+    table = run_scenario(preset("zeno_sweep"))
     assert np.allclose(table.times, 1e-10 * np.arange(11))
     assert table.names == (
         "survival_tau0.1ns", "exact_tau0.1ns", "gauss_tau0.1ns",
@@ -656,16 +663,29 @@ def test_zeno_sweep_table():
         assert np.max(exact[1:] - sim[1:]) < 1e-3
 
 
-@pytest.mark.parametrize("horizon", [1e-9, 1e-8])
+@pytest.mark.parametrize("horizon", [1e-9, 1e-8, 3e-8])
 def test_zeno_sweep_survival_is_run_zenos_curve_bit_for_bit(horizon):
     # each column takes p**(stride * r) for its rows alone, not run_zeno's whole
-    # curve sliced to every stride-th entry; the bits are the curve's
+    # curve sliced to every stride-th entry; the bits are the curve's.  At 3e-8 s
+    # the 301 rows span two blocks, and the closed forms too are those of
+    # analytic_survival, row by row, on both sides of the boundary
     sweep = replace(preset("zeno_sweep"), horizon=horizon)
-    table = sweep.table()
+    table = run_scenario(sweep)
     for tau, stride, n in sweep._schedule():
         column = table.data[:, table.names.index(f"survival_tau{tau * 1e9:g}ns")]
         curve = run_zeno(tau, n, sweep.J, sweep.gamma)[::stride]
         assert column.tobytes() == curve.tobytes(), tau
+        rows = np.array([analytic_survival(sweep.J, tau, r * stride)
+                         for r in range(table.times.size)])
+        for kind, closed in zip(("exact", "gauss"), rows.T):
+            column = table.data[:, table.names.index(f"{kind}_tau{tau * 1e9:g}ns")]
+            assert column.tobytes() == closed.tobytes(), (kind, tau)
+
+
+def test_zeno_sweep_runs_only_the_derived_generator():
+    with pytest.raises(ValueError, match="^a Zeno sweep runs the derived generator, "
+                                         "not 'published'$"):
+        run_scenario(preset("zeno_sweep"), variant="published")
 
 
 def test_unknown_initial_raises_at_construction():

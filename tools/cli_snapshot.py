@@ -16,10 +16,11 @@ rad/s, the custom run of the README), `audit` for every named start, `zeno`
 chains, `catalog`, `constants`, a `run --save-config` followed by a `run
 --config` of the file it saved, a `plot`, a run that fails on its first block
 (so it should exit at once), a `zeno` chain at the measurement cap and one whose
-CSV spans three blocks and a row, a sweep whose second point fails, audits whose
-published walk overflows or drifts, a run whose step overflows, a run onto a
-250-byte --out name, and refused inputs: bad flag values (among them `zeno` and `audit` with a
-negative J or gamma, a tau outside the Zeno window, a --T that is no whole
+CSV spans three blocks and a row, a `zeno_sweep` run past one block, a sweep
+whose second point fails, audits whose published walk overflows or drifts, a
+run whose step overflows, a run onto a 250-byte --out name, and refused inputs:
+bad flag values (among them `zeno` and `audit` with a negative J or gamma, a
+tau outside the Zeno window, a --T that is no whole
 number of tau intervals, a sweep from an unknown start or onto an --out path
 that holds a comma or a line break or lies in a missing directory, an --out or
 a sweep index that is a directory, rates whose dephasing rates or generator
@@ -86,6 +87,9 @@ def commands(presets: list[str]) -> dict[str, list[str]]:
     cmds["zeno_chain_at_the_cap"] = ["zeno", "--tau", "1e-13", "--N", "10000000"]
     cmds["zeno_out_past_three_blocks"] = ["zeno", "--tau", "1e-13", "--N", "769",
                                           "--gamma", "1e8", "--out", "zeno.csv"]
+    # a Zeno sweep of 301 rows: a block of 256 and one of 45
+    cmds["run_zeno_sweep_past_a_block"] = ["run", "--scenario", "zeno_sweep", "--horizon",
+                                           "3e-8", "--out", "out.csv"]
     cmds["catalog"] = ["catalog"]
     cmds["constants_field"] = ["constants", "--d0", "1.46D", "--r", "10nm", "--E-l", "1V/m"]
     cmds["constants_bad_omega0"] = ["constants", "--d0", "1.46D", "--r", "10nm",

@@ -17,8 +17,9 @@ lazy import of the CSV writer) stay out of the numbers.  The layers:
 * emit_csv_s: writing the run's table into a temporary directory.
 
 The zeno_sweep preset is a ZenoSweep, which has no walk: it reports only
-run_scenario_s, which times its table(), and emit_csv_s.  tools/bench.py runs
-this script once per tree and round.
+run_scenario_s, which collects its blocks of closed forms and powers of each
+interval's survival as for a walk, and emit_csv_s.  tools/bench.py runs this
+script once per tree and round.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ def walk(sc: scenarios.Scenario) -> list:
 
 def layers(sc: scenarios.Scenario | scenarios.ZenoSweep, out: str) -> dict[str, object]:
     row: dict[str, object] = {}
-    if isinstance(sc, scenarios.ZenoSweep):
-        row["run_scenario_s"], table = timed(sc.table)
-    else:
+    if isinstance(sc, scenarios.Scenario):
         row["superoperator_s"], _ = timed(lambda: superoperator("derived", sc.params))
         row["walk_s"], stack = timed(lambda: walk(sc))
         stack = np.concatenate(stack)
@@ -64,7 +63,7 @@ def layers(sc: scenarios.Scenario | scenarios.ZenoSweep, out: str) -> dict[str, 
                 row["C_s"] = seconds
             else:
                 row["observables_s"][name] = seconds
-        row["run_scenario_s"], table = timed(lambda: scenarios.run_scenario(sc))
+    row["run_scenario_s"], table = timed(lambda: scenarios.run_scenario(sc))
     row["emit_csv_s"], _ = timed(lambda: emit_csv(table, out))
     return row
 
